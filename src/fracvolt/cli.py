@@ -326,7 +326,7 @@ def cmd_equivalence(args) -> int:
     if name == "h2-lp":
         ns = list(range(0, args.trunc + 1, max(1, args.trunc // 100))) \
             if args.trunc > 8 else list(range(args.trunc + 1))
-        ratios = parallel_map(lambda n: norms.h2_monomial_ratio(w, n), ns)
+        ratios = norms.h2_monomial_ratios(w, ns).tolist()
         for n, ratio in zip(ns, ratios):
             mu = w.moment(2 * n + 1)
             rows.append(Row("equiv-h2-lp", w.label(), f"mono:{n}", n,

@@ -30,9 +30,9 @@ import numpy as np
 from scipy import special as sps
 
 from .geometry import build_lattice, disc_quadrature
-from .quad import (DEFAULT_SPEC, NormEstimate, PanelFunction, QuadratureSpec,
-                   _panel_grid, angular_nodes_for_degree, gauss_rule,
-                   looks_divergent)
+from .quad import (DEFAULT_SPEC, NormEstimate, QuadratureSpec,
+                   angular_nodes_for_degree, gauss_rule, panel_edges,
+                   radial_diverges, radial_integrals, radial_nodes)
 from .taylor import TaylorSeries, frac_derivative
 from .weights import RadialWeight
 
@@ -44,12 +44,6 @@ KERNEL_SPEC = QuadratureSpec(left_levels=12, right_levels=20)
 # ---------------------------------------------------------------------------
 # shared machinery
 # ---------------------------------------------------------------------------
-
-def _master(spec: QuadratureSpec):
-    edges, nodes, weights = _panel_grid(spec.left_levels, spec.right_levels,
-                                        spec.order)
-    return edges, nodes.ravel(), weights.ravel()
-
 
 def _power_matrix(radii: np.ndarray, jmax: int) -> np.ndarray:
     """P[i, j] = radii_i^j for j = 0..jmax (cumulative products)."""
@@ -84,6 +78,29 @@ def _sample_circle(coeffs: np.ndarray, radii: np.ndarray, m: int) -> np.ndarray:
     return np.abs(np.fft.ifft(spectrum, axis=1) * m)
 
 
+def _disc_p_integral(coeffs: np.ndarray, p: float, density, m: int,
+                     spec: QuadratureSpec) -> float:
+    """int_D |P|^p density(|z|) dA: per-radius p-means of |P| on m angles."""
+    nodes, weights = radial_nodes(spec)
+    mean_p = np.empty(len(nodes))
+    for i in range(0, len(nodes), 512):
+        sl = slice(i, min(i + 512, len(nodes)))
+        samples = _sample_circle(coeffs, nodes[sl], m)
+        mean_p[sl] = np.mean(samples ** p, axis=1)
+    with np.errstate(over="ignore", divide="ignore", under="ignore"):
+        dens = density(nodes)
+    return float(np.sum(2.0 * weights * nodes * dens * mean_p))
+
+
+def _lp_factor(w: RadialWeight):
+    """H(r) = mu_hat(r)^2 / (1 - r): the radial factor of the H^2
+    Littlewood-Paley form and of the BMOA Carleson measure."""
+    def H(r):
+        with np.errstate(over="ignore", divide="ignore"):
+            return np.asarray(w.tail(r), dtype=float) ** 2 / (1.0 - r)
+    return H
+
+
 def _window_weights(h: float, kmax: int) -> np.ndarray:
     """int over |theta - phi| <= h of e^(ik(theta - phi)): 2h, 2 sin(kh)/k."""
     k = np.arange(1, kmax + 1)
@@ -105,7 +122,8 @@ class SquareMachine:
                  spec: QuadratureSpec = DEFAULT_SPEC):
         self.P = P
         self.radial_factor = radial_factor
-        self.edges, self.nodes, self.weights = _master(spec)
+        self.edges = panel_edges(spec.left_levels, spec.right_levels)
+        self.nodes, self.weights = radial_nodes(spec)
         self.H = radial_factor(self.nodes)
         self.A = angular_autocorr(self.P.coeffs, self.nodes)
         self.degree = self.P.degree
@@ -184,34 +202,6 @@ def hardy2_coeff(f: TaylorSeries) -> NormEstimate:
                         truncation={"series": f.degree})
 
 
-def _weighted_radial_integrals(w: RadialWeight, radial_factor, powers,
-                               spec: QuadratureSpec = DEFAULT_SPEC):
-    """(values, errs, diverged): int_0^1 r^q H(r) dr for q in powers.
-
-    Values come from halved panels, the error indicator from the difference
-    against the unhalved pass, and divergence from the panel-decay monitor.
-    """
-    edges, nodes, weights = _master(spec)
-    H = radial_factor(nodes)
-    hpf = PanelFunction.from_values(H, spec)
-    diverged = looks_divergent(hpf.panel_integrals)
-
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    fine_edges = np.sort(np.concatenate([edges, mids]))
-    x, gw = gauss_rule(spec.order)
-    lo, hi = fine_edges[:-1][:, None], fine_edges[1:][:, None]
-    half = 0.5 * (hi - lo)
-    fnodes = (lo + half * (x[None, :] + 1.0)).ravel()
-    fweights = (half * gw[None, :]).ravel()
-    Hf = radial_factor(fnodes)
-
-    powers = np.asarray(powers, dtype=float)
-    with np.errstate(under="ignore"):
-        coarse = np.array([float(np.sum(weights * H * nodes ** q)) for q in powers])
-        fine = np.array([float(np.sum(fweights * Hf * fnodes ** q)) for q in powers])
-    return fine, np.abs(fine - coarse), diverged
-
-
 def hardy2_lp(f: TaylorSeries, w: RadialWeight,
               spec: QuadratureSpec = DEFAULT_SPEC) -> NormEstimate:
     """int_D |D(f)|^2 mu_hat^2 / (1 - |z|) dA via the radial series.
@@ -220,13 +210,8 @@ def hardy2_lp(f: TaylorSeries, w: RadialWeight,
     sum_n |f_n / mu_{2n+1}|^2 * 2 int_0^1 r^(2n+1) mu_hat(r)^2/(1-r) dr.
     """
     c = frac_derivative(f, w).coeffs
-
-    def H(r):
-        with np.errstate(over="ignore", divide="ignore"):
-            return np.asarray(w.tail(r), dtype=float) ** 2 / (1.0 - r)
-
     qs = 2 * np.arange(len(c)) + 1
-    vals, errs, diverged = _weighted_radial_integrals(w, H, qs, spec)
+    vals, errs, diverged = radial_integrals(_lp_factor(w), qs, spec)
     if diverged:
         return NormEstimate(np.inf, np.inf, tag="hardy2-lp", diverged=True,
                             truncation={"series": f.degree})
@@ -241,22 +226,12 @@ def h2_monomial_ratios(w: RadialWeight, ns,
                        spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
     """int_0^1 mu_hat^2/(1-r) r^(2n+1) dr / mu_{2n+1}^2 (the discrete witness),
     batched over the monomial degrees ``ns``."""
-
-    def H(r):
-        with np.errstate(over="ignore", divide="ignore"):
-            return np.asarray(w.tail(r), dtype=float) ** 2 / (1.0 - r)
-
     ns = np.asarray(ns, dtype=int)
-    vals, _, diverged = _weighted_radial_integrals(w, H, 2 * ns + 1, spec)
+    vals, _, diverged = radial_integrals(_lp_factor(w), 2 * ns + 1, spec)
     if diverged:
         return np.full(len(ns), np.inf)
     mus = np.array([w.moment(2 * int(n) + 1) for n in ns])
     return vals / mus ** 2
-
-
-def h2_monomial_ratio(w: RadialWeight, n: int,
-                      spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    return float(h2_monomial_ratios(w, [n], spec)[0])
 
 
 def tent_norm_power(f: TaylorSeries, w: RadialWeight, p: float,
@@ -275,18 +250,14 @@ def tent_norm_power(f: TaylorSeries, w: RadialWeight, p: float,
     if p <= 0:
         raise ValueError("p must be positive")
     P = frac_derivative(f, w)
-    edges, nodes, weights = _master(spec)
+    nodes, weights = radial_nodes(spec)
 
     def H(r):
         with np.errstate(over="ignore", divide="ignore"):
             return (np.asarray(w.tail(r), dtype=float) / (1.0 - r)) ** 2
 
     # integrability of the cone-integrated density mu_hat^2/(1-r)
-    def H1(r):
-        with np.errstate(over="ignore", divide="ignore"):
-            return np.asarray(w.tail(r), dtype=float) ** 2 / (1.0 - r)
-
-    if looks_divergent(PanelFunction.from_values(H1(nodes), spec).panel_integrals):
+    if radial_diverges(_lp_factor(w)(nodes), spec):
         return NormEstimate(np.inf, np.inf, tag="tent-power", diverged=True,
                             truncation={"series": f.degree, "p": p})
 
@@ -335,13 +306,6 @@ def hardy_p_reference(f: TaylorSeries, p: float, m: int = None) -> NormEstimate:
 # BMOA-type quantities
 # ---------------------------------------------------------------------------
 
-def _bmoa_factor(w: RadialWeight):
-    def H(r):
-        with np.errstate(over="ignore", divide="ignore"):
-            return np.asarray(w.tail(r), dtype=float) ** 2 / (1.0 - r)
-    return H
-
-
 def _square_sup(machine: SquareMachine, anchors, tag: str,
                 degree: int) -> NormEstimate:
     best, best_a = -np.inf, 0j
@@ -358,7 +322,7 @@ def bmoa_mu_sup(g: TaylorSeries, w: RadialWeight,
                 anchors: Optional[Sequence[complex]] = None,
                 spec: QuadratureSpec = DEFAULT_SPEC) -> NormEstimate:
     """sup_a nu_g(S(a)) / (1 - |a|),  d nu_g = |D(g)|^2 mu_hat^2/(1-|z|) dA."""
-    machine = SquareMachine(frac_derivative(g, w), _bmoa_factor(w), spec)
+    machine = SquareMachine(frac_derivative(g, w), _lp_factor(w), spec)
     if anchors is None:
         anchors = default_anchors()
     return _square_sup(machine, anchors, "bmoa-mu", g.degree)
@@ -378,7 +342,7 @@ def bmoa_classical(g: TaylorSeries,
 def vanishing_profile(g: TaylorSeries, w: RadialWeight, depth: int = 12,
                       spec: QuadratureSpec = DEFAULT_SPEC):
     """(|a|, nu_g(S(a))/(1-|a|)) along a = 1 - 2^-j; j = 1..depth."""
-    machine = SquareMachine(frac_derivative(g, w), _bmoa_factor(w), spec)
+    machine = SquareMachine(frac_derivative(g, w), _lp_factor(w), spec)
     profile = []
     for j in range(1, depth + 1):
         a = 1.0 - 2.0 ** -j
@@ -406,8 +370,8 @@ def bmoa_kernel_sup(g: TaylorSeries, w: RadialWeight, lam: float = 2.0,
     width ~ 1 - |a| r) stays resolved.
     """
     P = frac_derivative(g, w)
-    edges, nodes, weights = _master(spec)
-    H = _bmoa_factor(w)(nodes)
+    nodes, weights = radial_nodes(spec)
+    H = _lp_factor(w)(nodes)
     base = weights * nodes * H
     A = angular_autocorr(P.coeffs, nodes)
     d = P.degree
@@ -454,7 +418,7 @@ def bloch_mu(g: TaylorSeries, w: RadialWeight, n_ang: int = 2048,
              spec: QuadratureSpec = DEFAULT_SPEC) -> NormEstimate:
     """sup_z mu_hat(|z|) |D(g)(z)| over the radial-by-angular grid."""
     P = frac_derivative(g, w)
-    _, nodes, _ = _master(spec)
+    nodes, _ = radial_nodes(spec)
     tails = np.asarray(w.tail(nodes), dtype=float)
     best, best_z = -np.inf, 0j
     for i in range(0, len(nodes), 512):
@@ -507,17 +471,10 @@ def tail_weight_test(w: RadialWeight, p: float,
     Decided by geometric decay of the trailing panel integrals; zero tails
     (underflow of a rapidly decaying weight) count as decay.
     """
-    _, nodes, _ = _master(spec)
-
-    def H(r):
-        with np.errstate(over="ignore", divide="ignore", under="ignore"):
-            return np.asarray(w.tail(r), dtype=float) ** p / (1.0 - r) ** 2
-
-    pf = PanelFunction.from_values(H(nodes), spec)
-    contribs = pf.panel_integrals
-    if contribs[-1] == 0.0:
-        return "weight"
-    return "not-a-weight" if looks_divergent(contribs) else "weight"
+    nodes, _ = radial_nodes(spec)
+    with np.errstate(over="ignore", divide="ignore", under="ignore"):
+        H = np.asarray(w.tail(nodes), dtype=float) ** p / (1.0 - nodes) ** 2
+    return "not-a-weight" if radial_diverges(H, spec) else "weight"
 
 
 def besov_mu(g: TaylorSeries, w: RadialWeight, p: float,
@@ -528,17 +485,11 @@ def besov_mu(g: TaylorSeries, w: RadialWeight, p: float,
         return NormEstimate(np.inf, np.inf, tag="besov-mu", diverged=True,
                             truncation={"series": g.degree, "p": p})
     P = frac_derivative(g, w)
-    _, nodes, weights = _master(spec)
     m = angular_nodes_for_degree(g.degree, spec)
-    mean_p = np.empty(len(nodes))
-    for i in range(0, len(nodes), 512):
-        sl = slice(i, min(i + 512, len(nodes)))
-        samples = _sample_circle(P.coeffs, nodes[sl], m)
-        mean_p[sl] = np.mean(samples ** p, axis=1)
-    tails = np.asarray(w.tail(nodes), dtype=float)
-    with np.errstate(over="ignore", divide="ignore", under="ignore"):
-        dens = tails ** p / (1.0 - nodes ** 2) ** 2
-    value = float(np.sum(2.0 * weights * nodes * dens * mean_p))
+    value = _disc_p_integral(
+        P.coeffs, p,
+        lambda r: np.asarray(w.tail(r), dtype=float) ** p / (1.0 - r ** 2) ** 2,
+        m, spec)
     return NormEstimate(value, 0.0, tag="besov-mu",
                         truncation={"series": g.degree, "p": p, "angular": m})
 
@@ -553,7 +504,7 @@ def besov_mu_series(g: TaylorSeries, w: RadialWeight,
             return np.asarray(w.tail(r), dtype=float) ** 2 / (1.0 - r * r) ** 2
 
     qs = 2 * np.arange(len(c)) + 1
-    vals, errs, diverged = _weighted_radial_integrals(w, H, qs, spec)
+    vals, errs, diverged = radial_integrals(H, qs, spec)
     if diverged:
         return NormEstimate(np.inf, np.inf, tag="besov-mu-series", diverged=True)
     value = float(np.sum(np.abs(c) ** 2 * 2.0 * vals))
@@ -574,17 +525,10 @@ def besov_classical(g: TaylorSeries, p: float,
         head += abs(gk(0.0)) ** p
         gk = gk.derivative()
     # gk is now the n_p-th derivative
-    _, nodes, weights = _master(spec)
     m = angular_nodes_for_degree(g.degree, spec)
-    mean_p = np.empty(len(nodes))
-    for i in range(0, len(nodes), 512):
-        sl = slice(i, min(i + 512, len(nodes)))
-        samples = _sample_circle(gk.coeffs, nodes[sl], m)
-        mean_p[sl] = np.mean(samples ** p, axis=1)
     expo = n_p * p - 2.0
-    with np.errstate(divide="ignore"):
-        dens = (1.0 - nodes ** 2) ** expo
-    value = head + float(np.sum(2.0 * weights * nodes * dens * mean_p))
+    value = head + _disc_p_integral(gk.coeffs, p,
+                                    lambda r: (1.0 - r ** 2) ** expo, m, spec)
     return NormEstimate(value, 0.0, tag="besov-classical",
                         truncation={"series": g.degree, "p": p, "n_p": n_p})
 
@@ -594,15 +538,9 @@ def bergman_norm(f: TaylorSeries, alpha: float, p: float,
     """||f||^p in A^p_alpha with dA_alpha = (alpha+1)(1-|z|^2)^alpha dA."""
     if alpha <= -1:
         raise ValueError("bergman_norm needs alpha > -1")
-    _, nodes, weights = _master(spec)
     m = angular_nodes_for_degree(f.degree, spec)
-    mean_p = np.empty(len(nodes))
-    for i in range(0, len(nodes), 512):
-        sl = slice(i, min(i + 512, len(nodes)))
-        samples = _sample_circle(f.coeffs, nodes[sl], m)
-        mean_p[sl] = np.mean(samples ** p, axis=1)
-    dens = (alpha + 1.0) * (1.0 - nodes ** 2) ** alpha
-    value = float(np.sum(2.0 * weights * nodes * dens * mean_p))
+    value = _disc_p_integral(
+        f.coeffs, p, lambda r: (alpha + 1.0) * (1.0 - r ** 2) ** alpha, m, spec)
     return NormEstimate(value, 0.0, tag="bergman",
                         truncation={"series": f.degree, "p": p, "alpha": alpha})
 

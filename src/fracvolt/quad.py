@@ -102,17 +102,30 @@ def panel_edges(left_levels: int = LEFT_LEVELS, right_levels: int = RIGHT_LEVELS
     return edges
 
 
-@lru_cache(maxsize=None)
-def _panel_grid(left_levels: int, right_levels: int, order: int):
-    """Per-panel node/weight matrices for the reference edge set."""
-    edges = panel_edges(left_levels, right_levels)
+def _rule_on(edges: np.ndarray, order: int):
+    """Per-panel Gauss node/weight matrices for the panels between ``edges``."""
     x, w = gauss_rule(order)
     lo = edges[:-1][:, None]
     hi = edges[1:][:, None]
     half = 0.5 * (hi - lo)
-    nodes = lo + half * (x[None, :] + 1.0)
-    weights = half * w[None, :]
+    return lo + half * (x[None, :] + 1.0), half * w[None, :]
+
+
+@lru_cache(maxsize=None)
+def _panel_grid(left_levels: int, right_levels: int, order: int):
+    """Per-panel node/weight matrices for the reference edge set."""
+    edges = panel_edges(left_levels, right_levels)
+    nodes, weights = _rule_on(edges, order)
     return edges, nodes, weights
+
+
+@lru_cache(maxsize=None)
+def _halved_grid(left_levels: int, right_levels: int, order: int):
+    """Flattened (nodes, weights) of the reference grid with every panel halved."""
+    edges = panel_edges(left_levels, right_levels)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    nodes, weights = _rule_on(np.sort(np.concatenate([edges, mids])), order)
+    return nodes.ravel(), weights.ravel()
 
 
 def radial_nodes(spec: QuadratureSpec = DEFAULT_SPEC):
@@ -161,6 +174,12 @@ class PanelFunction:
         order = nodes.shape[1]
         inv = _legendre_inverse_vandermonde(order)
         self.coeffs = values @ inv.T          # per-panel Legendre coefficients
+        # per-panel antiderivatives in the local variable, their values at the
+        # panel ends, and the local-to-global scale (hi - lo) / 2
+        self.anti = npleg.legint(self.coeffs, axis=1)
+        self.anti_hi = npleg.legval(1.0, self.anti.T)
+        self.anti_lo = npleg.legval(-1.0, self.anti.T)
+        self.half = 0.5 * (edges[1:] - edges[:-1])
         self.panel_integrals = np.sum(weights * values, axis=1)
         # suffix[p] = integral over panels p..end; suffix[P] = 0
         self.suffix = np.concatenate(
@@ -206,7 +225,8 @@ class PanelFunction:
         idx = np.searchsorted(self.edges, r, side="right") - 1
         return np.clip(idx, 0, len(self.edges) - 2)
 
-    def evaluate(self, r) -> np.ndarray:
+    def _walk(self, r, table: np.ndarray):
+        """Per-panel Legendre series ``table`` at r: (values, panel index)."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
         out = np.empty_like(r)
         idx = self._panel_index(r)
@@ -214,39 +234,22 @@ class PanelFunction:
             sel = idx == p
             lo, hi = self.edges[p], self.edges[p + 1]
             t = 2.0 * (r[sel] - lo) / (hi - lo) - 1.0
-            out[sel] = npleg.legval(t, self.coeffs[p])
-        return out
+            out[sel] = npleg.legval(t, table[p])
+        return out, idx
+
+    def evaluate(self, r) -> np.ndarray:
+        return self._walk(r, self.coeffs)[0]
 
     def suffix_integral(self, r) -> np.ndarray:
         """Vectorised int_r^1 f(s) ds."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty_like(r)
-        idx = self._panel_index(r)
-        for p in np.unique(idx):
-            sel = idx == p
-            lo, hi = self.edges[p], self.edges[p + 1]
-            half = 0.5 * (hi - lo)
-            t = 2.0 * (r[sel] - lo) / (hi - lo) - 1.0
-            anti = npleg.legint(self.coeffs[p])
-            part = (npleg.legval(1.0, anti) - npleg.legval(t, anti)) * half
-            out[sel] = part + self.suffix[p + 1]
-        return out
+        F, idx = self._walk(r, self.anti)
+        return (self.anti_hi[idx] - F) * self.half[idx] + self.suffix[idx + 1]
 
     def prefix_integral(self, r) -> np.ndarray:
         """Vectorised int_0^r f(s) ds (accumulated from the left, so it stays
         accurate even when the integrand diverges at 1)."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty_like(r)
-        idx = self._panel_index(r)
-        for p in np.unique(idx):
-            sel = idx == p
-            lo, hi = self.edges[p], self.edges[p + 1]
-            half = 0.5 * (hi - lo)
-            t = 2.0 * (r[sel] - lo) / (hi - lo) - 1.0
-            anti = npleg.legint(self.coeffs[p])
-            part = (npleg.legval(t, anti) - npleg.legval(-1.0, anti)) * half
-            out[sel] = self.prefix[p] + part
-        return out
+        F, idx = self._walk(r, self.anti)
+        return self.prefix[idx] + (F - self.anti_lo[idx]) * self.half[idx]
 
     def moment(self, x: float) -> float:
         """int_0^1 s^x f(s) ds on the cached grid."""
@@ -256,41 +259,42 @@ class PanelFunction:
             return float(np.sum(np.exp(x * np.log(nodes)) * vals))
 
 
-def integrate_radial(f: Callable[[np.ndarray], np.ndarray],
-                     spec: QuadratureSpec = DEFAULT_SPEC) -> NormEstimate:
-    """int_0^1 f(r) dr with a panel-halving error indicator.
+def radial_diverges(values: np.ndarray,
+                    spec: QuadratureSpec = DEFAULT_SPEC) -> bool:
+    """Panel-sum monitor: does int_0^1 H(r) dr diverge, given H on the grid?
 
-    Divergence (non-decaying trailing panel contributions) is reported via
-    the ``diverged`` flag with value +inf rather than raised, because several
-    of the quantities downstream hinge on divergence as a first-class
-    outcome.
+    Only whole dyadic panels are compared: the last panel [1 - 2^-R, GRID_TOP]
+    spans several dyadic levels, so its sum is not one more term of the
+    geometric sequence.  A zero last panel (a tail that underflowed) counts
+    as decay.
     """
-    edges, nodes, weights = _panel_grid(
-        spec.left_levels, spec.right_levels, spec.order)
-    vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    contribs = np.sum(weights * vals, axis=1)
-    coarse = float(np.sum(contribs))
+    _, _, weights = _panel_grid(spec.left_levels, spec.right_levels, spec.order)
+    sums = np.sum(weights * np.reshape(values, weights.shape), axis=1)
+    return bool(sums[-1] != 0.0 and looks_divergent(sums[:-1]))
 
-    # halve every panel and recompute
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    fine_edges = np.sort(np.concatenate([edges, mids]))
-    x, w = gauss_rule(spec.order)
-    lo = fine_edges[:-1][:, None]
-    hi = fine_edges[1:][:, None]
-    half = 0.5 * (hi - lo)
-    fnodes = lo + half * (x[None, :] + 1.0)
-    fweights = half * w[None, :]
-    fvals = np.asarray(f(fnodes.ravel()), dtype=float).reshape(fnodes.shape)
-    fcontribs = np.sum(fweights * fvals, axis=1)
-    fine = float(np.sum(fcontribs))
 
-    diverged = looks_divergent(contribs) or not np.isfinite(fine)
-    err = abs(fine - coarse)
-    if diverged:
-        return NormEstimate(value=np.inf, err=np.inf, tag="integral",
-                            truncation={"panels": len(contribs)}, diverged=True)
-    return NormEstimate(value=fine, err=err, tag="integral",
-                        truncation={"panels": len(contribs)})
+def radial_integrals(H: Callable[[np.ndarray], np.ndarray], powers,
+                     spec: QuadratureSpec = DEFAULT_SPEC):
+    """(values, errs, diverged): int_0^1 r^q H(r) dr for each q in ``powers``.
+
+    Values come from halved panels, the error indicator from the difference
+    against the unhalved pass, and divergence from :func:`radial_diverges` or
+    a non-finite value.  A divergent integral comes back as +inf with the
+    flag set rather than raised, because several of the quantities downstream
+    hinge on divergence as a first-class outcome.
+    """
+    nodes, weights = radial_nodes(spec)
+    fnodes, fweights = _halved_grid(spec.left_levels, spec.right_levels,
+                                    spec.order)
+    h = H(nodes)
+    hf = H(fnodes)
+    powers = np.asarray(powers, dtype=float)
+    with np.errstate(under="ignore"):
+        coarse = np.array([float(np.sum(weights * h * nodes ** q)) for q in powers])
+        fine = np.array([float(np.sum(fweights * hf * fnodes ** q)) for q in powers])
+    if radial_diverges(h, spec) or not np.all(np.isfinite(fine)):
+        return np.full(len(powers), np.inf), np.full(len(powers), np.inf), True
+    return fine, np.abs(fine - coarse), False
 
 
 def angular_nodes_for_degree(max_trig_degree: int,

@@ -135,11 +135,6 @@ def cauchy_product(f: TaylorSeries, g: TaylorSeries, truncation: int = None) -> 
     return TaylorSeries.from_coeffs(full)
 
 
-def monomial_norm_sq(w: RadialWeight, n: int) -> float:
-    """||z^n||^2 in the weighted Bergman space: 2 mu_{2n+1} (dA normalised)."""
-    return 2.0 * w.moment(2 * n + 1)
-
-
 def inner_product(f: TaylorSeries, g: TaylorSeries, w: RadialWeight) -> complex:
     """<f, g> in A^2_w via orthogonality of monomials."""
     n = min(f.degree, g.degree) + 1

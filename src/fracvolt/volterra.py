@@ -30,7 +30,8 @@ import numpy as np
 from scipy import special as sps
 
 from .geometry import Lattice, disc_quadrature
-from .quad import DEFAULT_SPEC, NormEstimate, QuadratureSpec, _panel_grid
+from .norms import _lp_factor
+from .quad import NormEstimate, radial_integrals
 from .taylor import TaylorSeries, cauchy_product, frac_derivative, frac_integral
 from .weights import RadialWeight
 
@@ -146,41 +147,29 @@ def apply_compositional(w: RadialWeight, g: TaylorSeries, f: TaylorSeries,
     return frac_integral(prod, w)
 
 
-def _radial_power_integrals(w: RadialWeight, alpha: float, qmax: int,
-                            spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
-    """I[q] = int_0^1 r^q mu_hat(r)^2 rho_alpha(r) dr, q = 0..qmax."""
-    _, nodes, weights = _panel_grid(spec.left_levels, spec.right_levels, spec.order)
-    nodes = nodes.ravel()
-    weights = weights.ravel()
-    tails = np.asarray(w.tail(nodes), dtype=float)
-    if alpha == -1:
-        rho = 1.0 / (1.0 - nodes)
-    else:
-        rho = (alpha + 1.0) * (1.0 - nodes ** 2) ** alpha
-    base = weights * tails ** 2 * rho
-    out = np.empty(qmax + 1)
-    cur = base.copy()
-    out[0] = np.sum(cur)
-    for q in range(1, qmax + 1):
-        cur *= nodes
-        out[q] = np.sum(cur)
-    return out
-
-
 def toeplitz_matrix(w: RadialWeight, g: TaylorSeries, alpha: float,
                     N: int = DEFAULT_TRUNCATION) -> OperatorMatrix:
     """Toeplitz operator of d mu_g = |D(g)|^2 mu_hat^2 dA_alpha on A^2_alpha.
 
     <T e_k, e_m> = int e_k conj(e_m) d mu_g; the angular integral picks the
     (m - k)-th Fourier mode of |D(g)|^2, so entries are Hermitian, banded
-    with bandwidth deg g, and reduce to the cached radial integrals.
+    with bandwidth deg g, and reduce to the radial integrals
+    I[j] = int_0^1 r^(2j+1) mu_hat(r)^2 rho_alpha(r) dr.
     """
     if alpha < -1:
         raise OperatorError("alpha must be >= -1")
     c = basis_norms(alpha, N)
     dg = frac_derivative(g, w).coeffs
     d = len(dg) - 1
-    I = _radial_power_integrals(w, alpha, 2 * N + 2 * d + 2)
+    if alpha == -1:
+        H = _lp_factor(w)
+    else:
+        def H(r):
+            return (np.asarray(w.tail(r), dtype=float) ** 2
+                    * (alpha + 1.0) * (1.0 - r ** 2) ** alpha)
+    I, _, diverged = radial_integrals(H, 2 * np.arange(N + d + 1) + 1)
+    if diverged:
+        raise OperatorError("the Toeplitz measure is not finite")
     T = np.zeros((N, N), dtype=complex)
     for off in range(min(d, N - 1) + 1):
         wl = dg[off:] * np.conj(dg[: d + 1 - off])          # l = 0..d-off
@@ -190,7 +179,7 @@ def toeplitz_matrix(w: RadialWeight, g: TaylorSeries, alpha: float,
             if coef == 0:
                 continue
             # radial power k + j + m + l + 1 with k = m - off, j = l + off
-            acc += coef * I[2 * m + 2 * l + 1]
+            acc += coef * I[m + l]
         vals = 2.0 * acc / (c[m] * c[m - off])
         T[m, m - off] = vals
         if off > 0:

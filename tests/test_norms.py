@@ -3,9 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from fracvolt import TaylorSeries
+from fracvolt import StandardWeight, TaylorSeries, frac_derivative, from_shorthand
 from fracvolt import norms
+from fracvolt.quad import _panel_grid, gauss_rule
 from conftest import random_polynomial
+
+
+def per_power_sums(w, qs):
+    """Reference radial sums: int_0^1 r^q mu_hat^2/(1-r) dr on halved panels,
+    one pass over the grid per power, with the grid built here."""
+    edges, _, _ = _panel_grid(24, 48, 32)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    fine_edges = np.sort(np.concatenate([edges, mids]))
+    x, gw = gauss_rule(32)
+    lo, hi = fine_edges[:-1][:, None], fine_edges[1:][:, None]
+    half = 0.5 * (hi - lo)
+    nodes = (lo + half * (x[None, :] + 1.0)).ravel()
+    weights = (half * gw[None, :]).ravel()
+    H = np.asarray(w.tail(nodes), dtype=float) ** 2 / (1.0 - nodes)
+    with np.errstate(under="ignore"):
+        return np.array([float(np.sum(weights * H * nodes ** q))
+                         for q in np.asarray(qs, dtype=float)])
 
 
 class TestHardy:
@@ -37,9 +55,23 @@ class TestHardy:
                                        rtol=1e-11)
 
     def test_monomial_witness_ratio(self, std1):
-        for n in (1, 7, 200):
-            np.testing.assert_allclose(norms.h2_monomial_ratio(std1, n),
-                                       (2.0 * n + 2) / (2.0 * n + 3), rtol=1e-9)
+        ns = np.array([1, 7, 200])
+        np.testing.assert_allclose(norms.h2_monomial_ratios(std1, ns),
+                                   (2.0 * ns + 2) / (2.0 * ns + 3), rtol=1e-9)
+
+    @pytest.mark.parametrize("label", ["std:1", "std:0.7", "exp:1:1",
+                                       "expr:(1-r)^2.3*(1+r)"])
+    def test_radial_engine_matches_per_power_sums(self, label, rng):
+        w = from_shorthand(label)
+        f = random_polynomial(rng, 12)
+        c = frac_derivative(f, w).coeffs
+        ref = per_power_sums(w, 2 * np.arange(len(c)) + 1)
+        assert norms.hardy2_lp(f, w).value == \
+            float(np.sum(np.abs(c) ** 2 * 2.0 * ref))
+        ns = np.arange(11)
+        mus = np.array([w.moment(2 * int(n) + 1) for n in ns])
+        np.testing.assert_array_equal(norms.h2_monomial_ratios(w, ns),
+                                      per_power_sums(w, 2 * ns + 1) / mus ** 2)
 
 
 class TestTent:
@@ -121,8 +153,8 @@ class TestTent:
 
     def test_exponential_weight_monomial_growth(self, exp_weight):
         # the discrete witness ratio must explode when upper doubling fails
-        ratios = [norms.h2_monomial_ratio(exp_weight, 2 ** j)
-                  for j in range(3, 11)]
+        ratios = norms.h2_monomial_ratios(exp_weight,
+                                          [2 ** j for j in range(3, 11)])
         assert all(a < b for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] / ratios[0] > 10.0
 
@@ -273,6 +305,14 @@ class TestBesovBergman:
         assert norms.tail_weight_test(std1, 1.0) == "not-a-weight"
         assert norms.tail_weight_test(std1, 0.5) == "not-a-weight"
         assert norms.tail_weight_test(exp_weight, 0.5) == "weight"
+
+    @pytest.mark.parametrize("beta, p", [(0.5345, 2.6122), (0.7, 2.0)])
+    def test_slowly_decaying_weight_is_finite(self, beta, p, rng):
+        # beta p > 1, so mu_hat^p/(1-r)^2 ~ (1-r)^(beta p - 2) is integrable
+        w = StandardWeight(beta)
+        assert norms.tail_weight_test(w, p) == "weight"
+        est = norms.besov_mu(random_polynomial(rng, 8), w, p)
+        assert not est.diverged and np.isfinite(est.value) and est.value > 0
 
     def test_besov_derivative_order(self):
         # least n with n p > 1 drives the classical norm: reflected in the

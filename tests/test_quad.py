@@ -1,39 +1,65 @@
 import numpy as np
+from numpy.polynomial import legendre as npleg
 
-from fracvolt.quad import (GRID_TOP, NormEstimate, PanelFunction,
-                           integrate_disc, integrate_radial, looks_divergent,
-                           panel_edges)
+from fracvolt.quad import (GRID_TOP, NormEstimate, PanelFunction, _halved_grid,
+                           integrate_disc, looks_divergent, panel_edges,
+                           radial_diverges, radial_integrals, radial_nodes)
+
+
+def integrate(f):
+    """(value, err, diverged) of int_0^1 f(r) dr from the radial engine."""
+    vals, errs, diverged = radial_integrals(f, [0.0])
+    return vals[0], errs[0], diverged
 
 
 class TestIntegrateRadial:
     def test_linear(self):
-        est = integrate_radial(lambda r: r)
-        np.testing.assert_allclose(est.value, 0.5, rtol=1e-13)
-        assert est.err <= 1e-12
+        value, err, _ = integrate(lambda r: r)
+        np.testing.assert_allclose(value, 0.5, rtol=1e-13)
+        assert err <= 1e-12
 
     def test_log_singularity(self):
         # antiderivative: (1-r)(1 - log(1-r)) -> 1
-        est = integrate_radial(lambda r: np.log(1.0 / (1.0 - r)))
-        np.testing.assert_allclose(est.value, 1.0, rtol=1e-12)
+        value, _, _ = integrate(lambda r: np.log(1.0 / (1.0 - r)))
+        np.testing.assert_allclose(value, 1.0, rtol=1e-12)
 
     def test_inverse_sqrt_endpoint(self):
         # antiderivative 2 sqrt: exercises the refinement toward r = 1;
         # the sliver above GRID_TOP carries ~2^-26, hence the loose rtol
-        est = integrate_radial(lambda r: (1.0 - r) ** -0.5)
-        np.testing.assert_allclose(est.value, 2.0, rtol=1e-6)
-        assert not est.diverged
+        value, _, diverged = integrate(lambda r: (1.0 - r) ** -0.5)
+        np.testing.assert_allclose(value, 2.0, rtol=1e-6)
+        assert not diverged
 
     def test_divergence_flagged(self):
         with np.errstate(divide="ignore"):
-            est = integrate_radial(lambda r: 1.0 / (1.0 - r))
-        assert est.diverged
-        assert est.value == np.inf
+            value, _, diverged = integrate(lambda r: 1.0 / (1.0 - r))
+        assert diverged
+        assert value == np.inf
 
     def test_deterministic(self):
         f = lambda r: np.sqrt(r) * np.exp(-r)
-        a = integrate_radial(f).value
-        b = integrate_radial(f).value
+        a = integrate(f)[0]
+        b = integrate(f)[0]
         assert a == b  # bit-identical
+
+
+class TestMonitor:
+    def test_slow_convergent_decay_not_flagged(self):
+        # (1-r)^-0.6038 is the Besov integrand of std:0.5345 at p = 2.6122:
+        # dyadic panel sums shrink by 0.76 per level, but the last panel spans
+        # four levels and, if compared, lifts the mean ratio above 0.98
+        r, _ = radial_nodes()
+        assert not radial_diverges((1.0 - r) ** -0.6038)
+
+    def test_divergent_flagged(self):
+        r, _ = radial_nodes()
+        assert radial_diverges(1.0 / (1.0 - r))
+        assert radial_diverges((1.0 - r) ** -1.5)
+
+    def test_underflowed_last_panel_counts_as_decay(self):
+        r, _ = radial_nodes()
+        assert not radial_diverges(np.where(r < 1.0 - 2.0 ** -48,
+                                            1.0 / (1.0 - r), 0.0))
 
 
 class TestIntegrateDisc:
@@ -54,7 +80,48 @@ class TestIntegrateDisc:
         np.testing.assert_allclose(est.value, square_area(0.5), rtol=1e-3)
 
 
+def per_panel_loop(pf, r, kind):
+    """Reference walk: one Legendre evaluation per panel, antiderivative
+    rebuilt on every call."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    out = np.empty_like(r)
+    idx = pf._panel_index(r)
+    for p in np.unique(idx):
+        sel = idx == p
+        lo, hi = pf.edges[p], pf.edges[p + 1]
+        half = 0.5 * (hi - lo)
+        t = 2.0 * (r[sel] - lo) / (hi - lo) - 1.0
+        if kind == "evaluate":
+            out[sel] = npleg.legval(t, pf.coeffs[p])
+            continue
+        anti = npleg.legint(pf.coeffs[p])
+        if kind == "suffix":
+            part = (npleg.legval(1.0, anti) - npleg.legval(t, anti)) * half
+            out[sel] = part + pf.suffix[p + 1]
+        else:
+            part = (npleg.legval(t, anti) - npleg.legval(-1.0, anti)) * half
+            out[sel] = pf.prefix[p] + part
+    return out
+
+
 class TestPanelFunction:
+    def test_walk_matches_per_panel_loop(self):
+        rng = np.random.default_rng(7)
+        with np.errstate(divide="ignore"):
+            pf = PanelFunction.from_callable(
+                lambda r: (1.0 - r) ** 1.3 * (1.0 + r) + np.log1p(r))
+        grid, _ = radial_nodes()
+        halved, _ = _halved_grid(24, 48, 32)
+        edges = panel_edges()
+        for r in (rng.random(3000), grid, halved, edges,
+                  np.array([GRID_TOP, 1.0 - 2.0 ** -53])):
+            np.testing.assert_array_equal(pf.evaluate(r),
+                                          per_panel_loop(pf, r, "evaluate"))
+            np.testing.assert_array_equal(pf.suffix_integral(r),
+                                          per_panel_loop(pf, r, "suffix"))
+            np.testing.assert_array_equal(pf.prefix_integral(r),
+                                          per_panel_loop(pf, r, "prefix"))
+
     def test_suffix_matches_antiderivative(self):
         pf = PanelFunction.from_callable(lambda r: 3.0 * r * r)
         r = np.array([0.0, 0.1, 0.5, 0.99, 0.999999])

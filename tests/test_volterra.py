@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from fracvolt import TaylorSeries
+from fracvolt import TailExprWeight, TaylorSeries, frac_derivative, from_shorthand
 from fracvolt import norms
 from fracvolt import volterra as vo
 from fracvolt.geometry import build_lattice
+from fracvolt.quad import radial_nodes
 from conftest import random_polynomial
 
 
@@ -74,7 +75,54 @@ class TestMatrix:
         assert M2.alpha == M.alpha and M2.kind == M.kind
 
 
+def cumulative_product_toeplitz(w, g, alpha, N):
+    """Reference Toeplitz matrix: every radial power integral from one
+    running product r^q on the unhalved grid."""
+    nodes, weights = radial_nodes()
+    tails = np.asarray(w.tail(nodes), dtype=float)
+    if alpha == -1:
+        rho = 1.0 / (1.0 - nodes)
+    else:
+        rho = (alpha + 1.0) * (1.0 - nodes ** 2) ** alpha
+    dg = frac_derivative(g, w).coeffs
+    d = len(dg) - 1
+    cur = weights * tails ** 2 * rho
+    I = [np.sum(cur)]
+    for _ in range(2 * N + 2 * d + 2):
+        cur = cur * nodes
+        I.append(np.sum(cur))
+    c = vo.basis_norms(alpha, N)
+    T = np.zeros((N, N), dtype=complex)
+    for off in range(min(d, N - 1) + 1):
+        wl = dg[off:] * np.conj(dg[: d + 1 - off])
+        m = np.arange(off, N)
+        acc = np.zeros(len(m), dtype=complex)
+        for l, coef in enumerate(wl):
+            acc += coef * np.array([I[q] for q in 2 * m + 2 * l + 1])
+        T[m, m - off] = 2.0 * acc / (c[m] * c[m - off])
+        T[m - off, m] = np.conj(T[m, m - off])
+    return T
+
+
 class TestToeplitz:
+    @pytest.mark.parametrize("label, alpha", [("std:1", -1), ("std:2", 0.0),
+                                              ("exp:1:1", -1), ("std:0.7", 1.5)])
+    def test_matches_cumulative_product_integrals(self, label, alpha, rng):
+        # the engine takes r^q per power on halved panels; the reference
+        # multiplies up r^q on the unhalved grid, so agreement is to rounding
+        # and panel-halving level, not bitwise
+        w = from_shorthand(label)
+        g = random_polynomial(rng, 5)
+        T = vo.toeplitz_matrix(w, g, alpha, 48).entries
+        ref = cumulative_product_toeplitz(w, g, alpha, 48)
+        np.testing.assert_allclose(T, ref, rtol=1e-10, atol=0)
+
+    def test_divergent_measure_rejected(self):
+        # mu_hat^2/(1-r) ~ 1/((1-r) sqrt(log)) is not integrable
+        w = TailExprWeight("(1+log(1/(1-r)))^(-0.25)")
+        with pytest.raises(vo.OperatorError):
+            vo.toeplitz_matrix(w, TaylorSeries.monomial(1), -1, 8)
+
     def test_zero_symbol(self, std1):
         T = vo.toeplitz_matrix(std1, TaylorSeries.zero(), -1, 6)
         assert not np.any(T.entries)
