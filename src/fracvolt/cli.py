@@ -28,7 +28,9 @@ from typing import Callable, Iterable, List, Optional
 import numpy as np
 
 from . import norms, volterra, weight_class
+from .quad import QuadratureError
 from .taylor import TaylorSeries, frac_R, frac_derivative, frac_integral
+from .volterra import OperatorError
 from .weights import WeightError, from_shorthand
 
 CSV_COLUMNS = ("experiment", "weight", "symbol", "param", "lhs", "rhs",
@@ -299,15 +301,15 @@ def cmd_norm(args) -> int:
 def cmd_volterra(args) -> int:
     w = from_shorthand(args.weight)
     g = parse_symbol(args.symbol)
-    M = volterra.volterra_matrix(w, g, args.alpha, args.trunc)
-    spectrum = volterra.singular_values(M)
+    spectra = volterra.truncation_spectra(w, g, args.alpha, args.trunc)
     rows = []
-    for i, lam in enumerate(spectrum.values[: args.spectrum_head]):
+    for i, lam in enumerate(spectra[0].values[: args.spectrum_head]):
         rows.append(Row("volterra-spectrum", w.label(), args.symbol, i, lam,
                         "", "", args.trunc))
     code = EXIT_OK
     for p in [float(t) for t in args.p_list.split(",")]:
-        est = volterra.schatten_with_monitor(w, g, args.alpha, p, args.trunc)
+        est = volterra.schatten_with_monitor(w, g, args.alpha, p, args.trunc,
+                                             spectra)
         rows.append(Row("volterra-schatten", w.label(), args.symbol, p,
                         est.value, "", est.truncation["half_ratio"],
                         args.trunc, est.err))
@@ -324,6 +326,8 @@ def cmd_equivalence(args) -> int:
     code = EXIT_OK
 
     if name == "h2-lp":
+        if args.trunc < 0:
+            raise ValueError("--trunc must be nonnegative")
         ns = list(range(0, args.trunc + 1, max(1, args.trunc // 100))) \
             if args.trunc > 8 else list(range(args.trunc + 1))
         ratios = norms.h2_monomial_ratios(w, ns).tolist()
@@ -333,8 +337,9 @@ def cmd_equivalence(args) -> int:
                             ratio * mu * mu, mu * mu, ratio, args.trunc))
         finite = [r for r in ratios if np.isfinite(r)]
         slope = _trend_slope([n + 1 for n in ns], ratios)
-        rows.append(Row("equiv-h2-lp-summary", w.label(), "", "summary",
-                        min(finite), max(finite), slope, args.trunc))
+        if finite:
+            rows.append(Row("equiv-h2-lp-summary", w.label(), "", "summary",
+                            min(finite), max(finite), slope, args.trunc))
         # a doubling weight plateaus (slope -> 0); sustained growth is the
         # equivalence-failure witness
         if slope > 0.3 or len(finite) < len(ratios):
@@ -443,7 +448,7 @@ def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (WeightError, ValueError) as e:
+    except (WeightError, OperatorError, QuadratureError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVARIANT
 

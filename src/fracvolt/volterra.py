@@ -15,16 +15,27 @@ exact angular reduction is mandatory here, no 2-D quadrature is involved.
 Radial measure convention for alpha = -1: dA_{-1} = dA / (1 - |z|), matching
 the H^2 Littlewood-Paley density mu_hat^2/(1-|z|) used by the space norms.
 
+Singular values come from the banded Gram matrix M^H M, Hermitian with
+bandwidth deg g, whose diagonals are formed from those of M and passed to
+the banded Hermitian eigensolver (Golub & Van Loan, Matrix Computations,
+section 8.4); sigma is the square root of its eigenvalues clamped at 0.
+Squaring costs accuracy only at the bottom of the spectrum: eigenvalues
+are off by about eps * sigma_max^2, so a singular value sigma is off by
+about eps * sigma_max^2 / sigma, which is rounding level at the top of the
+spectrum and at most about sqrt(eps) * sigma_max (absolute) for tiny sigma.
+The tests keep a dense SVD as the independent oracle.
+
 Every Schatten number is reported at its truncation with an N/2-vs-N
 convergence stamp; non-decaying truncation growth is the first-class
-signal for the cut-off regime where only g = 0 is admissible.
+signal for the cut-off regime where only g = 0 is admissible.  A request
+for several exponents shares the two spectra (`truncation_spectra`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import special as sps
@@ -188,8 +199,42 @@ def toeplitz_matrix(w: RadialWeight, g: TaylorSeries, alpha: float,
 
 
 def singular_values(M: OperatorMatrix) -> SingularSpectrum:
-    vals = np.linalg.svd(M.entries, compute_uv=False)
-    return SingularSpectrum(vals, M.dimension)
+    """Singular values of a lower-triangular matrix of bandwidth
+    ``symbol_degree``, from the eigenvalues of its banded Gram matrix.
+
+    Raises OperatorError when an entry lies above the diagonal or more than
+    ``symbol_degree`` below it, so a matrix the band does not hold is never
+    given a wrong spectrum.
+    """
+    A = M.entries
+    N = M.dimension
+    d = min(M.symbol_degree, N - 1)
+    # D[j, k] = M[k + j, k], zero past the end of the j-th subdiagonal
+    k = np.arange(N)
+    rows = k + np.arange(d + 1)[:, None]
+    D = np.where(rows < N, A[np.minimum(rows, N - 1), k], 0)
+    if np.count_nonzero(D) != np.count_nonzero(A):
+        raise OperatorError("matrix is not lower triangular within its "
+                            "symbol bandwidth")
+    nonzero = np.flatnonzero(D.any(axis=1))
+    if len(nonzero) == 0:
+        return SingularSpectrum(np.zeros(N), N)
+    # only subdiagonals lo..hi meet in M^H M, so its bandwidth is hi - lo
+    # (a monomial symbol gives a diagonal Gram matrix)
+    B = D[nonzero[0]: nonzero[-1] + 1]
+    u = len(B) - 1
+    # lower band storage: gram[s, i] = (M^H M)[i + s, i]
+    gram = np.zeros((u + 1, N), dtype=complex)
+    for s in range(u + 1):
+        gram[s, : N - s] = np.sum(B[s:, : N - s] * np.conj(B[: u + 1 - s, s:]),
+                                  axis=0)
+    # imported here: scipy.linalg adds about 65 ms and 5 MB to every command
+    # that loads this module, and only spectra need it
+    from scipy.linalg import eigvals_banded
+    ev = eigvals_banded(gram, lower=True, overwrite_a_band=True,
+                        check_finite=False)
+    vals = np.sort(np.sqrt(np.maximum(ev, 0.0)))[::-1]
+    return SingularSpectrum(vals, N)
 
 
 def schatten_norm(spectrum: SingularSpectrum, p: float) -> NormEstimate:
@@ -197,23 +242,35 @@ def schatten_norm(spectrum: SingularSpectrum, p: float) -> NormEstimate:
     if p <= 0:
         raise ValueError("p must be positive")
     value = float(np.sum(spectrum.values ** p) ** (1.0 / p))
-    return NormEstimate(value, 0.0, tag="schatten",
+    # no error is estimated at a single truncation
+    return NormEstimate(value, math.nan, tag="schatten",
                         truncation={"N": spectrum.truncation, "p": p})
 
 
+def truncation_spectra(w: RadialWeight, g: TaylorSeries, alpha: float,
+                       N: int = DEFAULT_TRUNCATION) -> tuple:
+    """Spectra of the N x N truncation and of its leading N/2 block."""
+    big = volterra_matrix(w, g, alpha, N)
+    half = OperatorMatrix(big.entries[: N // 2, : N // 2], alpha,
+                          big.weight_label, g.degree)
+    return singular_values(big), singular_values(half)
+
+
 def schatten_with_monitor(w: RadialWeight, g: TaylorSeries, alpha: float,
-                          p: float, N: int = DEFAULT_TRUNCATION) -> NormEstimate:
+                          p: float, N: int = DEFAULT_TRUNCATION,
+                          spectra: Optional[tuple] = None) -> NormEstimate:
     """Schatten norm at truncation N with the N/2-vs-N convergence stamp.
 
     The ``diverged`` flag is raised when the norm still grows by more than
     the no-plateau ratio between N/2 and N, the signature of the cut-off
-    regime where the full operator lies in no Schatten class.
+    regime where the full operator lies in no Schatten class.  ``spectra``
+    is the pair `truncation_spectra(w, g, alpha, N)` when the caller already
+    holds it, so that several exponents share two spectra.
     """
-    big = volterra_matrix(w, g, alpha, N)
-    val_full = schatten_norm(singular_values(big), p).value
-    half = OperatorMatrix(big.entries[: N // 2, : N // 2], alpha,
-                          big.weight_label, g.degree)
-    val_half = schatten_norm(singular_values(half), p).value
+    full, half = spectra if spectra is not None else \
+        truncation_spectra(w, g, alpha, N)
+    val_full = schatten_norm(full, p).value
+    val_half = schatten_norm(half, p).value
     ratio = val_full / val_half if val_half > 0 else 1.0
     return NormEstimate(val_full, abs(val_full - val_half), tag="schatten",
                         truncation={"N": N, "p": p, "alpha": alpha,

@@ -3,9 +3,11 @@ import os
 
 import numpy as np
 
+from fracvolt import cli, volterra
 from fracvolt.cli import (CSV_COLUMNS, EXIT_DIVERGENCE, EXIT_INVARIANT,
                           EXIT_OK, ExperimentConfig, default_corpus, main,
                           parse_symbol, run_config)
+from fracvolt.quad import QuadratureError
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +113,76 @@ class TestCommands:
     def test_bad_weight_is_invariant_violation(self, capsys):
         code, _ = run_cli(capsys, "moments", "--weight", "expr:r-1")
         assert code == EXIT_INVARIANT
+
+    def test_volterra_tiny_truncation_pinned(self, capsys):
+        code, out = run_cli(capsys, "volterra", "--weight", "std:1",
+                            "--symbol", "mono:0", "--trunc", "1")
+        assert code == EXIT_OK
+        assert out == (
+            "experiment,weight,symbol,param,lhs,rhs,ratio,trunc,err,anchor\n"
+            "volterra-spectrum,std:1,mono:0,0,1.0,,,1,,\n"
+            "volterra-schatten,std:1,mono:0,1.0,1.0,,1.0,1,1.0,\n"
+            "volterra-schatten,std:1,mono:0,2.0,1.0,,1.0,1,1.0,\n")
+
+    def test_volterra_two_spectra_per_request(self, capsys, monkeypatch):
+        calls = []
+        original = volterra.singular_values
+
+        def counted(M):
+            calls.append(M.dimension)
+            return original(M)
+
+        monkeypatch.setattr(volterra, "singular_values", counted)
+        code, out = run_cli(capsys, "volterra", "--weight", "std:1",
+                            "--symbol", "random:6:1", "--trunc", "48",
+                            "--p-list", "1,1.5,2,3,4")
+        assert code in (EXIT_OK, EXIT_DIVERGENCE)
+        assert out.count("volterra-schatten") == 5
+        assert sorted(calls) == [24, 48]
+
+
+class TestErrorExits:
+    """Package errors end in exit 3 with one ``error:`` line, no traceback."""
+
+    def run_err(self, capsys, *argv):
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        assert code == EXIT_INVARIANT
+        lines = [l for l in err.splitlines() if l.startswith("error:")]
+        assert len(lines) == 1 and "Traceback" not in err
+        return lines[0]
+
+    def test_volterra_zero_truncation(self, capsys):
+        self.run_err(capsys, "volterra", "--trunc", "0")
+
+    def test_volterra_symbol_degree_at_truncation(self, capsys):
+        self.run_err(capsys, "volterra", "--trunc", "1", "--symbol", "mono:1")
+
+    def test_volterra_infinite_beta(self, capsys):
+        self.run_err(capsys, "volterra", "--weight", "std:inf")
+
+    def test_quadrature_error(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise QuadratureError("non-finite values on the quadrature grid")
+
+        monkeypatch.setattr(cli, "from_shorthand", fail)
+        self.run_err(capsys, "moments")
+
+    def test_h2lp_negative_truncation(self, capsys):
+        line = self.run_err(capsys, "equivalence", "--name", "h2-lp",
+                            "--trunc", "-5")
+        assert "--trunc" in line
+
+    def test_h2lp_all_ratios_divergent(self, capsys):
+        # mu_hat^2/(1-r) ~ 1/((1-r) sqrt(log)) is not integrable: every
+        # ratio is infinite, so there is no summary row and the exit is 2
+        code, out = run_cli(capsys, "equivalence", "--name", "h2-lp",
+                            "--weight", "tailexpr:(1+log(1/(1-r)))^(-0.25)",
+                            "--trunc", "6")
+        assert code == EXIT_DIVERGENCE
+        rows = [l.split(",") for l in out.strip().split("\n")[1:]]
+        assert [r[0] for r in rows] == ["equiv-h2-lp"] * 7
+        assert all(r[6] == "inf" for r in rows)
 
 
 class TestReproducibility:

@@ -184,10 +184,84 @@ class TestSpectra:
                                    atol=1e-14)
 
 
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("coeffs", [[0.0], [2.5], [0.0, 1.0],
+                                        [0.3, -1.0 + 0.5j, 0.2j]])
+    def test_tiny_truncations_match_dense(self, std1, N, coeffs):
+        g = TaylorSeries.from_coeffs(coeffs[:N])
+        M = vo.volterra_matrix(std1, g, -1, N)
+        s = vo.singular_values(M)
+        assert s.values.shape == (N,) and s.truncation == N
+        np.testing.assert_allclose(
+            s.values, np.linalg.svd(M.entries, compute_uv=False), atol=1e-15)
+
+    def test_empty_half_block(self, std1):
+        # the N/2 block at N = 1 is 0 x 0
+        M = vo.volterra_matrix(std1, TaylorSeries.monomial(0), -1, 1)
+        empty = vo.OperatorMatrix(M.entries[:0, :0], -1, M.weight_label, 0)
+        assert vo.singular_values(empty).values.shape == (0,)
+
+    def test_upper_triangle_entry_rejected(self, std1):
+        M = vo.volterra_matrix(std1, TaylorSeries.monomial(1), -1, 8)
+        M.entries[2, 5] = 1e-300
+        with pytest.raises(vo.OperatorError):
+            vo.singular_values(M)
+
+    def test_entry_below_band_rejected(self, std1):
+        M = vo.volterra_matrix(std1, TaylorSeries.monomial(1), -1, 8)
+        M.entries[7, 0] = 0.5j
+        with pytest.raises(vo.OperatorError):
+            vo.singular_values(M)
+
+
+class TestDenseOracle:
+    """The banded Gram path against a dense SVD of the same matrix.
+
+    Eigenvalues of M^H M carry an absolute error of order eps * s_max^2, so a
+    singular value s is off by about eps * s_max^2 / s: tiny ones lose
+    accuracy down to sqrt(eps) * s_max, the top of the spectrum keeps it.
+    """
+
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("label", ["std:1", "std:2", "exp:1:1"])
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 2.0])
+    @pytest.mark.parametrize("symbol, N", [("mono:1", 300), ("mono:9", 160),
+                                           ("random:1", 40), ("random:5", 97),
+                                           ("random:16", 300)])
+    def test_matches_dense_svd(self, label, alpha, symbol, N, rng):
+        kind, _, degree = symbol.partition(":")
+        g = (TaylorSeries.monomial(int(degree)) if kind == "mono"
+             else random_polynomial(rng, int(degree)))
+        M = vo.volterra_matrix(from_shorthand(label), g, alpha, N)
+        band = vo.singular_values(M).values
+        dense = np.linalg.svd(M.entries, compute_uv=False)
+        top = dense[0]
+        assert np.all(np.abs(band - dense) <= 8.0 * math.sqrt(self.EPS) * top)
+        large = dense >= 1e-3 * top
+        np.testing.assert_allclose(band[large], dense[large], rtol=1e-10)
+        for p in (1.0, 2.0, 4.0):
+            np.testing.assert_allclose(np.sum(band ** p) ** (1.0 / p),
+                                       np.sum(dense ** p) ** (1.0 / p),
+                                       rtol=1e-9)
+
+
 class TestSchatten:
     def test_zero_spectrum(self):
         s = vo.SingularSpectrum(np.zeros(5), 5)
         assert vo.schatten_norm(s, 2.0).value == 0.0
+
+    def test_single_truncation_err_not_estimated(self):
+        est = vo.schatten_norm(vo.SingularSpectrum(np.ones(3), 3), 2.0)
+        assert math.isnan(est.err)
+
+    def test_shared_spectra_match_fresh_ones(self, std1, rng):
+        g = random_polynomial(rng, 6)
+        spectra = vo.truncation_spectra(std1, g, 0.0, 64)
+        for p in (1.0, 2.5):
+            shared = vo.schatten_with_monitor(std1, g, 0.0, p, 64, spectra)
+            fresh = vo.schatten_with_monitor(std1, g, 0.0, p, 64)
+            assert shared == fresh
 
     def test_s2_closed_form_series(self, std1):
         est = vo.schatten_with_monitor(std1, TaylorSeries.monomial(1), -1,
