@@ -40,10 +40,25 @@ from .weights import RadialWeight
 # densities carry no mass beyond 1 - 2^-20
 KERNEL_SPEC = QuadratureSpec(left_levels=12, right_levels=20)
 
+# Elements (rows x angles) per block of the radius-by-angle loops: the
+# circle samples of the p-means and of bloch_mu, and the kernel FFTs.  One
+# complex array of a block takes 2 MB.  With blocks of 8 MB or more the
+# allocator handed the scratch back to the system after each call and
+# every Besov p-mean page-faulted about 6 MB back in; 2 MB blocks are
+# reused from the heap, and the extra loop passes cost no measurable time.
+BLOCK_ELEMENTS = 2 ** 17
+
 
 # ---------------------------------------------------------------------------
 # shared machinery
 # ---------------------------------------------------------------------------
+
+def _row_blocks(n_rows: int, row_len: int):
+    """Slices of at most max(1, BLOCK_ELEMENTS // row_len) rows."""
+    step = max(1, BLOCK_ELEMENTS // row_len)
+    for i in range(0, n_rows, step):
+        yield slice(i, min(i + step, n_rows))
+
 
 def _power_matrix(radii: np.ndarray, jmax: int) -> np.ndarray:
     """P[i, j] = radii_i^j for j = 0..jmax (cumulative products)."""
@@ -55,27 +70,37 @@ def _power_matrix(radii: np.ndarray, jmax: int) -> np.ndarray:
 
 
 def angular_autocorr(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """A[i, k] = sum_m c_{m+k} conj(c_m) radii_i^(2m+k), k = 0..deg."""
+    """A[i, k] = sum_m c_{m+k} conj(c_m) radii_i^(2m+k), k = 0..deg.
+
+    One real product of the power matrix against the real and imaginary
+    parts of the lag products, column k holding c_{m+k} conj(c_m) in row
+    k + 2m.
+    """
     c = np.asarray(coeffs, dtype=complex)
     d = len(c) - 1
+    W = np.zeros((2 * d + 1, d + 1), dtype=complex)
+    for k in range(d + 1):
+        W[k + 2 * np.arange(d + 1 - k), k] = c[k:] * np.conj(c[: d + 1 - k])
     with np.errstate(under="ignore"):
-        P = _power_matrix(radii, 2 * d)
-        A = np.empty((len(radii), d + 1), dtype=complex)
-        for k in range(d + 1):
-            wk = c[k:] * np.conj(c[: d + 1 - k])
-            A[:, k] = P[:, k + 2 * np.arange(d + 1 - k)] @ wk
-    return A
+        R = _power_matrix(radii, 2 * d) @ np.hstack([W.real, W.imag])
+    return R[:, : d + 1] + 1j * R[:, d + 1:]
 
 
 def _sample_circle(coeffs: np.ndarray, radii: np.ndarray, m: int) -> np.ndarray:
-    """|P(r e^(i theta))| sampled on m uniform angles, per radius (chunked)."""
+    """|P(r e^(i theta))| sampled on m uniform angles, per radius.
+
+    Only the coefficients (folded onto m frequencies) are stored; the
+    inverse FFT pads them to m, so the samples are the only m-wide array.
+    """
     c = np.asarray(coeffs, dtype=complex)
-    spectrum = np.zeros((len(radii), m), dtype=complex)
+    spectrum = np.zeros((len(radii), min(len(c), m)), dtype=complex)
     with np.errstate(under="ignore"):
         P = _power_matrix(radii, len(c) - 1)
     for n, cn in enumerate(c):
         spectrum[:, n % m] += cn * P[:, n]
-    return np.abs(np.fft.ifft(spectrum, axis=1) * m)
+    samples = np.fft.ifft(spectrum, n=m, axis=1)
+    samples *= m
+    return np.abs(samples)
 
 
 def _disc_p_integral(coeffs: np.ndarray, p: float, density, m: int,
@@ -83,8 +108,7 @@ def _disc_p_integral(coeffs: np.ndarray, p: float, density, m: int,
     """int_D |P|^p density(|z|) dA: per-radius p-means of |P| on m angles."""
     nodes, weights = radial_nodes(spec)
     mean_p = np.empty(len(nodes))
-    for i in range(0, len(nodes), 512):
-        sl = slice(i, min(i + 512, len(nodes)))
+    for sl in _row_blocks(len(nodes), m):
         samples = _sample_circle(coeffs, nodes[sl], m)
         mean_p[sl] = np.mean(samples ** p, axis=1)
     with np.errstate(over="ignore", divide="ignore", under="ignore"):
@@ -101,13 +125,32 @@ def _lp_factor(w: RadialWeight):
     return H
 
 
-def _window_weights(h: float, kmax: int) -> np.ndarray:
-    """int over |theta - phi| <= h of e^(ik(theta - phi)): 2h, 2 sin(kh)/k."""
+def _window_weights(h: np.ndarray, kmax: int) -> np.ndarray:
+    """Row i: int over |theta - phi| <= h_i of e^(ik(theta - phi)), that is
+    2 h_i and 2 sin(k h_i)/k for k = 1..kmax."""
     k = np.arange(1, kmax + 1)
-    out = np.empty(kmax + 1)
-    out[0] = 2.0 * h
-    out[1:] = 2.0 * np.sin(k * h) / k
+    out = np.empty((len(h), kmax + 1))
+    out[:, 0] = 2.0 * h
+    out[:, 1:] = 2.0 * np.sin(np.outer(h, k)) / k
     return out
+
+
+def _phase_sum(G: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """G_0 + 2 Re sum_{k>=1} G_k e^(ik arg a) per anchor (row i of G
+    belongs to anchors[i]): a trigonometric polynomial with real G_0."""
+    k = np.arange(1, G.shape[1])
+    phase = np.exp(1j * np.outer(np.angle(anchors), k))
+    return G[:, 0].real + 2.0 * np.sum((G[:, 1:] * phase).real, axis=1)
+
+
+def _first_max(values: np.ndarray, anchors: np.ndarray):
+    """(largest value, its anchor): the first in input order on ties, NaN
+    values passed over, and (-inf, 0j) when no value exceeds -inf."""
+    values = np.where(np.isnan(values), -np.inf, values)
+    if len(values) == 0 or values.max() == -np.inf:
+        return -np.inf, 0j
+    i = int(np.argmax(values))
+    return float(values[i]), complex(anchors[i])
 
 
 class SquareMachine:
@@ -116,6 +159,11 @@ class SquareMachine:
     ``P`` is the already-differentiated series whose square modulus is the
     density; precomputing the angular autocorrelation matrix and per-panel
     suffix sums makes nu(S(a)) for any anchor cost one partial panel.
+
+    Only the phase e^(ik arg a) depends on more than t = |a|, so a batch
+    of anchors is grouped by its exact radii: the partial panels of all
+    distinct radii share one ``angular_autocorr`` call, the windows are
+    formed once per radius, and each anchor then costs one phase sum.
     """
 
     def __init__(self, P: TaylorSeries, radial_factor,
@@ -134,37 +182,35 @@ class SquareMachine:
             np.zeros((1, self.degree + 1))])
         self.spec = spec
 
-    def _suffix_from(self, t: float) -> np.ndarray:
-        """Q_k = int_t^1 r H(r) A_k(r) dr for all k."""
-        e = int(np.searchsorted(self.edges, t, side="right"))
-        e = min(e, len(self.edges) - 1)
-        full = self.panel_suffix[e - 1 + 1] if e >= 1 else self.panel_suffix[0]
-        # partial piece [t, edges[e]] with a fresh small rule
+    def _suffix_from(self, t: np.ndarray) -> np.ndarray:
+        """Row i: Q_k = int_{t_i}^1 r H(r) A_k(r) dr for all k."""
+        e = np.minimum(np.searchsorted(self.edges, t, side="right"),
+                       len(self.edges) - 1)
+        Q = self.panel_suffix[e]
+        # partial pieces [t, edges[e]], each with a fresh small rule
         hi = self.edges[e]
-        if hi <= t:
-            return full.copy()
-        x, gw = gauss_rule(16)
-        half = 0.5 * (hi - t)
-        rr = t + half * (x + 1.0)
-        ww = half * gw
-        Af = angular_autocorr(self.P.coeffs, rr)
-        Hf = self.radial_factor(rr)
-        partial = (ww * rr * Hf) @ Af
-        return full + partial
+        part = hi > t
+        if np.any(part):
+            x, gw = gauss_rule(16)
+            half = 0.5 * (hi[part] - t[part])[:, None]
+            rr = t[part][:, None] + half * (x + 1.0)
+            Af = angular_autocorr(self.P.coeffs, rr.ravel())
+            Hf = self.radial_factor(rr.ravel()).reshape(rr.shape)
+            Q[part] += np.einsum("ij,ijk->ik", half * gw * rr * Hf,
+                                 Af.reshape(*rr.shape, -1))
+        return Q
 
-    def square_mass(self, a: complex) -> float:
-        """nu(S(a)) for the measure |D(f)|^2 H(|z|) dA."""
-        t = abs(a)
-        if t == 0:
-            Q0 = self.panel_suffix[0][0]
-            return float((1.0 / np.pi) * 2.0 * np.pi * Q0.real)
-        Q = self._suffix_from(t)
-        h = (1.0 - t) / 2.0
-        win = _window_weights(h, self.degree)
-        phase = np.exp(1j * np.arange(self.degree + 1) * np.angle(a))
-        total = win[0] * Q[0].real + 2.0 * np.sum(
-            win[1:] * (Q[1:] * phase[1:]).real)
-        return float(total / np.pi)
+    def square_mass(self, a):
+        """nu(S(a)) for the measure |D(f)|^2 H(|z|) dA; ``a`` is one anchor
+        (a float is returned) or an array of them."""
+        anchors = np.asarray(a, dtype=complex)
+        flat = anchors.ravel()
+        t, inverse = np.unique(np.abs(flat), return_inverse=True)
+        G = _window_weights((1.0 - t) / 2.0, self.degree) * self._suffix_from(t)
+        out = _phase_sum(G[inverse], flat) / np.pi
+        # S(0) is the whole disc, not a window of half-width 1/2
+        out[flat == 0] = (1.0 / np.pi) * 2.0 * np.pi * self.panel_suffix[0][0].real
+        return float(out[0]) if anchors.ndim == 0 else out.reshape(anchors.shape)
 
     def disc_mass(self) -> float:
         return self.square_mass(0.0)
@@ -263,11 +309,7 @@ def tent_norm_power(f: TaylorSeries, w: RadialWeight, p: float,
 
     A = angular_autocorr(P.coeffs, nodes)
     d = P.degree
-    hs = 1.0 - nodes
-    k = np.arange(1, d + 1)
-    win = np.empty((len(nodes), d + 1))
-    win[:, 0] = 2.0 * hs
-    win[:, 1:] = 2.0 * np.sin(np.outer(hs, k)) / k
+    win = _window_weights(1.0 - nodes, d)
     base = (weights * nodes * H(nodes))[:, None]
     B = np.sum(base * win * A, axis=0) / np.pi
 
@@ -308,12 +350,10 @@ def hardy_p_reference(f: TaylorSeries, p: float, m: int = None) -> NormEstimate:
 
 def _square_sup(machine: SquareMachine, anchors, tag: str,
                 degree: int) -> NormEstimate:
-    best, best_a = -np.inf, 0j
-    for a in anchors:
-        val = machine.square_mass(a) / (1.0 - abs(a))
-        if val > best:
-            best, best_a = val, complex(a)
-    return NormEstimate(float(best), 0.0, tag=tag,
+    anchors = np.asarray(anchors, dtype=complex)
+    best, best_a = _first_max(
+        machine.square_mass(anchors) / (1.0 - np.abs(anchors)), anchors)
+    return NormEstimate(best, math.nan, tag=tag,
                         truncation={"series": degree, "anchors": len(anchors)},
                         anchor=best_a)
 
@@ -343,11 +383,8 @@ def vanishing_profile(g: TaylorSeries, w: RadialWeight, depth: int = 12,
                       spec: QuadratureSpec = DEFAULT_SPEC):
     """(|a|, nu_g(S(a))/(1-|a|)) along a = 1 - 2^-j; j = 1..depth."""
     machine = SquareMachine(frac_derivative(g, w), _lp_factor(w), spec)
-    profile = []
-    for j in range(1, depth + 1):
-        a = 1.0 - 2.0 ** -j
-        profile.append((a, machine.square_mass(a) / (1.0 - a)))
-    return profile
+    a = 1.0 - 2.0 ** -np.arange(1.0, depth + 1)
+    return list(zip(a.tolist(), (machine.square_mass(a) / (1.0 - a)).tolist()))
 
 
 def _kernel_anchor_set(depth: int = 8) -> np.ndarray:
@@ -359,52 +396,61 @@ def _kernel_anchor_set(depth: int = 8) -> np.ndarray:
     return np.array(anchors)
 
 
-def bmoa_kernel_sup(g: TaylorSeries, w: RadialWeight, lam: float = 2.0,
-                    anchors: Optional[Sequence[complex]] = None,
-                    spec: QuadratureSpec = KERNEL_SPEC) -> NormEstimate:
-    """sup_a int_D (1-|a|)^lam / |1 - conj(a) z|^(lam+1) d nu_g(z).
+def bmoa_kernel_values(g: TaylorSeries, w: RadialWeight, lam: float,
+                       anchors: np.ndarray,
+                       spec: QuadratureSpec = KERNEL_SPEC) -> np.ndarray:
+    """int_D (1-|a|)^lam / |1 - conj(a) z|^(lam+1) d nu_g(z) per anchor a.
 
     Per ring the angular integral is sum_k A_k(r) e^(ik arg a) khat_k(|a| r),
     where khat are the kernel's angular Fourier coefficients, sampled on a
     per-ring grid that refines as |a| r -> 1 so the kernel peak (angular
-    width ~ 1 - |a| r) stays resolved.
+    width ~ 1 - |a| r) stays resolved.  The khat depend on the anchor only
+    through t = |a|, so the anchors are grouped by their exact radii: per
+    distinct t the ring FFTs (in blocks of at most BLOCK_ELEMENTS samples)
+    reduce to u_k(t) = sum_rings base khat_k A_k, and each anchor then
+    costs the phase sum u_0 + 2 Re sum_k u_k e^(ik arg a).
     """
     P = frac_derivative(g, w)
     nodes, weights = radial_nodes(spec)
-    H = _lp_factor(w)(nodes)
-    base = weights * nodes * H
+    base = weights * nodes * _lp_factor(w)(nodes)
+    active = base > 1e-18 * np.sum(base)
+    nodes, base = nodes[active], base[active]
     A = angular_autocorr(P.coeffs, nodes)
     d = P.degree
-    if anchors is None:
-        anchors = _kernel_anchor_set()
-    scale = np.sum(base)
-    active = base > 1e-18 * scale
-
-    best, best_a = -np.inf, 0j
-    for a in anchors:
-        t = abs(a)
-        phase = np.exp(1j * np.arange(d + 1) * np.angle(a)) if t > 0 \
-            else np.ones(d + 1, dtype=complex)
+    m_lo = max(256, 2 ** math.ceil(math.log2(2 * d + 4)))
+    ts, inverse = np.unique(np.abs(anchors), return_inverse=True)
+    U = np.zeros((len(ts), d + 1), dtype=complex)
+    for j, t in enumerate(ts):
         tr = t * nodes
-        m_lo = max(256, 2 ** math.ceil(math.log2(2 * d + 4)))
         m_per_ring = np.clip(64.0 / (1.0 - tr), m_lo, 16384)
         m_per_ring = (2 ** np.ceil(np.log2(m_per_ring))).astype(int)
-        val = 0.0
-        for m in np.unique(m_per_ring[active]):
-            sel = active & (m_per_ring == m)
+        for m in np.unique(m_per_ring):
+            sel = np.flatnonzero(m_per_ring == m)
             psi = 2.0 * np.pi * np.arange(m) / m
-            # |1 - (t r) e^(i psi)|^2 = (1 - t r cos psi)^2 + (t r sin psi)^2
-            c = tr[sel][:, None]
-            K = ((1.0 - c * np.cos(psi)) ** 2
-                 + (c * np.sin(psi)) ** 2) ** (-(lam + 1.0) / 2.0)
-            khat = np.fft.rfft(K, axis=1)[:, :d + 1] / m
-            ang = khat[:, 0].real * A[sel, 0].real + 2.0 * np.sum(
-                np.real(A[sel, 1:] * phase[1:]) * khat[:, 1:].real, axis=1)
-            val += float(np.sum(base[sel] * ang))
-        val *= (1.0 - t) ** lam * 2.0
-        if val > best:
-            best, best_a = val, complex(a)
-    return NormEstimate(float(best), 0.0, tag="bmoa-kernel",
+            cos, sin = np.cos(psi), np.sin(psi)
+            for blk in _row_blocks(len(sel), m):
+                rows = sel[blk]
+                # |1 - (t r) e^(i psi)|^2 = (1 - t r cos psi)^2 + (t r sin psi)^2
+                c = tr[rows][:, None]
+                K = ((1.0 - c * cos) ** 2
+                     + (c * sin) ** 2) ** (-(lam + 1.0) / 2.0)
+                khat = np.fft.rfft(K, axis=1)[:, :d + 1].real / m
+                U[j] += np.sum((base[rows, None] * khat) * A[rows], axis=0)
+        U[j] *= (1.0 - t) ** lam * 2.0
+    return _phase_sum(U[inverse], anchors)
+
+
+def bmoa_kernel_sup(g: TaylorSeries, w: RadialWeight, lam: float = 2.0,
+                    anchors: Optional[Sequence[complex]] = None,
+                    spec: QuadratureSpec = KERNEL_SPEC) -> NormEstimate:
+    """sup_a int_D (1-|a|)^lam / |1 - conj(a) z|^(lam+1) d nu_g(z), from
+    :func:`bmoa_kernel_values` over the anchors (default
+    ``_kernel_anchor_set()``)."""
+    anchors = np.asarray(_kernel_anchor_set() if anchors is None else anchors,
+                         dtype=complex)
+    best, best_a = _first_max(bmoa_kernel_values(g, w, lam, anchors, spec),
+                              anchors)
+    return NormEstimate(best, math.nan, tag="bmoa-kernel",
                         truncation={"series": g.degree, "lambda": lam,
                                     "anchors": len(anchors)},
                         anchor=best_a)
@@ -421,16 +467,15 @@ def bloch_mu(g: TaylorSeries, w: RadialWeight, n_ang: int = 2048,
     nodes, _ = radial_nodes(spec)
     tails = np.asarray(w.tail(nodes), dtype=float)
     best, best_z = -np.inf, 0j
-    for i in range(0, len(nodes), 512):
-        sl = slice(i, min(i + 512, len(nodes)))
-        samples = _sample_circle(P.coeffs, nodes[sl], n_ang)
-        vals = tails[sl][:, None] * samples
+    for sl in _row_blocks(len(nodes), n_ang):
+        vals = _sample_circle(P.coeffs, nodes[sl], n_ang)
+        vals *= tails[sl][:, None]
         j = int(np.argmax(vals))
         if vals.ravel()[j] > best:
             best = float(vals.ravel()[j])
             ri, ai = divmod(j, n_ang)
             best_z = nodes[sl][ri] * np.exp(2j * np.pi * ai / n_ang)
-    return NormEstimate(best, 0.0, tag="bloch-mu",
+    return NormEstimate(best, math.nan, tag="bloch-mu",
                         truncation={"series": g.degree, "angular": n_ang},
                         anchor=complex(best_z))
 
@@ -445,17 +490,16 @@ def bloch_mu_lattice(g: TaylorSeries, w: RadialWeight, p: float, alpha: float,
     P = frac_derivative(g, w)
     if anchors is None:
         anchors = default_anchors(depth=8)
-    best, best_a = -np.inf, 0j
-    for a in anchors:
+    anchors = np.asarray(anchors, dtype=complex)
+    vals = np.empty(len(anchors))
+    for i, a in enumerate(anchors):
         pts, wts = disc_quadrature(complex(a), r)
         rr = np.abs(pts)
-        vals = np.abs(P(pts)) ** p * np.asarray(w.tail(rr), dtype=float) ** p \
+        dens = np.abs(P(pts)) ** p * np.asarray(w.tail(rr), dtype=float) ** p \
             * (1.0 - rr) ** alpha
-        num = float(np.sum(wts * vals))
-        val = num / (1.0 - abs(a)) ** (alpha + 2.0)
-        if val > best:
-            best, best_a = val, complex(a)
-    return NormEstimate(float(best), 0.0, tag="bloch-mu-lattice",
+        vals[i] = float(np.sum(wts * dens)) / (1.0 - abs(a)) ** (alpha + 2.0)
+    best, best_a = _first_max(vals, anchors)
+    return NormEstimate(best, math.nan, tag="bloch-mu-lattice",
                         truncation={"series": g.degree, "p": p, "alpha": alpha},
                         anchor=best_a)
 
@@ -574,15 +618,15 @@ def carleson_ratio_sup(g: TaylorSeries, w: RadialWeight, alpha: float,
     P = frac_derivative(g, w)
     if anchors is None:
         anchors = default_anchors(depth=10)
-    best, best_a = -np.inf, 0j
-    for a in anchors:
+    anchors = np.asarray(anchors, dtype=complex)
+    vals = np.empty(len(anchors))
+    for i, a in enumerate(anchors):
         pts, wts = disc_quadrature(complex(a), r)
         rr = np.abs(pts)
-        vals = np.abs(P(pts)) ** 2 * np.asarray(w.tail(rr), dtype=float) ** 2 \
+        dens = np.abs(P(pts)) ** 2 * np.asarray(w.tail(rr), dtype=float) ** 2 \
             * (alpha + 1.0) * (1.0 - rr ** 2) ** alpha
-        val = float(np.sum(wts * vals)) / (1.0 - abs(a)) ** (2.0 + alpha)
-        if val > best:
-            best, best_a = val, complex(a)
-    return NormEstimate(float(best), 0.0, tag="carleson-sup",
+        vals[i] = float(np.sum(wts * dens)) / (1.0 - abs(a)) ** (2.0 + alpha)
+    best, best_a = _first_max(vals, anchors)
+    return NormEstimate(best, math.nan, tag="carleson-sup",
                         truncation={"series": g.degree, "alpha": alpha, "r": r},
                         anchor=best_a)

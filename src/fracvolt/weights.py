@@ -176,8 +176,8 @@ class StandardWeight(RadialWeight):
     kind = "standard"
 
     def __init__(self, beta: float, spec: QuadratureSpec = DEFAULT_SPEC):
-        if not (beta > 0):
-            raise WeightError("standard weight needs beta > 0")
+        if not (math.isfinite(beta) and beta > 0):
+            raise WeightError("standard weight needs a finite beta > 0")
         super().__init__(spec)
         self.beta = float(beta)
         self._log_total = (math.log(beta / 2.0)
@@ -243,8 +243,8 @@ class ExponentialWeight(RadialWeight):
 
     def __init__(self, c: float = 1.0, gamma: float = 1.0,
                  spec: QuadratureSpec = DEFAULT_SPEC):
-        if not (c > 0 and gamma > 0):
-            raise WeightError("exponential weight needs c, gamma > 0")
+        if not (math.isfinite(c) and math.isfinite(gamma) and c > 0 and gamma > 0):
+            raise WeightError("exponential weight needs finite c, gamma > 0")
         super().__init__(spec)
         self.c = float(c)
         self.gamma = float(gamma)

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 
@@ -160,6 +161,22 @@ class TestErrorExits:
 
     def test_volterra_infinite_beta(self, capsys):
         self.run_err(capsys, "volterra", "--weight", "std:inf")
+
+    def run_weight_err(self, capsys, weight):
+        # rejected by the weight constructor, before any array is computed
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = self.run_err(capsys, "volterra", "--weight", weight)
+        assert "finite" in line and caught == []
+
+    def test_standard_weight_infinite_beta_rejected(self, capsys):
+        self.run_weight_err(capsys, "std:inf")
+
+    def test_exponential_weight_infinite_c_rejected(self, capsys):
+        self.run_weight_err(capsys, "exp:inf:1")
+
+    def test_exponential_weight_infinite_gamma_rejected(self, capsys):
+        self.run_weight_err(capsys, "exp:1:inf")
 
     def test_quadrature_error(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
