@@ -48,6 +48,12 @@ KERNEL_SPEC = QuadratureSpec(left_levels=12, right_levels=20)
 # reused from the heap, and the extra loop passes cost no measurable time.
 BLOCK_ELEMENTS = 2 ** 17
 
+# Relative slack on the upper bounds that let bloch_mu and bmoa_kernel_sup
+# skip radii: a radius is skipped only when its bound times 1 + BOUND_SLACK
+# is below a value already found.  Both sides are sums of a few thousand
+# terms, so their rounding stays many orders below this.
+BOUND_SLACK = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # shared machinery
@@ -396,33 +402,35 @@ def _kernel_anchor_set(depth: int = 8) -> np.ndarray:
     return np.array(anchors)
 
 
-def bmoa_kernel_values(g: TaylorSeries, w: RadialWeight, lam: float,
-                       anchors: np.ndarray,
-                       spec: QuadratureSpec = KERNEL_SPEC) -> np.ndarray:
-    """int_D (1-|a|)^lam / |1 - conj(a) z|^(lam+1) d nu_g(z) per anchor a.
+class _KernelRings:
+    """The radial rings of the kernel integral for one symbol.
 
     Per ring the angular integral is sum_k A_k(r) e^(ik arg a) khat_k(|a| r),
     where khat are the kernel's angular Fourier coefficients, sampled on a
     per-ring grid that refines as |a| r -> 1 so the kernel peak (angular
     width ~ 1 - |a| r) stays resolved.  The khat depend on the anchor only
-    through t = |a|, so the anchors are grouped by their exact radii: per
-    distinct t the ring FFTs (in blocks of at most BLOCK_ELEMENTS samples)
-    reduce to u_k(t) = sum_rings base khat_k A_k, and each anchor then
-    costs the phase sum u_0 + 2 Re sum_k u_k e^(ik arg a).
+    through t = |a|, so one radius costs one sweep of ring FFTs
+    (:meth:`coefficients`), and each anchor of that radius one phase sum.
     """
-    P = frac_derivative(g, w)
-    nodes, weights = radial_nodes(spec)
-    base = weights * nodes * _lp_factor(w)(nodes)
-    active = base > 1e-18 * np.sum(base)
-    nodes, base = nodes[active], base[active]
-    A = angular_autocorr(P.coeffs, nodes)
-    d = P.degree
-    m_lo = max(256, 2 ** math.ceil(math.log2(2 * d + 4)))
-    ts, inverse = np.unique(np.abs(anchors), return_inverse=True)
-    U = np.zeros((len(ts), d + 1), dtype=complex)
-    for j, t in enumerate(ts):
-        tr = t * nodes
-        m_per_ring = np.clip(64.0 / (1.0 - tr), m_lo, 16384)
+
+    def __init__(self, g: TaylorSeries, w: RadialWeight,
+                 spec: QuadratureSpec):
+        P = frac_derivative(g, w)
+        nodes, weights = radial_nodes(spec)
+        base = weights * nodes * _lp_factor(w)(nodes)
+        active = base > 1e-18 * np.sum(base)
+        self.nodes, self.base = nodes[active], base[active]
+        self.A = angular_autocorr(P.coeffs, self.nodes)
+        self.degree = P.degree
+        self.m_lo = max(256, 2 ** math.ceil(math.log2(2 * self.degree + 4)))
+
+    def coefficients(self, t: float, lam: float) -> np.ndarray:
+        """u_k(t) = (1-t)^lam 2 sum_rings base khat_k(t r) A_k(r), from the
+        ring FFTs in blocks of at most BLOCK_ELEMENTS samples."""
+        d = self.degree
+        u = np.zeros(d + 1, dtype=complex)
+        tr = t * self.nodes
+        m_per_ring = np.clip(64.0 / (1.0 - tr), self.m_lo, 16384)
         m_per_ring = (2 ** np.ceil(np.log2(m_per_ring))).astype(int)
         for m in np.unique(m_per_ring):
             sel = np.flatnonzero(m_per_ring == m)
@@ -435,21 +443,77 @@ def bmoa_kernel_values(g: TaylorSeries, w: RadialWeight, lam: float,
                 K = ((1.0 - c * cos) ** 2
                      + (c * sin) ** 2) ** (-(lam + 1.0) / 2.0)
                 khat = np.fft.rfft(K, axis=1)[:, :d + 1].real / m
-                U[j] += np.sum((base[rows, None] * khat) * A[rows], axis=0)
-        U[j] *= (1.0 - t) ** lam * 2.0
+                u += np.sum((self.base[rows, None] * khat) * self.A[rows],
+                            axis=0)
+        u *= (1.0 - t) ** lam * 2.0
+        return u
+
+    def bounds(self, ts: np.ndarray, lam: float) -> np.ndarray:
+        """Per radius t, an upper bound of the kernel integral at every
+        anchor of modulus t:
+
+            (1-t)^lam 2 sum_rings base A_0(r) (1 - t r)^-(lam+1).
+
+        |1 - conj(a) z| >= 1 - t r bounds the kernel on the ring, and the
+        ring term sum_k khat_k A_k e^(ik arg a) is exactly the discrete
+        mean of the (symmetrised) kernel times |P|^2 over the ring grid,
+        which is at most max K times the mean of |P|^2, that is A_0.
+        """
+        with np.errstate(divide="ignore", over="ignore"):
+            peak = (1.0 - np.outer(ts, self.nodes)) ** (-(lam + 1.0))
+        return (1.0 - ts) ** lam * 2.0 * (peak @ (self.base * self.A[:, 0].real))
+
+
+def bmoa_kernel_values(g: TaylorSeries, w: RadialWeight, lam: float,
+                       anchors: np.ndarray,
+                       spec: QuadratureSpec = KERNEL_SPEC) -> np.ndarray:
+    """int_D (1-|a|)^lam / |1 - conj(a) z|^(lam+1) d nu_g(z) per anchor a:
+    one sweep of ring FFTs per distinct |a| (:class:`_KernelRings`), then
+    one phase sum per anchor."""
+    rings = _KernelRings(g, w, spec)
+    ts, inverse = np.unique(np.abs(anchors), return_inverse=True)
+    U = np.zeros((len(ts), rings.degree + 1), dtype=complex)
+    for j, t in enumerate(ts):
+        U[j] = rings.coefficients(t, lam)
     return _phase_sum(U[inverse], anchors)
 
 
 def bmoa_kernel_sup(g: TaylorSeries, w: RadialWeight, lam: float = 2.0,
                     anchors: Optional[Sequence[complex]] = None,
                     spec: QuadratureSpec = KERNEL_SPEC) -> NormEstimate:
-    """sup_a int_D (1-|a|)^lam / |1 - conj(a) z|^(lam+1) d nu_g(z), from
-    :func:`bmoa_kernel_values` over the anchors (default
-    ``_kernel_anchor_set()``)."""
+    """sup_a int_D (1-|a|)^lam / |1 - conj(a) z|^(lam+1) d nu_g(z) over the
+    anchors (default ``_kernel_anchor_set()``).
+
+    Branch and bound over the distinct radii t = |a|: the bound
+    (1-t)^lam 2 sum_rings base A_0(r) (1 - t r)^-(lam+1) of
+    :meth:`_KernelRings.bounds` is formed for every t first, the radii run
+    in decreasing order of it, and a radius whose bound times
+    1 + BOUND_SLACK is below the best value found so far gets no ring FFTs:
+    none of its anchors can reach the maximum.  The value and the
+    first-maximum anchor are those of :func:`bmoa_kernel_values` over all
+    anchors, bit for bit.
+    """
     anchors = np.asarray(_kernel_anchor_set() if anchors is None else anchors,
                          dtype=complex)
-    best, best_a = _first_max(bmoa_kernel_values(g, w, lam, anchors, spec),
-                              anchors)
+    rings = _KernelRings(g, w, spec)
+    ts, inverse = np.unique(np.abs(anchors), return_inverse=True)
+    bound = rings.bounds(ts, lam)
+    U = np.zeros((len(ts), rings.degree + 1), dtype=complex)
+    done = np.zeros(len(ts), dtype=bool)
+    best = -np.inf
+    for j in np.argsort(-bound, kind="stable"):
+        if bound[j] * (1.0 + BOUND_SLACK) < best:
+            continue
+        U[j] = rings.coefficients(ts[j], lam)
+        done[j] = True
+        mine = inverse == j
+        vals = _phase_sum(U[inverse[mine]], anchors[mine])
+        best = max(best, np.max(vals, initial=-np.inf, where=~np.isnan(vals)))
+    # one phase sum over all anchors, as in bmoa_kernel_values, so the
+    # values of the radii that ran match it bit for bit
+    values = _phase_sum(U[inverse], anchors)
+    values[~done[inverse]] = -np.inf
+    best, best_a = _first_max(values, anchors)
     return NormEstimate(best, math.nan, tag="bmoa-kernel",
                         truncation={"series": g.degree, "lambda": lam,
                                     "anchors": len(anchors)},
@@ -462,19 +526,35 @@ def bmoa_kernel_sup(g: TaylorSeries, w: RadialWeight, lam: float = 2.0,
 
 def bloch_mu(g: TaylorSeries, w: RadialWeight, n_ang: int = 2048,
              spec: QuadratureSpec = DEFAULT_SPEC) -> NormEstimate:
-    """sup_z mu_hat(|z|) |D(g)(z)| over the radial-by-angular grid."""
+    """sup_z mu_hat(|z|) |D(g)(z)| over the radial-by-angular grid.
+
+    Branch and bound over the radial nodes: |D(g)(r e^(i theta))| is at
+    most sum_n |c_n| r^n, so B(r) = mu_hat(r) sum_n |c_n| r^n bounds a
+    whole ring.  The ring of largest B is sampled first for a lower bound
+    L, and only the rings with B (1 + BOUND_SLACK) >= L (or B NaN) are
+    sampled, in node order, by the strict ``>`` block scan.  A ring's
+    samples do not depend on the other rings of its block, so the value
+    and its first-maximum anchor are those of the full grid, bit for bit.
+    """
     P = frac_derivative(g, w)
     nodes, _ = radial_nodes(spec)
     tails = np.asarray(w.tail(nodes), dtype=float)
+    with np.errstate(under="ignore"):
+        bound = tails * (_power_matrix(nodes, P.degree) @ np.abs(P.coeffs))
+    top = int(np.argmax(np.where(np.isnan(bound), -np.inf, bound)))
+    lower = np.max(_sample_circle(P.coeffs, nodes[top:top + 1], n_ang)
+                   * tails[top])
+    keep = np.flatnonzero(~(bound * (1.0 + BOUND_SLACK) < lower))
     best, best_z = -np.inf, 0j
-    for sl in _row_blocks(len(nodes), n_ang):
-        vals = _sample_circle(P.coeffs, nodes[sl], n_ang)
-        vals *= tails[sl][:, None]
+    for sl in _row_blocks(len(keep), n_ang):
+        rows = keep[sl]
+        vals = _sample_circle(P.coeffs, nodes[rows], n_ang)
+        vals *= tails[rows][:, None]
         j = int(np.argmax(vals))
         if vals.ravel()[j] > best:
             best = float(vals.ravel()[j])
             ri, ai = divmod(j, n_ang)
-            best_z = nodes[sl][ri] * np.exp(2j * np.pi * ai / n_ang)
+            best_z = nodes[rows[ri]] * np.exp(2j * np.pi * ai / n_ang)
     return NormEstimate(best, math.nan, tag="bloch-mu",
                         truncation={"series": g.degree, "angular": n_ang},
                         anchor=complex(best_z))
@@ -534,7 +614,7 @@ def besov_mu(g: TaylorSeries, w: RadialWeight, p: float,
         P.coeffs, p,
         lambda r: np.asarray(w.tail(r), dtype=float) ** p / (1.0 - r ** 2) ** 2,
         m, spec)
-    return NormEstimate(value, 0.0, tag="besov-mu",
+    return NormEstimate(value, math.nan, tag="besov-mu",
                         truncation={"series": g.degree, "p": p, "angular": m})
 
 
@@ -573,7 +653,7 @@ def besov_classical(g: TaylorSeries, p: float,
     expo = n_p * p - 2.0
     value = head + _disc_p_integral(gk.coeffs, p,
                                     lambda r: (1.0 - r ** 2) ** expo, m, spec)
-    return NormEstimate(value, 0.0, tag="besov-classical",
+    return NormEstimate(value, math.nan, tag="besov-classical",
                         truncation={"series": g.degree, "p": p, "n_p": n_p})
 
 
@@ -585,7 +665,7 @@ def bergman_norm(f: TaylorSeries, alpha: float, p: float,
     m = angular_nodes_for_degree(f.degree, spec)
     value = _disc_p_integral(
         f.coeffs, p, lambda r: (alpha + 1.0) * (1.0 - r ** 2) ** alpha, m, spec)
-    return NormEstimate(value, 0.0, tag="bergman",
+    return NormEstimate(value, math.nan, tag="bergman",
                         truncation={"series": f.degree, "p": p, "alpha": alpha})
 
 

@@ -85,9 +85,12 @@ def gauss_rule(order: int):
 
 
 # Upper end of every radial grid.  Integrals over [0, 1) are truncated at
-# this point; the lost sliver is below 2^-26 in mass even for a (1-r)^(-1/2)
-# endpoint singularity, and floating point cannot place nodes beyond it
-# without them rounding onto 1.
+# this point, and floating point cannot place nodes beyond it without them
+# rounding onto 1.  For integrands that decay at least like a power of
+# 1 - r, or blow up no faster than (1-r)^(-1/2), the lost sliver is below
+# 2^-26 in mass.  For slowly varying tails it is not small, and nothing
+# flags it: with mu_hat(r) = 1/(1 + log(1/(1-r))) the mass of
+# mu_hat^2/(1-r) above this point is 1/(1 + 52 log 2), about 0.027.
 GRID_TOP = 1.0 - 2.0 ** -52
 
 

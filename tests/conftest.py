@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fracvolt import ExponentialWeight, StandardWeight, TailExprWeight, TaylorSeries
+
+# property tests draw the same examples on every run, with no time limit
+# per example and no example database written to disk
+settings.register_profile("fracvolt", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("fracvolt")
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracvolt import TaylorSeries, frac_derivative, from_shorthand, norms
 from fracvolt.cli import parse_symbol
@@ -302,3 +304,123 @@ def test_first_max_keeps_the_strict_scan_rules():
                  [-inf, -inf, nan, -inf], [0.0, -1.0, 0.0, nan]):
         assert norms._first_max(np.array(vals), anchors) == oracle_sup(vals, anchors)
     assert norms._first_max(np.array([]), anchors[:0]) == (-inf, 0j)
+
+
+# ---------------------------------------------------------------------------
+# bound-pruned suprema against the unpruned scans
+# ---------------------------------------------------------------------------
+
+PRUNE_WEIGHTS = ("std:1", "std:2", "exp:1:1", "exp:2:0.5")
+
+
+def pruning_symbols():
+    """Named symbols: monomials (rotated ones tie on every ring), random
+    polynomials of degree 1 to 32, the log branch and the zero series."""
+    out = {s: parse_symbol(s) for s in (
+        "mono:0", "mono:1", "random:1:1", "random:4:1", "random:12:1",
+        "random:24:1", "random:32:1", "log:64")}
+    out["rotated mono:2"] = TaylorSeries.monomial(2, -1j)
+    out["rotated mono:5"] = TaylorSeries.monomial(5, np.exp(0.7j))
+    out["zero"] = TaylorSeries.zero()
+    return out
+
+
+def oracle_bloch(g, w, n_ang=2048):
+    """The full-grid scan: every radial node sampled, blocks in node order,
+    strict ``>`` between blocks."""
+    P = frac_derivative(g, w)
+    nodes, _ = radial_nodes(DEFAULT_SPEC)
+    tails = np.asarray(w.tail(nodes), dtype=float)
+    best, best_z = -np.inf, 0j
+    for sl in norms._row_blocks(len(nodes), n_ang):
+        vals = norms._sample_circle(P.coeffs, nodes[sl], n_ang)
+        vals *= tails[sl][:, None]
+        j = int(np.argmax(vals))
+        if vals.ravel()[j] > best:
+            best = float(vals.ravel()[j])
+            ri, ai = divmod(j, n_ang)
+            best_z = nodes[sl][ri] * np.exp(2j * np.pi * ai / n_ang)
+    return best, complex(best_z)
+
+
+def oracle_kernel_sup(g, w, lam, anchors):
+    """Every anchor's kernel value, then the first maximum."""
+    return norms._first_max(norms.bmoa_kernel_values(g, w, lam, anchors),
+                            anchors)
+
+
+def assert_bloch_exact(g, w, name=""):
+    est = norms.bloch_mu(g, w)
+    assert (est.value, est.anchor) == oracle_bloch(g, w), name
+
+
+def assert_kernel_exact(g, w, lam, anchors, name=""):
+    est = norms.bmoa_kernel_sup(g, w, lam, anchors=anchors)
+    assert (est.value, est.anchor) == oracle_kernel_sup(g, w, lam, anchors), name
+
+
+@pytest.mark.parametrize("weight", PRUNE_WEIGHTS)
+def test_pruned_bloch_is_exact(weight):
+    w = from_shorthand(weight)
+    for name, g in pruning_symbols().items():
+        assert_bloch_exact(g, w, name)
+
+
+@pytest.mark.parametrize("weight", PRUNE_WEIGHTS)
+def test_pruned_kernel_sup_is_exact(weight):
+    # the default anchors at lambda = 2; the origin twice, exact and
+    # rounded copies of one radius and recurring radii at lambda = 1.5
+    w = from_shorthand(weight)
+    for name, g in pruning_symbols().items():
+        assert_kernel_exact(g, w, 2.0, norms._kernel_anchor_set(), name)
+        assert_kernel_exact(g, w, 1.5, hand_anchors(), name)
+
+
+def test_pruned_suprema_pick_first_tied_anchor():
+    # rotated monomials tie on every ring: for every rotation of the input
+    # the first anchor of the best ring wins, as in the unpruned scans
+    w, g = from_shorthand("exp:2:0.5"), TaylorSeries.monomial(3, np.exp(2.0j))
+    anchors = np.array([0.5, 0.25j, 0.75, -0.25, 0.25, -0.25j, 0.5j, 0.0])
+    for i in range(len(anchors)):
+        rotated = np.roll(anchors, -i)
+        for lam in (1.5, 2.0):
+            assert_kernel_exact(g, w, lam, rotated)
+
+
+@given(coeffs=st.lists(st.complex_numbers(max_magnitude=1.0,
+                                          allow_nan=False, allow_infinity=False),
+                       min_size=1, max_size=11),
+       weight=st.sampled_from(PRUNE_WEIGHTS), lam=st.sampled_from((1.5, 2.0)))
+@settings(max_examples=8)
+def test_pruned_suprema_property(coeffs, weight, lam):
+    g, w = TaylorSeries.from_coeffs(coeffs), from_shorthand(weight)
+    assert_bloch_exact(g, w)
+    assert_kernel_exact(g, w, lam, norms._kernel_anchor_set())
+
+
+def test_bloch_samples_few_rows(monkeypatch):
+    rows = []
+    original = norms._sample_circle
+
+    def counted(coeffs, radii, m):
+        rows.append(len(radii))
+        return original(coeffs, radii, m)
+
+    monkeypatch.setattr(norms, "_sample_circle", counted)
+    norms.bloch_mu(parse_symbol("random:32:1"), from_shorthand("std:1"))
+    assert len(radial_nodes(DEFAULT_SPEC)[0]) == 2304
+    assert sum(rows) <= 400
+
+
+def test_kernel_sup_runs_few_ring_sweeps(monkeypatch):
+    radii = []
+    original = norms._KernelRings.coefficients
+
+    def counted(self, t, lam):
+        radii.append(t)
+        return original(self, t, lam)
+
+    monkeypatch.setattr(norms._KernelRings, "coefficients", counted)
+    norms.bmoa_kernel_sup(parse_symbol("random:8:1"), from_shorthand("exp:1:1"))
+    assert len(np.unique(np.abs(norms._kernel_anchor_set()))) == 18
+    assert len(radii) <= 4

@@ -352,6 +352,15 @@ class TestBesovBergman:
                                        norms.bergman2_coeff(f, alpha),
                                        rtol=1e-9)
 
+    def test_besov_mu_err_is_not_estimated(self, std1):
+        assert math.isnan(norms.besov_mu(TaylorSeries.monomial(1), std1, 3.0).err)
+
+    def test_besov_classical_err_is_not_estimated(self):
+        assert math.isnan(norms.besov_classical(TaylorSeries.monomial(1), 3.0).err)
+
+    def test_bergman_err_is_not_estimated(self):
+        assert math.isnan(norms.bergman_norm(TaylorSeries.monomial(1), 0.0, 3.0).err)
+
     def test_norm_homogeneity_with_p_powers(self, std1, rng):
         g = random_polynomial(rng, 7)
         for p in (1.0, 2.0):
