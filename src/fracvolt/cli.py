@@ -12,18 +12,15 @@ Output is a fixed-schema CSV (experiment, weight, symbol, param, lhs, rhs,
 ratio, trunc, err, anchor) or its JSON mirror.  Runs are reproducible:
 identical arguments and seed produce byte-identical output.  Exit codes:
 0 success, 2 divergence detected (informative), 3 invariant violation.
-The environment variable FRACVOLT_THREADS caps corpus parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -39,6 +36,11 @@ CSV_COLUMNS = ("experiment", "weight", "symbol", "param", "lhs", "rhs",
 EXIT_OK = 0
 EXIT_DIVERGENCE = 2
 EXIT_INVARIANT = 3
+
+# Largest least-squares slope of log ratio against log degree that an
+# equivalence summary accepts: a doubling weight plateaus (slope -> 0),
+# and sustained growth is the equivalence-failure witness (exit 2).
+TREND_SLOPE_LIMIT = 0.3
 
 
 @dataclass
@@ -136,15 +138,6 @@ def emit(rows: List[Row], args) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def parallel_map(fn: Callable, items: list) -> list:
-    """Corpus map honouring FRACVOLT_THREADS, results in input order."""
-    threads = int(os.environ.get("FRACVOLT_THREADS", "1"))
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
 
 
 def parse_symbol(text: str) -> TaylorSeries:
@@ -340,9 +333,7 @@ def cmd_equivalence(args) -> int:
         if finite:
             rows.append(Row("equiv-h2-lp-summary", w.label(), "", "summary",
                             min(finite), max(finite), slope, args.trunc))
-        # a doubling weight plateaus (slope -> 0); sustained growth is the
-        # equivalence-failure witness
-        if slope > 0.3 or len(finite) < len(ratios):
+        if slope > TREND_SLOPE_LIMIT or len(finite) < len(ratios):
             code = EXIT_DIVERGENCE
         emit(rows, args)
         return code
@@ -370,9 +361,8 @@ def cmd_equivalence(args) -> int:
             return label, g.degree, lhs.value, rhs, lhs.diverged
         raise ValueError(f"unknown equivalence {name!r}")
 
-    results = parallel_map(one, corpus)
     degrees, ratios = [], []
-    for label, deg, lhs, rhs, diverged in results:
+    for label, deg, lhs, rhs, diverged in map(one, corpus):
         ratio = lhs / rhs if (rhs and np.isfinite(lhs) and np.isfinite(rhs)) else ""
         rows.append(Row(f"equiv-{name}", w.label(), label, deg, lhs, rhs,
                         ratio, args.trunc))
@@ -385,6 +375,9 @@ def cmd_equivalence(args) -> int:
         slope = _trend_slope(degrees, ratios)
         rows.append(Row(f"equiv-{name}-summary", w.label(), "", "summary",
                         min(ratios), max(ratios), slope, args.trunc))
+        # the Schatten verdict is its truncation monitor's
+        if name != "schatten" and slope > TREND_SLOPE_LIMIT:
+            code = EXIT_DIVERGENCE
     emit(rows, args)
     return code
 

@@ -111,11 +111,34 @@ def _sample_circle(coeffs: np.ndarray, radii: np.ndarray, m: int) -> np.ndarray:
 
 def _disc_p_integral(coeffs: np.ndarray, p: float, density, m: int,
                      spec: QuadratureSpec) -> float:
-    """int_D |P|^p density(|z|) dA: per-radius p-means of |P| on m angles."""
+    """int_D |P|^p density(|z|) dA: per-radius p-means of |P| on m angles.
+
+    Each ring is sampled over its true angular period only.  If every
+    exponent in P's support is v mod g, then P(z) = z^v Q(z^g), so
+    |P(r e^(i theta))| = r^v |Q(r^g e^(i g theta))| has period 2 pi / g.
+    With g = gcd(m, every support exponent minus v), the m uniform angles
+    repeat the values at the first m/g of them g times over, and
+    theta_j -> g theta_j maps those m/g angles onto the uniform
+    (m/g)-point grid.  So the m-angle mean of |P|^p equals the (m/g)-angle
+    mean of (r^v |Q|)^p exactly; only rounding differs.  A single term
+    needs one sample per ring, as does the zero series (g = m).  When
+    g = 1, P itself is sampled on all m angles.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    support = np.flatnonzero(c)
+    v = int(support[0]) if len(support) else 0
+    g = math.gcd(m, *(int(n) - v for n in support))
     nodes, weights = radial_nodes(spec)
+    radii, scale = nodes, None
+    if g > 1:
+        c, m = c[v::g], m // g
+        with np.errstate(under="ignore"):
+            radii, scale = nodes ** g, nodes ** v
     mean_p = np.empty(len(nodes))
     for sl in _row_blocks(len(nodes), m):
-        samples = _sample_circle(coeffs, nodes[sl], m)
+        samples = _sample_circle(c, radii[sl], m)
+        if scale is not None:
+            samples *= scale[sl, None]
         mean_p[sl] = np.mean(samples ** p, axis=1)
     with np.errstate(over="ignore", divide="ignore", under="ignore"):
         dens = density(nodes)

@@ -1,8 +1,8 @@
 import json
-import os
 import warnings
 
 import numpy as np
+import pytest
 
 from fracvolt import cli, volterra
 from fracvolt.cli import (CSV_COLUMNS, EXIT_DIVERGENCE, EXIT_INVARIANT,
@@ -111,6 +111,24 @@ class TestCommands:
         summary = out.strip().split("\n")[-1].split(",")
         assert float(summary[6]) > 0.0    # positive trend slope
 
+    @pytest.mark.parametrize("name", ["bmoa", "besov", "tent-hp"])
+    def test_corpus_slope_above_limit_flagged(self, capsys, name):
+        # exp:1:1 is not doubling: every corpus ratio grows with the degree
+        code, out = run_cli(capsys, "equivalence", "--name", name, "--weight",
+                            "exp:1:1", "--corpus", "12", "--p", "3")
+        summary = out.strip().split("\n")[-1].split(",")
+        assert float(summary[6]) > cli.TREND_SLOPE_LIMIT
+        assert code == EXIT_DIVERGENCE
+
+    @pytest.mark.parametrize("name", ["bmoa", "besov", "tent-hp"])
+    @pytest.mark.parametrize("weight", ["std:1", "std:2"])
+    def test_corpus_slope_of_doubling_weight_passes(self, capsys, name, weight):
+        code, out = run_cli(capsys, "equivalence", "--name", name, "--weight",
+                            weight, "--corpus", "12", "--p", "3")
+        summary = out.strip().split("\n")[-1].split(",")
+        assert float(summary[6]) <= cli.TREND_SLOPE_LIMIT
+        assert code == EXIT_OK
+
     def test_bad_weight_is_invariant_violation(self, capsys):
         code, _ = run_cli(capsys, "moments", "--weight", "expr:r-1")
         assert code == EXIT_INVARIANT
@@ -210,19 +228,6 @@ class TestReproducibility:
         out2 = tmp_path / "b.csv"
         assert main(args + ["--out", str(out1)]) == EXIT_OK
         assert main(args + ["--out", str(out2)]) == EXIT_OK
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_threads_do_not_change_output(self, tmp_path):
-        args = ["equivalence", "--name", "besov", "--weight", "std:2",
-                "--corpus", "4", "--seed", "2"]
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        main(args + ["--out", str(out1)])
-        os.environ["FRACVOLT_THREADS"] = "4"
-        try:
-            main(args + ["--out", str(out2)])
-        finally:
-            del os.environ["FRACVOLT_THREADS"]
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_every_row_has_truncation(self, capsys):

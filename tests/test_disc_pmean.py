@@ -1,0 +1,127 @@
+"""Disc p-means on each ring's true angular period against the full grid.
+
+The oracle is the full-grid p-mean the period reduction replaced: every
+radial node sampled on all m angles, whatever the support of P.  Symbols
+whose support exponents share no common stride with m take the unchanged
+path and must agree bit for bit; sparse supports are summed over fewer
+angles and agree to rounding.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fracvolt import TaylorSeries, from_shorthand, norms
+from fracvolt.cli import parse_symbol
+from fracvolt.quad import DEFAULT_SPEC, radial_nodes
+
+PS = (0.5, 1.0, 2.0, 3.7)
+WEIGHT = from_shorthand("exp:1:1")    # mu_hat^p/(1-r)^2 integrable at every p
+DENSITIES = {
+    "besov_mu": lambda g, p: norms.besov_mu(g, WEIGHT, p),
+    "besov_classical": lambda g, p: norms.besov_classical(g, p),
+    "bergman": lambda g, p: norms.bergman_norm(g, 0.5, p),
+}
+FULL_SUPPORT = ("random:8:1", "random:24:3", "log:64")
+
+
+def _poly(terms):
+    c = np.zeros(max(terms) + 1, dtype=complex)
+    for n, cn in terms.items():
+        c[n] = cn
+    return TaylorSeries.from_coeffs(c)
+
+
+SPARSE = {
+    "mono:0": TaylorSeries.monomial(0),
+    "mono:1": TaylorSeries.monomial(1),
+    "mono:8": TaylorSeries.monomial(8),
+    "mono:32": TaylorSeries.monomial(32),
+    "z+z^5": _poly({1: 1.0, 5: 1.0}),
+    "2+z^8": _poly({0: 2.0, 8: 1.0}),
+    "z^3+z^7+z^11": _poly({3: 1.0, 7: 0.5 - 1j, 11: 0.25}),
+    "zero": TaylorSeries.zero(),
+    "z^5+z^305": _poly({5: 1.0, 305: 0.3j}),     # m = 1224, g = 12
+}
+
+
+def oracle_disc_p_integral(coeffs, p, density, m, spec):
+    """The full-grid p-mean: all m angles on every radial node."""
+    nodes, weights = radial_nodes(spec)
+    mean_p = np.empty(len(nodes))
+    for sl in norms._row_blocks(len(nodes), m):
+        samples = norms._sample_circle(coeffs, nodes[sl], m)
+        mean_p[sl] = np.mean(samples ** p, axis=1)
+    with np.errstate(over="ignore", divide="ignore", under="ignore"):
+        dens = density(nodes)
+    return float(np.sum(2.0 * weights * nodes * dens * mean_p))
+
+
+def fast_and_oracle(monkeypatch, call):
+    """(fast, oracle) for every disc p-mean the call makes."""
+    pairs = []
+    fast = norms._disc_p_integral
+
+    def spy(*args):
+        value = fast(*args)
+        pairs.append((value, oracle_disc_p_integral(*args)))
+        return value
+
+    monkeypatch.setattr(norms, "_disc_p_integral", spy)
+    call()
+    monkeypatch.undo()
+    assert pairs, "the call made no disc p-mean"
+    return pairs
+
+
+@pytest.mark.parametrize("density", sorted(DENSITIES))
+@pytest.mark.parametrize("symbol", FULL_SUPPORT)
+def test_full_support_is_bit_identical(monkeypatch, symbol, density):
+    g = parse_symbol(symbol)
+    for p in PS:
+        for value, oracle in fast_and_oracle(
+                monkeypatch, lambda: DENSITIES[density](g, p)):
+            assert value == oracle
+
+
+@pytest.mark.parametrize("density", sorted(DENSITIES))
+@pytest.mark.parametrize("symbol", sorted(SPARSE))
+def test_sparse_support_matches_full_grid(monkeypatch, symbol, density):
+    g = SPARSE[symbol]
+    for p in PS:
+        for value, oracle in fast_and_oracle(
+                monkeypatch, lambda: DENSITIES[density](g, p)):
+            assert value == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=25)
+@given(v=st.integers(0, 12), stride=st.integers(2, 40),
+       terms=st.lists(st.tuples(st.integers(0, 6),
+                                st.floats(-1, 1), st.floats(-1, 1)),
+                      min_size=1, max_size=4),
+       m=st.sampled_from([64, 96, 1024, 1224]),
+       p=st.sampled_from(PS))
+def test_stride_supports_match_full_grid(v, stride, terms, m, p):
+    c = np.zeros(v + 6 * stride + 1, dtype=complex)
+    for k, re, im in terms:
+        c[v + stride * k] += complex(re, im)
+    density = lambda r: (1.0 - r ** 2) ** 0.5
+    value = norms._disc_p_integral(c, p, density, m, DEFAULT_SPEC)
+    oracle = oracle_disc_p_integral(c, p, density, m, DEFAULT_SPEC)
+    assert value == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+
+def test_monomial_samples_one_point_per_ring(monkeypatch):
+    samples = []
+    original = norms._sample_circle
+
+    def counted(coeffs, radii, m):
+        samples.append(len(radii) * m)
+        return original(coeffs, radii, m)
+
+    monkeypatch.setattr(norms, "_sample_circle", counted)
+    norms.besov_mu(TaylorSeries.monomial(16), from_shorthand("std:1"), 3.0)
+    assert len(radial_nodes(DEFAULT_SPEC)[0]) == 2304
+    assert 0 < sum(samples) <= 2304
+
