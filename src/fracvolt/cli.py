@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
 from typing import Iterable, List, Optional
 
 import numpy as np
@@ -43,66 +42,13 @@ EXIT_INVARIANT = 3
 TREND_SLOPE_LIMIT = 0.3
 
 
-@dataclass
-class ExperimentConfig:
-    """Fully serializable run description; same config = byte-identical output."""
-
-    command: str
-    weight: str = "std:1"
-    symbol: str = "mono:1"
-    name: str = "h2-lp"
-    op: str = "D"
-    alpha: float = -1.0
-    p: float = 2.0
-    trunc: int = 256
-    depth: int = 36
-    corpus: int = 12
-    seed: int = 0
-    format: str = "csv"
-    x: str = "1,3,5,7"
-    p_list: str = "1,2"
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls(**json.loads(text))
-
-    def argv(self, out: Optional[str] = None) -> list:
-        args = [self.command, "--weight", self.weight, "--alpha", str(self.alpha),
-                "--p", str(self.p), "--trunc", str(self.trunc),
-                "--depth", str(self.depth), "--seed", str(self.seed),
-                "--format", self.format]
-        if self.command in ("frac", "norm", "volterra"):
-            args += ["--symbol", self.symbol]
-        if self.command == "frac":
-            args += ["--op", self.op]
-        if self.command == "norm":
-            args += ["--name", self.name]
-        if self.command == "equivalence":
-            args += ["--name", self.name, "--corpus", str(self.corpus)]
-        if self.command == "volterra":
-            args += ["--p-list", self.p_list]
-        if self.command == "moments":
-            args += ["--x", self.x]
-        if out:
-            args += ["--out", out]
-        return args
-
-
-def run_config(cfg: ExperimentConfig, out: Optional[str] = None) -> int:
-    return main(cfg.argv(out))
-
-
 class Row(dict):
-    """One output record in the fixed schema."""
+    """One output record: fields in CSV_COLUMNS order, trailing ones empty
+    when omitted."""
 
-    def __init__(self, experiment, weight="", symbol="", param="", lhs="",
-                 rhs="", ratio="", trunc="", err="", anchor=""):
-        super().__init__(experiment=experiment, weight=weight, symbol=symbol,
-                         param=param, lhs=lhs, rhs=rhs, ratio=ratio,
-                         trunc=trunc, err=err, anchor=anchor)
+    def __init__(self, *fields):
+        fields += ("",) * (len(CSV_COLUMNS) - len(fields))
+        super().__init__(zip(CSV_COLUMNS, fields))
 
 
 def _fmt(x) -> str:
@@ -131,8 +77,10 @@ def rows_to_json(rows: Iterable[Row]) -> str:
                       indent=1) + "\n"
 
 
-def emit(rows: List[Row], args) -> None:
-    text = rows_to_json(rows) if args.format == "json" else rows_to_csv(rows)
+def emit(rows: List[Row], args, text: Optional[str] = None) -> None:
+    """Write ``rows`` in --format, or a ready ``text``, to --out or stdout."""
+    if text is None:
+        text = rows_to_json(rows) if args.format == "json" else rows_to_csv(rows)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -151,6 +99,8 @@ def parse_symbol(text: str) -> TaylorSeries:
         return TaylorSeries.from_coeffs(c)
     if text.startswith("log:"):
         n = int(text[4:])
+        if n < 0:
+            raise ValueError("log:<N> needs N >= 0")
         return TaylorSeries.from_coeffs(
             np.concatenate([[0.0], 1.0 / np.arange(1.0, n + 1.0)]))
     if text.startswith("json:"):
@@ -187,6 +137,36 @@ def _trend_slope(degrees, ratios) -> float:
     return float(np.polyfit(x[ok], y[ok], 1)[0])
 
 
+# Each table entry takes (symbol g, weight w, parsed args).  The functions
+# are looked up in their modules at call time, so patching a module
+# attribute reaches the command.
+NORMS = {
+    "hardy2-coeff": lambda g, w, a: norms.hardy2_coeff(g),
+    "hardy2-lp": lambda g, w, a: norms.hardy2_lp(g, w),
+    "tent": lambda g, w, a: norms.tent_norm(g, w, a.p),
+    "bmoa": lambda g, w, a: norms.bmoa_mu_sup(g, w),
+    "bmoa-kernel": lambda g, w, a: norms.bmoa_kernel_sup(g, w),
+    "bmoa-classical": lambda g, w, a: norms.bmoa_classical(g),
+    "bloch": lambda g, w, a: norms.bloch_mu(g, w),
+    "besov": lambda g, w, a: norms.besov_mu(g, w, a.p),
+    "besov-classical": lambda g, w, a: norms.besov_classical(g, a.p),
+    "bergman": lambda g, w, a: norms.bergman_norm(g, a.alpha, a.p),
+}
+
+# Corpus equivalences: (estimate of the left side, value of the right side).
+EQUIVALENCES = {
+    "tent-hp": lambda g, w, a: (norms.tent_norm_power(g, w, a.p),
+                                norms.hardy_p_reference(g, a.p).value ** a.p),
+    "bmoa": lambda g, w, a: (norms.bmoa_mu_sup(g, w),
+                             norms.bmoa_classical(g).value),
+    "besov": lambda g, w, a: (norms.besov_mu(g, w, a.p),
+                              norms.besov_classical(g, a.p).value),
+    "schatten": lambda g, w, a: (
+        volterra.schatten_with_monitor(w, g, a.alpha, a.p, a.trunc),
+        norms.besov_mu(g, w, a.p).value ** (1.0 / a.p)),
+}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -210,27 +190,19 @@ def cmd_classify(args) -> int:
     w = from_shorthand(args.weight)
     report = weight_class.classify(w, depth=args.depth)
     if args.format == "json":
-        text = json.dumps(report.to_dict(), indent=1) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        emit([], args, json.dumps(report.to_dict(), indent=1) + "\n")
         return EXIT_OK
     rows = [Row("classify-verdict", w.label(),
                 f"dhat={report.verdicts['dhat']};dcheck={report.verdicts['dcheck']}",
                 "summary", report.dhat_sup, report.beta_estimate, "",
                 args.depth)]
-    for r, lr in report.dhat_tail_profile:
-        rows.append(Row("classify-dhat", w.label(), "", r, np.exp(min(lr, 700.0)),
-                        "", "", args.depth))
-    for x, lr in report.moment_profile:
-        rows.append(Row("classify-moments", w.label(), "", x,
-                        np.exp(min(lr, 700.0)), "", "", args.depth))
-    for K, prof in report.dcheck_profiles.items():
-        for r, lr in prof:
-            rows.append(Row("classify-dcheck", w.label(), f"K={K:g}", r,
-                            np.exp(min(lr, 700.0)), "", "", args.depth))
+    profiles = [("dhat", "", report.dhat_tail_profile),
+                ("moments", "", report.moment_profile)]
+    profiles += [("dcheck", f"K={K:g}", prof)
+                 for K, prof in report.dcheck_profiles.items()]
+    rows += [Row(f"classify-{kind}", w.label(), symbol, x,
+                 np.exp(min(lr, 700.0)), "", "", args.depth)
+             for kind, symbol, prof in profiles for x, lr in prof]
     emit(rows, args)
     return EXIT_OK
 
@@ -238,16 +210,12 @@ def cmd_classify(args) -> int:
 def cmd_frac(args) -> int:
     w = from_shorthand(args.weight)
     f = parse_symbol(args.symbol)
-    if args.op == "D":
-        out = frac_derivative(f, w)
-    elif args.op == "I":
-        out = frac_integral(f, w)
-    elif args.op == "R":
+    if args.op == "R":
         if not args.weight2:
             raise ValueError("op R needs --weight2")
         out = frac_R(f, w, from_shorthand(args.weight2))
     else:
-        raise ValueError(f"unknown fractional op {args.op!r}")
+        out = (frac_derivative if args.op == "D" else frac_integral)(f, w)
     rows = []
     for n, (cin, cout) in enumerate(zip(f.coeffs, out.coeffs)):
         mult = cout / cin if cin != 0 else ""
@@ -260,33 +228,11 @@ def cmd_frac(args) -> int:
 def cmd_norm(args) -> int:
     w = from_shorthand(args.weight)
     g = parse_symbol(args.symbol)
-    name = args.name
-    if name == "hardy2-coeff":
-        est = norms.hardy2_coeff(g)
-    elif name == "hardy2-lp":
-        est = norms.hardy2_lp(g, w)
-    elif name == "tent":
-        est = norms.tent_norm(g, w, args.p)
-    elif name == "bmoa":
-        est = norms.bmoa_mu_sup(g, w)
-    elif name == "bmoa-kernel":
-        est = norms.bmoa_kernel_sup(g, w)
-    elif name == "bmoa-classical":
-        est = norms.bmoa_classical(g)
-    elif name == "bloch":
-        est = norms.bloch_mu(g, w)
-    elif name == "besov":
-        est = norms.besov_mu(g, w, args.p)
-    elif name == "besov-classical":
-        est = norms.besov_classical(g, args.p)
-    elif name == "bergman":
-        est = norms.bergman_norm(g, args.alpha, args.p)
-    else:
-        raise ValueError(f"unknown norm {name!r}")
+    est = NORMS[args.name](g, w, args)
     anchor = est.anchor if est.anchor is not None else ""
-    rows = [Row(f"norm-{name}", w.label(), args.symbol, args.p, est.value, "",
-                "", json.dumps(est.truncation).replace(",", ";"), est.err,
-                anchor)]
+    rows = [Row(f"norm-{args.name}", w.label(), args.symbol, args.p,
+                est.value, "", "", json.dumps(est.truncation).replace(",", ";"),
+                est.err, anchor)]
     emit(rows, args)
     return EXIT_DIVERGENCE if est.diverged else EXIT_OK
 
@@ -321,8 +267,7 @@ def cmd_equivalence(args) -> int:
     if name == "h2-lp":
         if args.trunc < 0:
             raise ValueError("--trunc must be nonnegative")
-        ns = list(range(0, args.trunc + 1, max(1, args.trunc // 100))) \
-            if args.trunc > 8 else list(range(args.trunc + 1))
+        ns = list(range(0, args.trunc + 1, max(1, args.trunc // 100)))
         ratios = norms.h2_monomial_ratios(w, ns).tolist()
         for n, ratio in zip(ns, ratios):
             mu = w.moment(2 * n + 1)
@@ -338,38 +283,17 @@ def cmd_equivalence(args) -> int:
         emit(rows, args)
         return code
 
-    corpus = default_corpus(args.corpus, args.seed)
-
-    def one(item):
-        label, g = item
-        if name == "tent-hp":
-            lhs = norms.tent_norm_power(g, w, args.p)
-            rhs = norms.hardy_p_reference(g, args.p).value ** args.p
-            return label, g.degree, lhs.value, rhs, lhs.diverged
-        if name == "bmoa":
-            lhs = norms.bmoa_mu_sup(g, w)
-            rhs = norms.bmoa_classical(g).value
-            return label, g.degree, lhs.value, rhs, lhs.diverged
-        if name == "besov":
-            lhs = norms.besov_mu(g, w, args.p)
-            rhs = norms.besov_classical(g, args.p).value
-            return label, g.degree, lhs.value, rhs, lhs.diverged
-        if name == "schatten":
-            lhs = volterra.schatten_with_monitor(w, g, args.alpha, args.p,
-                                                 args.trunc)
-            rhs = norms.besov_mu(g, w, args.p).value ** (1.0 / args.p)
-            return label, g.degree, lhs.value, rhs, lhs.diverged
-        raise ValueError(f"unknown equivalence {name!r}")
-
     degrees, ratios = [], []
-    for label, deg, lhs, rhs, diverged in map(one, corpus):
+    for label, g in default_corpus(args.corpus, args.seed):
+        est, rhs = EQUIVALENCES[name](g, w, args)
+        lhs = est.value
         ratio = lhs / rhs if (rhs and np.isfinite(lhs) and np.isfinite(rhs)) else ""
-        rows.append(Row(f"equiv-{name}", w.label(), label, deg, lhs, rhs,
+        rows.append(Row(f"equiv-{name}", w.label(), label, g.degree, lhs, rhs,
                         ratio, args.trunc))
-        if diverged:
+        if est.diverged:
             code = EXIT_DIVERGENCE
         if ratio != "":        # infinite sides are excluded from the spread
-            degrees.append(deg)
+            degrees.append(g.degree)
             ratios.append(ratio)
     if ratios:
         slope = _trend_slope(degrees, ratios)
@@ -418,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norm", help="compute one space norm")
     common(p)
     p.add_argument("--symbol", default="mono:1")
-    p.add_argument("--name", default="hardy2-lp")
+    p.add_argument("--name", default="hardy2-lp", choices=tuple(NORMS))
     p.set_defaults(fn=cmd_norm)
 
     p = sub.add_parser("volterra", help="spectrum and Schatten table")
@@ -431,14 +355,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equivalence", help="two-sided norm comparison tables")
     common(p)
     p.add_argument("--name", default="h2-lp",
-                   choices=("h2-lp", "tent-hp", "bmoa", "besov", "schatten"))
+                   choices=("h2-lp", *EQUIVALENCES))
     p.add_argument("--corpus", type=int, default=12)
     p.set_defaults(fn=cmd_equivalence)
     return ap
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 0 after --help and 2 on a usage error; 2 is taken
+        # by divergence here, so a usage error is an invariant violation
+        return EXIT_INVARIANT if e.code else EXIT_OK
     try:
         return args.fn(args)
     except (WeightError, OperatorError, QuadratureError, ValueError) as e:

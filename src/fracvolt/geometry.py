@@ -17,7 +17,6 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -93,30 +92,43 @@ def square_area(a: complex) -> float:
     return (1.0 - t) * (1.0 - t * t) / (2.0 * np.pi)
 
 
-def hyperbolic_disc_params(a: complex, r: float) -> Tuple[complex, float]:
-    """Euclidean (center, radius) of the beta-ball D(a, r)."""
+def hyperbolic_disc_params(a, r: float):
+    """Euclidean (center, radius) of the beta-ball D(a, r); arrays of them
+    for an array of centres ``a``."""
+    a = np.asarray(a, dtype=complex)
     rho = np.tanh(r)
-    t2 = abs(a) ** 2
+    t2 = np.abs(a) ** 2
     denom = 1.0 - rho * rho * t2
     center = a * (1.0 - rho * rho) / denom
     radius = rho * (1.0 - t2) / denom
-    return complex(center), float(radius)
+    return (complex(center), float(radius)) if a.ndim == 0 else (center, radius)
 
 
-def disc_quadrature(a: complex, r: float, n_rad: int = 24, n_ang: int = 48):
+def disc_quadrature(a, r: float, n_rad: int = 24, n_ang: int = 48):
     """Nodes/weights integrating dA (normalised) over the beta-ball D(a, r).
 
     Returns flat complex nodes and real weights with sum(weights) equal to
-    the Euclidean area of D(a, r) divided by pi.
+    the Euclidean area of D(a, r) divided by pi; for an array of centres
+    ``a``, row i of each belongs to the ball of a[i].
     """
     center, radius = hyperbolic_disc_params(a, r)
+    center, radius = np.asarray(center)[..., None], np.asarray(radius)[..., None]
     x, w = gauss_rule(n_rad)
     t = 0.5 * (x + 1.0)          # radial nodes on [0, 1]
-    tw = 0.5 * w
     theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
-    pts = center + radius * t[:, None] * np.exp(1j * theta)[None, :]
-    wts = 2.0 * radius ** 2 * (tw * t)[:, None] * np.ones(n_ang)[None, :] / n_ang
-    return pts.ravel(), wts.ravel()
+    pts = center + radius * (t[:, None] * np.exp(1j * theta)[None, :]).ravel()
+    wts = 2.0 * radius ** 2 * np.repeat(0.5 * w * t, n_ang) / n_ang
+    return pts, wts
+
+
+def ball_integrals(F, anchors, r: float, n_rad: int = 24,
+                   n_ang: int = 48) -> np.ndarray:
+    """int_{D(a, r)} F dA for every anchor a in one vectorised pass; F maps
+    a flat array of points to values."""
+    pts, wts = disc_quadrature(np.asarray(anchors, dtype=complex), r,
+                               n_rad, n_ang)
+    vals = np.asarray(F(pts.ravel()), dtype=float).reshape(pts.shape)
+    return np.sum(wts * vals, axis=1)
 
 
 @dataclass
@@ -167,15 +179,11 @@ def build_lattice(r: float, seed: int = 0,
         offset = rng.uniform(0.0, 1.0)
         angles = 2.0 * np.pi * (np.arange(m) + offset) / m
         ring = np.tanh(R) * np.exp(1j * angles)
-        # in-ring spacing: equally spaced, so one adjacent pair decides
-        if m > 1:
-            d_adj = float(np.abs(ring[0] - ring[1])
-                          / np.abs(1.0 - np.conj(ring[0]) * ring[1]))
-            if d_adj < rho_sep:
-                ring = ring[::2]
+        # in-ring spacing: equally spaced (m >= 3), so one adjacent pair decides
+        if pseudo_distance(ring[0], ring[1]) < rho_sep:
+            ring = ring[::2]
         prev = rings[k - 1]
-        d = np.abs(ring[:, None] - prev[None, :]) \
-            / np.abs(1.0 - np.conj(ring)[:, None] * prev[None, :])
+        d = pseudo_distance(ring[:, None], prev[None, :])
         ring = ring[d.min(axis=1) >= rho_sep]
         rings.append(ring)
 
@@ -191,12 +199,21 @@ def _pairwise_min_rho(a: np.ndarray, b: np.ndarray, same: bool) -> float:
     min_d = np.inf
     for i in range(0, len(a), 512):
         chunk = a[i:i + 512]
-        d = np.abs(chunk[:, None] - b[None, :]) \
-            / np.abs(1.0 - np.conj(chunk)[:, None] * b[None, :])
+        d = pseudo_distance(chunk[:, None], b[None, :])
         if same:
             d[d == 0.0] = np.inf
         min_d = min(min_d, float(d.min()))
     return min_d
+
+
+def _probe_points(lat: Lattice, n_probe: int, stream: int) -> np.ndarray:
+    """Seeded probes of the truncated disc, area-uniform in the hyperbolic
+    sense: uniform in arctanh-radius."""
+    rng = np.random.default_rng(lat.seed + stream)
+    u = rng.uniform(0.0, 1.0, n_probe)
+    rad = np.tanh(np.arctanh(lat.max_radius) * u)
+    ang = rng.uniform(0.0, 2.0 * np.pi, n_probe)
+    return rad * np.exp(1j * ang)
 
 
 def verify_lattice(lat: Lattice, n_probe: int = 4000) -> dict:
@@ -219,20 +236,13 @@ def verify_lattice(lat: Lattice, n_probe: int = 4000) -> dict:
         raise GeometryError(
             f"lattice separation violated: min rho {min_d} < {rho_sep}")
 
-    rng = np.random.default_rng(lat.seed + 1)
-    u = rng.uniform(0.0, 1.0, n_probe)
-    # area-uniform in the hyperbolic sense: uniform in arctanh-radius
-    rad = np.tanh(np.arctanh(lat.max_radius) * u)
-    ang = rng.uniform(0.0, 2.0 * np.pi, n_probe)
-    probe = rad * np.exp(1j * ang)
+    probe = _probe_points(lat, n_probe, 1)
     rho_cover = np.tanh(lat.separation)
     worst = -1.0
     worst_pt = 0j
     for i in range(0, n_probe, 512):
         chunk = probe[i:i + 512]
-        d = np.abs(chunk[:, None] - pts[None, :]) \
-            / np.abs(1.0 - np.conj(chunk)[:, None] * pts[None, :])
-        nearest = d.min(axis=1)
+        nearest = pseudo_distance(chunk[:, None], pts[None, :]).min(axis=1)
         j = int(np.argmax(nearest))
         if nearest[j] > worst:
             worst = float(nearest[j])
@@ -245,17 +255,12 @@ def verify_lattice(lat: Lattice, n_probe: int = 4000) -> dict:
 
 def overlap_multiplicity(lat: Lattice, n_probe: int = 2000) -> int:
     """Max number of discs D(z_k, r) containing a single probe point."""
-    rng = np.random.default_rng(lat.seed + 2)
-    u = rng.uniform(0.0, 1.0, n_probe)
-    rad = np.tanh(np.arctanh(lat.max_radius) * u)
-    ang = rng.uniform(0.0, 2.0 * np.pi, n_probe)
-    probe = rad * np.exp(1j * ang)
+    probe = _probe_points(lat, n_probe, 2)
     rho = np.tanh(lat.separation)
     worst = 0
     for i in range(0, n_probe, 512):
         chunk = probe[i:i + 512]
-        d = np.abs(chunk[:, None] - lat.points[None, :]) \
-            / np.abs(1.0 - np.conj(chunk)[:, None] * lat.points[None, :])
+        d = pseudo_distance(chunk[:, None], lat.points[None, :])
         counts = np.sum(d < rho, axis=1)
         worst = max(worst, int(counts.max()))
     return worst

@@ -29,12 +29,12 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import special as sps
 
-from .geometry import build_lattice, disc_quadrature
+from .geometry import ball_integrals, build_lattice
 from .quad import (DEFAULT_SPEC, NormEstimate, QuadratureSpec,
                    angular_nodes_for_degree, gauss_rule, panel_edges,
                    radial_diverges, radial_integrals, radial_nodes)
 from .taylor import TaylorSeries, frac_derivative
-from .weights import RadialWeight
+from .weights import RadialWeight, _power_tail
 
 # reduced radial grid for 2-D kernel quadrature: measures with polynomial
 # densities carry no mass beyond 1 - 2^-20
@@ -154,6 +154,20 @@ def _lp_factor(w: RadialWeight):
     return H
 
 
+def _orthogonal_sum(c: np.ndarray, H, tag: str, truncation: dict,
+                    spec: QuadratureSpec) -> NormEstimate:
+    """int_D |P|^2 H(|z|) dA for P with coefficients c, by orthogonality:
+    sum_n |c_n|^2 2 int_0^1 r^(2n+1) H(r) dr."""
+    vals, errs, diverged = radial_integrals(H, 2 * np.arange(len(c)) + 1, spec)
+    if diverged:
+        return NormEstimate(np.inf, np.inf, tag=tag, diverged=True,
+                            truncation=truncation)
+    sq = np.abs(c) ** 2
+    return NormEstimate(float(np.sum(sq * 2.0 * vals)),
+                        float(np.sum(sq * 2.0 * errs)), tag=tag,
+                        truncation=truncation)
+
+
 def _window_weights(h: np.ndarray, kmax: int) -> np.ndarray:
     """Row i: int over |theta - phi| <= h_i of e^(ik(theta - phi)), that is
     2 h_i and 2 sin(k h_i)/k for k = 1..kmax."""
@@ -252,18 +266,15 @@ def _cached_lattice_points(r: float, seed: int, max_radius: float):
 
 
 def default_anchors(depth: int = 12, lattice_r: float = 0.7, seed: int = 0,
-                    max_radius: float = 1.0 - 2.0 ** -6,
-                    include_lattice: bool = True) -> np.ndarray:
+                    max_radius: float = 1.0 - 2.0 ** -6) -> np.ndarray:
     """Anchor set for disc suprema: origin, radial rays, and a lattice.
 
     The lattice covers the bulk; the rays carry the anchors toward the
     boundary, where square masses of polynomial measures decay anyway.
     """
     rays = 1.0 - 2.0 ** -np.arange(1.0, depth + 1)
-    anchors = [np.array([0.0 + 0.0j]), rays.astype(complex)]
-    if include_lattice:
-        anchors.append(_cached_lattice_points(lattice_r, seed, max_radius))
-    return np.concatenate(anchors)
+    return np.concatenate([np.array([0.0 + 0.0j]), rays.astype(complex),
+                           _cached_lattice_points(lattice_r, seed, max_radius)])
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +295,8 @@ def hardy2_lp(f: TaylorSeries, w: RadialWeight,
     Orthogonality collapses the angular integral:
     sum_n |f_n / mu_{2n+1}|^2 * 2 int_0^1 r^(2n+1) mu_hat(r)^2/(1-r) dr.
     """
-    c = frac_derivative(f, w).coeffs
-    qs = 2 * np.arange(len(c)) + 1
-    vals, errs, diverged = radial_integrals(_lp_factor(w), qs, spec)
-    if diverged:
-        return NormEstimate(np.inf, np.inf, tag="hardy2-lp", diverged=True,
-                            truncation={"series": f.degree})
-    sq = np.abs(c) ** 2
-    value = float(np.sum(sq * 2.0 * vals))
-    err = float(np.sum(sq * 2.0 * errs))
-    return NormEstimate(value, err, tag="hardy2-lp",
-                        truncation={"series": f.degree})
+    return _orthogonal_sum(frac_derivative(f, w).coeffs, _lp_factor(w),
+                           "hardy2-lp", {"series": f.degree}, spec)
 
 
 def h2_monomial_ratios(w: RadialWeight, ns,
@@ -369,7 +371,8 @@ def hardy_p_reference(f: TaylorSeries, p: float, m: int = None) -> NormEstimate:
     m = m or max(1024, 4 * (d + 1))
     samples = _sample_circle(f.coeffs, np.array([r0]), m)[0]
     value = float(np.mean(samples ** p) ** (1.0 / p))
-    return NormEstimate(value, 0.0, tag="hardy-p-reference",
+    # err: not estimated (the circle mean at one radius near 1)
+    return NormEstimate(value, math.nan, tag="hardy-p-reference",
                         truncation={"series": d, "angular": m})
 
 
@@ -379,7 +382,8 @@ def hardy_p_reference(f: TaylorSeries, p: float, m: int = None) -> NormEstimate:
 
 def _square_sup(machine: SquareMachine, anchors, tag: str,
                 degree: int) -> NormEstimate:
-    anchors = np.asarray(anchors, dtype=complex)
+    anchors = np.asarray(default_anchors() if anchors is None else anchors,
+                         dtype=complex)
     best, best_a = _first_max(
         machine.square_mass(anchors) / (1.0 - np.abs(anchors)), anchors)
     return NormEstimate(best, math.nan, tag=tag,
@@ -392,8 +396,6 @@ def bmoa_mu_sup(g: TaylorSeries, w: RadialWeight,
                 spec: QuadratureSpec = DEFAULT_SPEC) -> NormEstimate:
     """sup_a nu_g(S(a)) / (1 - |a|),  d nu_g = |D(g)|^2 mu_hat^2/(1-|z|) dA."""
     machine = SquareMachine(frac_derivative(g, w), _lp_factor(w), spec)
-    if anchors is None:
-        anchors = default_anchors()
     return _square_sup(machine, anchors, "bmoa-mu", g.degree)
 
 
@@ -403,8 +405,6 @@ def bmoa_classical(g: TaylorSeries,
     """Classical BMOA seminorm squared:
     sup_a int_{S(a)} |g'|^2 (1-|z|^2) dA / (1-|a|)."""
     machine = SquareMachine(g.derivative(), lambda r: 1.0 - r * r, spec)
-    if anchors is None:
-        anchors = default_anchors()
     return _square_sup(machine, anchors, "bmoa-classical", g.degree)
 
 
@@ -591,16 +591,15 @@ def bloch_mu_lattice(g: TaylorSeries, w: RadialWeight, p: float, alpha: float,
     int_{D(a,r)} |D(g)|^p mu_hat^p (1-|z|)^alpha dA / (1-|a|)^(alpha+2).
     """
     P = frac_derivative(g, w)
-    if anchors is None:
-        anchors = default_anchors(depth=8)
-    anchors = np.asarray(anchors, dtype=complex)
-    vals = np.empty(len(anchors))
-    for i, a in enumerate(anchors):
-        pts, wts = disc_quadrature(complex(a), r)
-        rr = np.abs(pts)
-        dens = np.abs(P(pts)) ** p * np.asarray(w.tail(rr), dtype=float) ** p \
+    anchors = np.asarray(default_anchors(depth=8) if anchors is None
+                         else anchors, dtype=complex)
+
+    def dens(z):
+        rr = np.abs(z)
+        return np.abs(P(z)) ** p * np.asarray(w.tail(rr), dtype=float) ** p \
             * (1.0 - rr) ** alpha
-        vals[i] = float(np.sum(wts * dens)) / (1.0 - abs(a)) ** (alpha + 2.0)
+    vals = ball_integrals(dens, anchors, r) \
+        / (1.0 - np.abs(anchors)) ** (alpha + 2.0)
     best, best_a = _first_max(vals, anchors)
     return NormEstimate(best, math.nan, tag="bloch-mu-lattice",
                         truncation={"series": g.degree, "p": p, "alpha": alpha},
@@ -618,9 +617,7 @@ def tail_weight_test(w: RadialWeight, p: float,
     Decided by geometric decay of the trailing panel integrals; zero tails
     (underflow of a rapidly decaying weight) count as decay.
     """
-    nodes, _ = radial_nodes(spec)
-    with np.errstate(over="ignore", divide="ignore", under="ignore"):
-        H = np.asarray(w.tail(nodes), dtype=float) ** p / (1.0 - nodes) ** 2
+    H = _power_tail(w, p)(radial_nodes(spec)[0])
     return "not-a-weight" if radial_diverges(H, spec) else "weight"
 
 
@@ -644,20 +641,12 @@ def besov_mu(g: TaylorSeries, w: RadialWeight, p: float,
 def besov_mu_series(g: TaylorSeries, w: RadialWeight,
                     spec: QuadratureSpec = DEFAULT_SPEC) -> NormEstimate:
     """p = 2 closed path by orthogonality (dual route to besov_mu)."""
-    c = frac_derivative(g, w).coeffs
-
     def H(r):
         with np.errstate(over="ignore", divide="ignore"):
             return np.asarray(w.tail(r), dtype=float) ** 2 / (1.0 - r * r) ** 2
 
-    qs = 2 * np.arange(len(c)) + 1
-    vals, errs, diverged = radial_integrals(H, qs, spec)
-    if diverged:
-        return NormEstimate(np.inf, np.inf, tag="besov-mu-series", diverged=True)
-    value = float(np.sum(np.abs(c) ** 2 * 2.0 * vals))
-    err = float(np.sum(np.abs(c) ** 2 * 2.0 * errs))
-    return NormEstimate(value, err, tag="besov-mu-series",
-                        truncation={"series": g.degree, "p": 2})
+    return _orthogonal_sum(frac_derivative(g, w).coeffs, H, "besov-mu-series",
+                           {"series": g.degree, "p": 2}, spec)
 
 
 def besov_classical(g: TaylorSeries, p: float,
@@ -692,12 +681,21 @@ def bergman_norm(f: TaylorSeries, alpha: float, p: float,
                         truncation={"series": f.degree, "p": p, "alpha": alpha})
 
 
-def bergman2_coeff(f: TaylorSeries, alpha: float) -> float:
-    """||f||^2 in A^2_alpha by orthogonality: the Gamma-ratio norming."""
-    n = np.arange(f.degree + 1)
+def basis_norms(alpha: float, count: int) -> np.ndarray:
+    """c_n = ||z^n|| in A^2_alpha, n < count: the Gamma-ratio norming
+    c_n^2 = Gamma(alpha + 2) n! / Gamma(n + alpha + 2); ones for alpha = -1
+    (H^2)."""
+    if alpha == -1:
+        return np.ones(count)
+    n = np.arange(count)
     log_c2 = (math.lgamma(alpha + 2.0) + sps.gammaln(n + 1.0)
               - sps.gammaln(n + alpha + 2.0))
-    return float(np.sum(np.abs(f.coeffs) ** 2 * np.exp(log_c2)))
+    return np.exp(0.5 * log_c2)
+
+
+def bergman2_coeff(f: TaylorSeries, alpha: float) -> float:
+    """||f||^2 in A^2_alpha by orthogonality."""
+    return float(np.sum(np.abs(f.coeffs * basis_norms(alpha, f.degree + 1)) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -719,16 +717,15 @@ def carleson_ratio_sup(g: TaylorSeries, w: RadialWeight, alpha: float,
         est.tag = "carleson-sup"
         return est
     P = frac_derivative(g, w)
-    if anchors is None:
-        anchors = default_anchors(depth=10)
-    anchors = np.asarray(anchors, dtype=complex)
-    vals = np.empty(len(anchors))
-    for i, a in enumerate(anchors):
-        pts, wts = disc_quadrature(complex(a), r)
-        rr = np.abs(pts)
-        dens = np.abs(P(pts)) ** 2 * np.asarray(w.tail(rr), dtype=float) ** 2 \
+    anchors = np.asarray(default_anchors(depth=10) if anchors is None
+                         else anchors, dtype=complex)
+
+    def dens(z):
+        rr = np.abs(z)
+        return np.abs(P(z)) ** 2 * np.asarray(w.tail(rr), dtype=float) ** 2 \
             * (alpha + 1.0) * (1.0 - rr ** 2) ** alpha
-        vals[i] = float(np.sum(wts * dens)) / (1.0 - abs(a)) ** (2.0 + alpha)
+    vals = ball_integrals(dens, anchors, r) \
+        / (1.0 - np.abs(anchors)) ** (2.0 + alpha)
     best, best_a = _first_max(vals, anchors)
     return NormEstimate(best, math.nan, tag="carleson-sup",
                         truncation={"series": g.degree, "alpha": alpha, "r": r},

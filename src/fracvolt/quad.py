@@ -71,8 +71,6 @@ class QuadratureSpec:
     right_levels: int = RIGHT_LEVELS
     order: int = PANEL_ORDER
     angular_nodes: int = DEFAULT_ANGULAR_NODES
-    rel_tol: float = 1e-10
-    rel_floor: float = 1e-7
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -220,9 +218,6 @@ class PanelFunction:
     @property
     def flat_values(self):
         return self.values.ravel()
-
-    def total(self) -> float:
-        return float(self.suffix[0])
 
     def _panel_index(self, r: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.edges, r, side="right") - 1

@@ -12,11 +12,12 @@ moment tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
 
-from .weights import RadialWeight
+from .weights import RadialWeight, StandardWeight
 
 Complexish = Union[complex, float]
 
@@ -42,6 +43,8 @@ class TaylorSeries:
 
     @classmethod
     def monomial(cls, n: int, c: Complexish = 1.0) -> "TaylorSeries":
+        if n < 0:
+            raise ValueError("monomial degree must be nonnegative")
         coeffs = [0.0] * n + [c]
         return cls.from_coeffs(coeffs)
 
@@ -92,9 +95,6 @@ class TaylorSeries:
         return TaylorSeries.from_coeffs(
             np.concatenate([np.zeros(n, dtype=complex), self.coeffs]))
 
-    def truncate(self, n: int) -> "TaylorSeries":
-        return TaylorSeries.from_coeffs(self.coeffs[: n + 1])
-
     def to_json(self) -> str:
         import json
         return json.dumps([[c.real, c.imag] for c in self.coefficients])
@@ -102,8 +102,10 @@ class TaylorSeries:
     @classmethod
     def from_json(cls, text: str) -> "TaylorSeries":
         import json
-        pairs = json.loads(text)
-        return cls.from_coeffs([complex(re, im) for re, im in pairs])
+        try:
+            return cls.from_coeffs([complex(re, im) for re, im in json.loads(text)])
+        except TypeError as e:
+            raise ValueError(f"a series is a JSON list of [re, im] pairs: {e}") from e
 
 
 def frac_derivative(f: TaylorSeries, w: RadialWeight) -> TaylorSeries:
@@ -182,22 +184,15 @@ def kernel_eval(k: KernelSlice, zeta, N: int = None):
     return value, float(tail)
 
 
-_star_cache: dict = {}
-_viter_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _star_iterate(n: int) -> RadialWeight:
-    if n not in _star_cache:
-        from .weights import StandardWeight
-        _star_cache[n] = StandardWeight(1.0).iterate_star(n)
-    return _star_cache[n]
+    return StandardWeight(1.0).iterate_star(n)
 
 
+# keyed by the weight object itself, which the cache keeps alive
+@lru_cache(maxsize=16)
 def _v_iterate_of_mu_plus(w: RadialWeight, n: int) -> RadialWeight:
-    key = (id(w), n)
-    if key not in _viter_cache:
-        _viter_cache[key] = w.mu_plus().iterate_V(n)
-    return _viter_cache[key]
+    return w.mu_plus().iterate_V(n)
 
 
 def frac_rep_identity_check(f: TaylorSeries, w: RadialWeight, n: int,

@@ -38,10 +38,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import special as sps
 
-from .geometry import Lattice, disc_quadrature
-from .norms import _lp_factor
+from .geometry import Lattice, ball_integrals
+from .norms import _lp_factor, basis_norms
 from .quad import NormEstimate, radial_integrals
 from .taylor import TaylorSeries, cauchy_product, frac_derivative, frac_integral
 from .weights import RadialWeight
@@ -54,16 +53,6 @@ PLATEAU_RATIO = 1.002
 
 class OperatorError(Exception):
     pass
-
-
-def basis_norms(alpha: float, count: int) -> np.ndarray:
-    """c_n = ||z^n|| in A^2_alpha; ones for alpha = -1 (H^2)."""
-    if alpha == -1:
-        return np.ones(count)
-    n = np.arange(count)
-    log_c2 = (math.lgamma(alpha + 2.0) + sps.gammaln(n + 1.0)
-              - sps.gammaln(n + alpha + 2.0))
-    return np.exp(0.5 * log_c2)
 
 
 @dataclass
@@ -81,29 +70,6 @@ class OperatorMatrix:
     def __post_init__(self):
         if not np.all(np.isfinite(self.entries)):
             raise OperatorError("matrix entries must be finite")
-
-    def to_json(self) -> str:
-        """Dump for cross-implementation diffing: nested [re, im] pairs."""
-        import json
-        payload = {
-            "kind": self.kind,
-            "alpha": self.alpha,
-            "weight": self.weight_label,
-            "symbol_degree": self.symbol_degree,
-            "dimension": self.dimension,
-            "entries": [[[v.real, v.imag] for v in row]
-                        for row in self.entries],
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "OperatorMatrix":
-        import json
-        d = json.loads(text)
-        entries = np.array([[complex(re, im) for re, im in row]
-                            for row in d["entries"]])
-        return cls(entries, d["alpha"], d["weight"], d["symbol_degree"],
-                   d["kind"])
 
 
 @dataclass
@@ -297,20 +263,12 @@ def lattice_schatten_sum(w: RadialWeight, g: TaylorSeries, p: float,
     """
     P = frac_derivative(g, w)
     r = lattice.separation
-    pts_all = []
-    wts_all = []
-    for a in lattice.points:
-        pts, wts = disc_quadrature(complex(a), r, n_rad, n_ang)
-        pts_all.append(pts)
-        wts_all.append(wts)
-    pts = np.concatenate(pts_all)
-    wts = np.concatenate(wts_all)
-    rr = np.abs(pts)
-    vals = np.abs(P(pts)) ** 2 * np.asarray(w.tail(rr), dtype=float) ** 2
-    per = (wts * vals).reshape(len(lattice.points), -1).sum(axis=1)
+    per = ball_integrals(lambda z: np.abs(P(z)) ** 2 * np.asarray(
+        w.tail(np.abs(z)), dtype=float) ** 2, lattice.points, r, n_rad, n_ang)
     scale = (1.0 - np.abs(lattice.points) ** 2) ** 2
     total = float(np.sum((per / scale) ** (p / 2.0)))
-    return NormEstimate(total, 0.0, tag="lattice-schatten",
+    # err: not estimated (one lattice, one ball rule)
+    return NormEstimate(total, math.nan, tag="lattice-schatten",
                         truncation={"lattice": len(lattice.points),
                                     "r": r, "p": p,
                                     "max_radius": lattice.max_radius})

@@ -152,21 +152,12 @@ def classify(w: RadialWeight, depth: int = DEFAULT_DEPTH,
     """Full report: upper and lower doubling evidence plus estimates."""
     up = classify_dhat(w, depth)
     low = classify_dcheck(w, K_grid, depth)
-    report = WeightClassReport(
-        label=w.label(),
-        depth=depth,
-        dhat_tail_profile=up["dhat_tail_profile"],
-        dhat_sup=up["dhat_sup"],
-        moment_profile=up["moment_profile"],
-        dcheck_profiles=low["dcheck_profiles"],
-        dcheck_K_evidence=low["dcheck_K_evidence"],
-        beta_estimate=low["beta_estimate"],
-        verdicts={"dhat": up["dhat_verdict"], "dcheck": low["dcheck_verdict"]},
-    )
-    report.verdicts["doubling"] = (
-        EVIDENCE_FOR if all(v == EVIDENCE_FOR for v in
-                            (up["dhat_verdict"], low["dcheck_verdict"]))
-        else EVIDENCE_AGAINST)
+    verdicts = {"dhat": up.pop("dhat_verdict"),
+                "dcheck": low.pop("dcheck_verdict")}
+    verdicts["doubling"] = EVIDENCE_FOR if all(
+        v == EVIDENCE_FOR for v in verdicts.values()) else EVIDENCE_AGAINST
+    report = WeightClassReport(label=w.label(), depth=depth,
+                               verdicts=verdicts, **up, **low)
     report.notes.append(
         "verdicts are grid evidence, not proofs; a finite grid cannot decide "
         "an asymptotic class")

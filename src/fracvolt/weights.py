@@ -32,6 +32,7 @@ readers are safe.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import Optional
@@ -40,10 +41,8 @@ import numpy as np
 from scipy import special as sps
 
 from .expr import Expression, ExprError
-from .quad import DEFAULT_SPEC, PanelFunction, QuadratureSpec
+from .quad import DEFAULT_SPEC, PanelFunction, QuadratureSpec, radial_diverges
 
-# all diagnostic grids stop here: doubles cannot resolve 1 - r below 2^-40
-MAX_GRID_RADIUS = 1.0 - 2.0 ** -40
 MAX_ITERATE_DEPTH = 4
 
 _PROBE = np.concatenate([np.linspace(0.0, 0.98, 50),
@@ -61,6 +60,17 @@ def _check_domain(r):
     return r
 
 
+def _on_radii(method):
+    """Check the radii, run ``method`` on them as a 1-D array, and give a
+    float back for a scalar radius."""
+    @functools.wraps(method)
+    def on_radii(self, r):
+        r = _check_domain(r)
+        out = method(self, np.atleast_1d(r))
+        return out if np.ndim(r) else float(out[0])
+    return on_radii
+
+
 class RadialWeight:
     """Base class: density/tail/moment evaluation with idempotent caches."""
 
@@ -76,13 +86,13 @@ class RadialWeight:
     def _density(self, r: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    @_on_radii
     def density(self, r):
         """mu(r); raises on r outside [0,1) or on invalid values."""
-        r = _check_domain(r)
-        vals = np.asarray(self._density(np.atleast_1d(r)), dtype=float)
+        vals = np.asarray(self._density(r), dtype=float)
         if np.any(np.isnan(vals)) or np.any(vals < 0.0):
             raise WeightError(f"weight {self.label()} produced invalid density")
-        return vals if np.ndim(r) else float(vals[0])
+        return vals
 
     def panel_function(self) -> PanelFunction:
         if self._pf is None:
@@ -90,17 +100,15 @@ class RadialWeight:
         return self._pf
 
     # -- tail ------------------------------------------------------------
+    @_on_radii
     def tail(self, r):
         """mu_hat(r) = int_r^1 mu(s) ds."""
-        r = _check_domain(r)
-        vals = self.panel_function().suffix_integral(np.atleast_1d(r))
-        return vals if np.ndim(r) else float(vals[0])
+        return self.panel_function().suffix_integral(r)
 
+    @_on_radii
     def log_tail(self, r):
-        t = np.atleast_1d(np.asarray(self.tail(r), dtype=float))
         with np.errstate(divide="ignore"):
-            out = np.log(t)
-        return out if np.ndim(r) else float(out[0])
+            return np.log(np.asarray(self.tail(r), dtype=float))
 
     # -- moments ---------------------------------------------------------
     def _moment(self, x: float) -> float:
@@ -118,6 +126,17 @@ class RadialWeight:
         m = self.moment(x)
         return math.log(m) if m > 0 else -math.inf
 
+    def _grid_log_moment(self, x: float, log_density: np.ndarray) -> float:
+        """log int_0^1 s^x mu(s) ds by log-sum-exp on the panel grid, from
+        log mu at its nodes; terms that are not finite are dropped."""
+        pf = self.panel_function()
+        expo = x * np.log(pf.flat_nodes) + log_density + np.log(pf.flat_weights)
+        expo = expo[np.isfinite(expo)]
+        if len(expo) == 0:
+            return -math.inf
+        top = np.max(expo)
+        return float(top + np.log(np.sum(np.exp(expo - top))))
+
     def odd_moments(self, count: int) -> np.ndarray:
         """[mu_1, mu_3, ..., mu_{2(count-1)+1}] computed in one batch."""
         if self._odd_cache is None or len(self._odd_cache) < count:
@@ -126,31 +145,44 @@ class RadialWeight:
         return self._odd_cache[:count]
 
     # -- derived weights --------------------------------------------------
+    def derive(self, op: str, param=None) -> "RadialWeight":
+        """The weight made from this one by ``op``, a key of DERIVED_OPS.
+
+        An iterate op is applied ``param`` times (a whole number, default
+        once, at most MAX_ITERATE_DEPTH); a real op needs ``param``;
+        mu_plus ignores it.
+        """
+        if op not in DERIVED_OPS:
+            raise WeightError(f"unknown derived op {op!r}")
+        takes = DERIVED_OPS[op][1]
+        if takes == "depth":
+            n = 1 if param is None else param
+            if not 0 <= n <= MAX_ITERATE_DEPTH or n != int(n):
+                raise WeightError(f"iterate depth {n} unsupported "
+                                  f"(max {MAX_ITERATE_DEPTH})")
+            w: RadialWeight = self
+            for _ in range(int(n)):
+                w = DerivedWeight(w, op)
+            return w
+        if takes == "real" and param is None:
+            raise WeightError(f"derived op {op!r} needs a param")
+        return DerivedWeight(self, op, None if takes is None else float(param))
+
     def mu_plus(self) -> "DerivedWeight":
-        return DerivedWeight(self, "mu_plus")
+        return self.derive("mu_plus")
 
     def iterate_V(self, n: int) -> "RadialWeight":
-        if n < 0 or n > MAX_ITERATE_DEPTH:
-            raise WeightError(f"iterate depth {n} unsupported (max {MAX_ITERATE_DEPTH})")
-        w: RadialWeight = self
-        for _ in range(n):
-            w = DerivedWeight(w, "iterate_V")
-        return w
+        return self.derive("iterate_V", n)
 
     def iterate_star(self, n: int) -> "RadialWeight":
-        if n < 0 or n > MAX_ITERATE_DEPTH:
-            raise WeightError(f"iterate depth {n} unsupported (max {MAX_ITERATE_DEPTH})")
-        w: RadialWeight = self
-        for _ in range(n):
-            w = DerivedWeight(w, "iterate_star")
-        return w
+        return self.derive("iterate_star", n)
 
     def power_tail(self, p: float) -> "DerivedWeight":
-        return DerivedWeight(self, "power_tail", p)
+        return self.derive("power_tail", p)
 
     def times_power(self, eta: float) -> "DerivedWeight":
         """Weight r -> mu(r) (1 - r)^eta."""
-        return DerivedWeight(self, "times_power", eta)
+        return self.derive("times_power", eta)
 
     # -- misc --------------------------------------------------------------
     def label(self) -> str:
@@ -194,18 +226,14 @@ class StandardWeight(RadialWeight):
         u = 1.0 - r
         return sps.betainc(self.beta, 0.5, u * (2.0 - u))
 
+    @_on_radii
     def tail(self, r):
-        r = _check_domain(r)
-        rr = np.atleast_1d(r)
-        vals = math.exp(self._log_total) * self._tail_frac(rr)
-        return vals if np.ndim(r) else float(vals[0])
+        return math.exp(self._log_total) * self._tail_frac(r)
 
+    @_on_radii
     def log_tail(self, r):
-        r = _check_domain(r)
-        rr = np.atleast_1d(r)
         with np.errstate(divide="ignore"):
-            out = self._log_total + np.log(self._tail_frac(rr))
-        return out if np.ndim(r) else float(out[0])
+            return self._log_total + np.log(self._tail_frac(r))
 
     def _moment(self, x: float) -> float:
         return math.exp(self.log_moment(x))
@@ -260,25 +288,18 @@ class ExponentialWeight(RadialWeight):
         return (math.log(self.c * self.gamma)
                 - (self.gamma + 1.0) * np.log(u) - self.c * u ** -self.gamma)
 
+    @_on_radii
     def tail(self, r):
-        r = _check_domain(r)
-        rr = np.atleast_1d(r)
         with np.errstate(under="ignore"):
-            vals = np.exp(-self.c * (1.0 - rr) ** -self.gamma)
-        return vals if np.ndim(r) else float(vals[0])
+            return np.exp(-self.c * (1.0 - r) ** -self.gamma)
 
+    @_on_radii
     def log_tail(self, r):
-        r = _check_domain(r)
-        rr = np.atleast_1d(r)
-        out = -self.c * (1.0 - rr) ** -self.gamma
-        return out if np.ndim(r) else float(out[0])
+        return -self.c * (1.0 - r) ** -self.gamma
 
     def log_moment(self, x: float) -> float:
-        pf = self.panel_function()
-        s = pf.flat_nodes
-        expo = x * np.log(s) + self._log_density(s) + np.log(pf.flat_weights)
-        top = np.max(expo)
-        return float(top + np.log(np.sum(np.exp(expo - top))))
+        return self._grid_log_moment(
+            x, self._log_density(self.panel_function().flat_nodes))
 
     def _moment(self, x: float) -> float:
         return math.exp(self.log_moment(x))
@@ -305,22 +326,17 @@ class ExprWeight(RadialWeight):
         vals = np.asarray(self.expr(_PROBE), dtype=float)
         if np.any(np.isnan(vals)) or np.any(vals < 0.0):
             raise WeightError("formula is negative or invalid on the probe grid")
+        if radial_diverges(self.panel_function().flat_values, spec):
+            raise WeightError("formula is not integrable up to r = 1")
 
     def _density(self, r):
         with np.errstate(under="ignore"):
             return np.asarray(self.expr(r), dtype=float)
 
     def log_moment(self, x: float) -> float:
-        pf = self.panel_function()
-        s = pf.flat_nodes
         with np.errstate(divide="ignore"):
-            logv = np.log(pf.flat_values)
-        expo = x * np.log(s) + logv + np.log(pf.flat_weights)
-        expo = expo[np.isfinite(expo)]
-        if len(expo) == 0:
-            return -math.inf
-        top = np.max(expo)
-        return float(top + np.log(np.sum(np.exp(expo - top))))
+            logv = np.log(self.panel_function().flat_values)
+        return self._grid_log_moment(x, logv)
 
     def label(self):
         return f"expr:{self.formula}"
@@ -356,10 +372,9 @@ class TailExprWeight(RadialWeight):
         with np.errstate(under="ignore"):
             return np.maximum(np.asarray(self.density_expr(r), dtype=float), 0.0)
 
+    @_on_radii
     def tail(self, r):
-        r = _check_domain(r)
-        vals = np.asarray(self.tail_expr(np.atleast_1d(r)), dtype=float)
-        return vals if np.ndim(r) else float(vals[0])
+        return np.asarray(self.tail_expr(r), dtype=float)
 
     def label(self):
         return f"tailexpr:{self.formula}"
@@ -374,7 +389,7 @@ class DerivedWeight(RadialWeight):
     The new density is represented through suffix integrals of smooth
     auxiliary panel functions; log-type singularities at r = 0 (mu_plus and
     the star iterates) are split off in closed form so the expansions only
-    ever see smooth data.
+    ever see smooth data.  Build one with :meth:`RadialWeight.derive`.
     """
 
     kind = "derived"
@@ -384,70 +399,7 @@ class DerivedWeight(RadialWeight):
         self.base = base
         self.op = op
         self.param = param
-        self._setup()
-
-    def _setup(self):
-        base = self.base
-        if self.op == "mu_plus":
-            # mu_plus(r) = int_r^1 mu(s)/s ds
-            #            = int_r^1 (mu(s) - mu0)/s ds + mu0 log(1/r),  mu0 = mu(0)
-            mu0 = float(base.density(np.array([0.0]))[0])
-            if not np.isfinite(mu0):
-                mu0 = 0.0
-            self._mu0 = mu0
-
-            def smooth_part(s):
-                return (base.density(s) - mu0) / s
-
-            self._aux = PanelFunction.from_callable(smooth_part, self.spec)
-
-            def dens(r):
-                r = np.asarray(r, dtype=float)
-                out = self._aux.suffix_integral(r)
-                pos = r > 0
-                with np.errstate(divide="ignore"):
-                    out = out + np.where(pos, -np.log(np.maximum(r, 1e-300)), 0.0) * mu0
-                return out
-
-            self._density_fn = dens
-        elif self.op == "iterate_V":
-            # V(r) = 2 int_r^1 s prev(s) ds
-            prev = base.panel_function()
-            aux = PanelFunction.from_values(
-                prev.flat_nodes * prev.flat_values, self.spec)
-            self._density_fn = lambda r: 2.0 * aux.suffix_integral(r)
-        elif self.op == "iterate_star":
-            # star(r) = int_r^1 s prev(s) log(s/r) ds
-            #         = int_r^1 s prev log s ds - log r * int_r^1 s prev ds
-            prev = base.panel_function()
-            s = prev.flat_nodes
-            with np.errstate(divide="ignore", invalid="ignore"):
-                slog = np.where(s > 0, s * np.log(s), 0.0)
-            aux_log = PanelFunction.from_values(slog * prev.flat_values, self.spec)
-            aux_lin = PanelFunction.from_values(s * prev.flat_values, self.spec)
-
-            def dens(r):
-                r = np.asarray(r, dtype=float)
-                if np.any(r <= 0.0):
-                    raise WeightError("star iterate undefined at r = 0")
-                return aux_log.suffix_integral(r) - np.log(r) * aux_lin.suffix_integral(r)
-
-            self._density_fn = dens
-        elif self.op == "power_tail":
-            p = float(self.param)
-
-            def dens(r):
-                r = np.asarray(r, dtype=float)
-                with np.errstate(over="ignore", under="ignore"):
-                    return np.asarray(self.base.tail(r), dtype=float) ** p \
-                        / (1.0 - r) ** 2
-            self._density_fn = dens
-        elif self.op == "times_power":
-            eta = float(self.param)
-            self._density_fn = lambda r: np.asarray(
-                self.base.density(r), dtype=float) * (1.0 - np.asarray(r)) ** eta
-        else:
-            raise WeightError(f"unknown derived operation {self.op!r}")
+        self._density_fn = DERIVED_OPS[op][0](base, param)
 
     def _density(self, r):
         return self._density_fn(np.asarray(r, dtype=float))
@@ -464,31 +416,99 @@ class DerivedWeight(RadialWeight):
         return d
 
 
+# Density builders of the derived weights: (base, param) -> density on
+# arrays of radii.
+
+def _mu_plus(base, _):
+    # mu_plus(r) = int_r^1 mu(s)/s ds
+    #            = int_r^1 (mu(s) - mu0)/s ds + mu0 log(1/r),  mu0 = mu(0)
+    mu0 = float(base.density(np.array([0.0]))[0])
+    if not np.isfinite(mu0):
+        mu0 = 0.0
+    aux = PanelFunction.from_callable(lambda s: (base.density(s) - mu0) / s,
+                                      base.spec)
+
+    def dens(r):
+        out = aux.suffix_integral(r)
+        with np.errstate(divide="ignore"):
+            return out + np.where(r > 0, -np.log(np.maximum(r, 1e-300)), 0.0) * mu0
+    return dens
+
+
+def _iterate_V(base, _):
+    # V(r) = 2 int_r^1 s prev(s) ds
+    prev = base.panel_function()
+    aux = PanelFunction.from_values(prev.flat_nodes * prev.flat_values, base.spec)
+    return lambda r: 2.0 * aux.suffix_integral(r)
+
+
+def _iterate_star(base, _):
+    # star(r) = int_r^1 s prev(s) log(s/r) ds
+    #         = int_r^1 s prev log s ds - log r * int_r^1 s prev ds
+    prev = base.panel_function()
+    s = prev.flat_nodes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slog = np.where(s > 0, s * np.log(s), 0.0)
+    aux_log = PanelFunction.from_values(slog * prev.flat_values, base.spec)
+    aux_lin = PanelFunction.from_values(s * prev.flat_values, base.spec)
+
+    def dens(r):
+        if np.any(r <= 0.0):
+            raise WeightError("star iterate undefined at r = 0")
+        return aux_log.suffix_integral(r) - np.log(r) * aux_lin.suffix_integral(r)
+    return dens
+
+
+def _power_tail(base, p):
+    # the Schatten cut-off weight mu_hat(r)^p / (1 - r)^2
+    def dens(r):
+        with np.errstate(over="ignore", under="ignore"):
+            return np.asarray(base.tail(r), dtype=float) ** p / (1.0 - r) ** 2
+    return dens
+
+
+def _times_power(base, eta):
+    return lambda r: np.asarray(base.density(r), dtype=float) * (1.0 - r) ** eta
+
+
+# op -> (density builder, what its param is: None, an iterate "depth" or a
+# "real" exponent).  The one table behind derive, labels and descriptors.
+DERIVED_OPS = {
+    "mu_plus": (_mu_plus, None),
+    "iterate_V": (_iterate_V, "depth"),
+    "iterate_star": (_iterate_star, "depth"),
+    "power_tail": (_power_tail, "real"),
+    "times_power": (_times_power, "real"),
+}
+
+
+def _field(d: dict, key: str, kind=float, default=None):
+    """Descriptor field ``key`` checked to be a ``kind`` (float: any JSON
+    number); WeightError when it is missing or of another type."""
+    v = d.get(key, default)
+    ok = isinstance(v, (int, float)) and not isinstance(v, bool) \
+        if kind is float else isinstance(v, kind)
+    if not ok:
+        raise WeightError(f"weight descriptor needs {key!r} as a "
+                          f"{kind.__name__}, not {v!r}")
+    return kind(v)
+
+
 def from_descriptor(d: dict) -> RadialWeight:
-    """Build a weight from its JSON descriptor."""
-    kind = d.get("kind")
+    """Build a weight from its JSON descriptor; WeightError when malformed."""
+    kind = d.get("kind") if isinstance(d, dict) else None
     if kind == "standard":
-        return StandardWeight(d["beta"])
+        return StandardWeight(_field(d, "beta"))
     if kind == "exponential":
-        return ExponentialWeight(d.get("c", 1.0), d.get("gamma", 1.0))
-    if kind == "expr":
-        return ExprWeight(d["formula"])
-    if kind == "tail_expr":
-        return TailExprWeight(d["formula"])
+        return ExponentialWeight(_field(d, "c", default=1.0),
+                                 _field(d, "gamma", default=1.0))
+    if kind in ("expr", "tail_expr"):
+        cls = ExprWeight if kind == "expr" else TailExprWeight
+        return cls(_field(d, "formula", str))
     if kind == "derived":
-        base = from_descriptor(d["base"])
-        op = d["op"]
-        if op == "mu_plus":
-            return base.mu_plus()
-        if op == "iterate_V":
-            return base.iterate_V(int(d.get("param", 1)))
-        if op == "iterate_star":
-            return base.iterate_star(int(d.get("param", 1)))
-        if op == "power_tail":
-            return base.power_tail(float(d["param"]))
-        if op == "times_power":
-            return base.times_power(float(d["param"]))
-        raise WeightError(f"unknown derived op {op!r}")
+        base = from_descriptor(d.get("base"))
+        param = None if d.get("param") is None else _field(d, "param")
+        return base.derive(_field(d, "op", str), param)
     raise WeightError(f"unknown weight kind {kind!r}")
 
 

@@ -1,13 +1,16 @@
+import io
 import json
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracvolt import cli, volterra
 from fracvolt.cli import (CSV_COLUMNS, EXIT_DIVERGENCE, EXIT_INVARIANT,
-                          EXIT_OK, ExperimentConfig, default_corpus, main,
-                          parse_symbol, run_config)
+                          EXIT_OK, default_corpus, main, parse_symbol)
 from fracvolt.quad import QuadratureError
 
 
@@ -208,6 +211,41 @@ class TestErrorExits:
                             "--trunc", "-5")
         assert "--trunc" in line
 
+    # malformed input: each was a traceback (exit 1) or a silent exit 0
+
+    def test_descriptor_missing_beta(self, capsys):
+        line = self.run_err(capsys, "moments", "--weight", '{"kind":"standard"}')
+        assert "'beta'" in line
+
+    def test_descriptor_beta_not_a_number(self, capsys):
+        self.run_err(capsys, "moments", "--weight",
+                     '{"kind":"standard","beta":"x"}')
+
+    def test_descriptor_power_tail_without_param(self, capsys):
+        line = self.run_err(capsys, "moments", "--weight", json.dumps(
+            {"kind": "derived", "op": "power_tail",
+             "base": {"kind": "standard", "beta": 1.0}}))
+        assert "param" in line
+
+    def test_descriptor_not_an_object(self, capsys):
+        self.run_err(capsys, "moments", "--weight", '{"kind":"derived"}')
+
+    def test_json_symbol_not_a_list(self, capsys):
+        self.run_err(capsys, "frac", "--symbol", "json:5")
+
+    def test_json_symbol_with_a_string(self, capsys):
+        self.run_err(capsys, "frac", "--symbol", 'json:[[1,"x"]]')
+
+    def test_negative_monomial(self, capsys):
+        self.run_err(capsys, "frac", "--symbol", "mono:-1")
+
+    def test_negative_log_branch(self, capsys):
+        self.run_err(capsys, "frac", "--symbol", "log:-3")
+
+    def test_non_integrable_expr_weight(self, capsys):
+        line = self.run_err(capsys, "moments", "--weight", "expr:1/(1-r)")
+        assert "integrable" in line
+
     def test_h2lp_all_ratios_divergent(self, capsys):
         # mu_hat^2/(1-r) ~ 1/((1-r) sqrt(log)) is not integrable: every
         # ratio is infinite, so there is no summary row and the exit is 2
@@ -218,6 +256,97 @@ class TestErrorExits:
         rows = [l.split(",") for l in out.strip().split("\n")[1:]]
         assert [r[0] for r in rows] == ["equiv-h2-lp"] * 7
         assert all(r[6] == "inf" for r in rows)
+
+
+class TestUsageErrors:
+    """argparse's own exit 2 would read as "divergence"; usage errors exit 3
+    with argparse's message on stderr."""
+
+    def run_usage(self, capsys, *argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == EXIT_INVARIANT
+        assert "usage:" in captured.err and captured.out == ""
+        return captured.err
+
+    def test_unknown_equivalence(self, capsys):
+        assert "invalid choice: 'foo'" in self.run_usage(
+            capsys, "equivalence", "--name", "foo")
+
+    def test_unknown_norm(self, capsys):
+        assert "invalid choice: 'foo'" in self.run_usage(
+            capsys, "norm", "--name", "foo")
+
+    def test_bad_float_option(self, capsys):
+        assert "--p" in self.run_usage(capsys, "norm", "--p", "abc")
+
+    def test_no_command(self, capsys):
+        self.run_usage(capsys)
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert "usage:" in capsys.readouterr().out
+
+    def test_norm_choices_are_the_norm_table(self):
+        assert set(cli.NORMS) == {
+            "hardy2-coeff", "hardy2-lp", "tent", "bmoa", "bmoa-kernel",
+            "bmoa-classical", "bloch", "besov", "besov-classical", "bergman"}
+
+
+# The cheap commands over a grammar of well- and ill-formed arguments
+_NUMBER = st.sampled_from(["0", "1", "2.5", "-1", "1e-300", "1e999", "nan",
+                           "inf", "x", ""])
+_JSON_VALUE = st.sampled_from([None, 0, 1, 2.5, -1, 1e308, "x", [1], True])
+_DESCRIPTOR = st.recursive(
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["standard", "exponential", "expr",
+                                  "tail_expr", "nope", 3])},
+        optional={"beta": _JSON_VALUE, "c": _JSON_VALUE, "gamma": _JSON_VALUE,
+                  "formula": st.sampled_from(["(1-r)^2", "1/(1-r)", "r-1",
+                                              "(", 5])}),
+    lambda base: st.fixed_dictionaries(
+        {"kind": st.just("derived"), "base": base},
+        optional={"op": st.sampled_from(["mu_plus", "iterate_V",
+                                         "iterate_star", "power_tail",
+                                         "times_power", "nope", [1]]),
+                  "param": _JSON_VALUE}),
+    max_leaves=3)
+_WEIGHT = st.one_of(
+    st.builds("std:{}".format, _NUMBER),
+    st.builds("exp:{}:{}".format, _NUMBER, _NUMBER),
+    st.sampled_from(["exp:1", "expr:(1-r)^2", "expr:1/(1-r)", "expr:r-1",
+                     "expr:(", "expr:1e999", "tailexpr:1-r", "tailexpr:r",
+                     "nope:1", "[1]", "{"]),
+    st.builds(json.dumps, _DESCRIPTOR))
+_INT = st.one_of(st.integers(-3, 24), st.sampled_from(["x", "", "1.5"]))
+_SYMBOL = st.one_of(
+    st.builds("mono:{}".format, _INT),
+    st.builds("random:{}:{}".format, _INT, _INT),
+    st.builds("log:{}".format, _INT),
+    st.sampled_from(["json:5", 'json:[[1,"x"]]', "json:[]", "json:[[1,2]]",
+                     "json:[1]", "json:{}", "json:[[NaN,0]]", "json:",
+                     "random:3", "mono", "nope:1"]))
+_ARGV = st.one_of(
+    st.builds(lambda w, x: ["moments", "--weight", w, "--x", x], _WEIGHT,
+              st.sampled_from(["1,3", "0", "-1", "x", "", "inf", "nan"])),
+    st.builds(lambda w, s, op, w2: ["frac", "--weight", w, "--symbol", s,
+                                    "--op", op] + w2,
+              _WEIGHT, _SYMBOL, st.sampled_from(["D", "I", "R", "Q"]),
+              st.one_of(st.just([]), st.builds(lambda v: ["--weight2", v],
+                                               _WEIGHT))),
+    st.builds(lambda w, s: ["norm", "--name", "hardy2-coeff", "--weight", w,
+                            "--symbol", s], _WEIGHT, _SYMBOL))
+
+
+@settings(max_examples=80)
+@given(_ARGV)
+def test_cli_grammar_exits_0_2_or_3(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("ignore")
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_DIVERGENCE, EXIT_INVARIANT), argv
+    assert "Traceback" not in err.getvalue()
 
 
 class TestReproducibility:
@@ -246,11 +375,3 @@ class TestReproducibility:
         rec = json.loads(out)[0]
         assert set(rec.keys()) == set(CSV_COLUMNS)
 
-    def test_config_roundtrip_reproduces(self, tmp_path):
-        cfg = ExperimentConfig(command="equivalence", name="besov",
-                               weight="std:1", corpus=4, seed=9)
-        cfg2 = ExperimentConfig.from_json(cfg.to_json())
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run_config(cfg, str(a)) == EXIT_OK
-        assert run_config(cfg2, str(b)) == EXIT_OK
-        assert a.read_bytes() == b.read_bytes()

@@ -37,6 +37,10 @@ class TestHardy:
         ref = norms.hardy_p_reference(f, 2.0).value ** 2
         np.testing.assert_allclose(norms.hardy2_coeff(f).value, ref, rtol=1e-6)
 
+    def test_reference_err_is_not_estimated(self):
+        est = norms.hardy_p_reference(TaylorSeries.monomial(3), 3.0)
+        assert math.isnan(est.err)
+
     def test_lp_monomial_closed_form(self, std1):
         # 16 * 2 int r^3 (1-r) dr = 1.6 for f = z
         est = norms.hardy2_lp(TaylorSeries.monomial(1), std1)

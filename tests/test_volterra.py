@@ -68,12 +68,6 @@ class TestMatrix:
         with pytest.raises(vo.OperatorError):
             vo.apply_matrix(V, random_polynomial(rng, 20))
 
-    def test_json_dump_roundtrip(self, std1, rng):
-        M = vo.volterra_matrix(std1, random_polynomial(rng, 4), 0.0, 8)
-        M2 = vo.OperatorMatrix.from_json(M.to_json())
-        np.testing.assert_array_equal(M2.entries, M.entries)
-        assert M2.alpha == M.alpha and M2.kind == M.kind
-
 
 def cumulative_product_toeplitz(w, g, alpha, N):
     """Reference Toeplitz matrix: every radial power integral from one
@@ -312,6 +306,11 @@ class TestLatticeSum:
         lat = build_lattice(0.5, seed=0, max_radius=0.99, verify=False)
         est = vo.lattice_schatten_sum(std1, TaylorSeries.zero(), 2.0, lat)
         assert est.value == 0.0
+
+    def test_err_is_not_estimated(self, std1):
+        lat = build_lattice(0.5, seed=0, max_radius=0.99, verify=False)
+        est = vo.lattice_schatten_sum(std1, TaylorSeries.monomial(1), 2.0, lat)
+        assert math.isnan(est.err)
 
     def test_comparable_with_besov(self, std1):
         g = TaylorSeries.monomial(1)

@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from scipy import integrate as si
 from fracvolt import (ExponentialWeight, ExprWeight, StandardWeight,
                       TailExprWeight, WeightError, from_descriptor,
                       from_shorthand)
+from fracvolt.weights import DERIVED_OPS
 
 
 def std_moment_oracle(beta: float, x: float) -> float:
@@ -121,6 +124,38 @@ class TestExprWeights:
     def test_negative_rejected(self):
         with pytest.raises(WeightError):
             ExprWeight("r-1/2")
+
+    @pytest.mark.parametrize("formula", ["1/(1-r)", "2/(1-r)+r",
+                                         "(1-r)^(-1.5)", "1/((1-r)*(1+r))"])
+    def test_non_integrable_rejected(self, formula):
+        # each dyadic panel toward r = 1 carries at least as much mass as
+        # the one before: no finite total
+        with pytest.raises(WeightError, match="integrable"):
+            ExprWeight(formula)
+
+    @pytest.mark.parametrize("formula", ["(1-r)^(-0.5)", "(1-r)^(-0.9)",
+                                         "1", "(1-r)^1.5", "(1-r)^4*(2-r)"])
+    def test_integrable_accepted(self, formula):
+        w = ExprWeight(formula)
+        assert 0.0 < w.moment(1.0) < math.inf
+
+    def test_every_sweep_expr_weight_accepted(self):
+        # the expr: weights the benchmark's sweep plans draw, over three seeds
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        seen = set()
+        for seed in (1, 2, 3):
+            plan = workloads.Plan("sweep", seed)
+            argvs = plan.warmup + [a for k in range(plan.passes(25.0))
+                                   for a in plan.timed_pass(k)]
+            seen.update(a[a.index("--weight") + 1] for a in argvs
+                        if "--weight" in a
+                        and a[a.index("--weight") + 1].startswith("expr:"))
+        assert len(seen) > 50
+        for text in sorted(seen):
+            assert from_shorthand(text).label() == text
 
     def test_tail_expr_density(self, slow_tail_weight):
         # density = 1/((1-r) (1 + log(1/(1-r)))^2), the exact -d/dr of the tail
@@ -266,6 +301,60 @@ class TestDerivedWeights:
         tw = std1.times_power(2.0)
         r = np.array([0.25, 0.75])
         np.testing.assert_allclose(tw.density(r), (1.0 - r) ** 2, rtol=1e-13)
+
+
+class TestDerivedOpTable:
+    """One table builds, labels and parses every derived weight."""
+
+    @pytest.mark.parametrize("op", sorted(DERIVED_OPS))
+    def test_descriptor_roundtrip_keeps_label_and_density(self, op):
+        param = {None: None, "depth": 2, "real": 1.5}[DERIVED_OPS[op][1]]
+        w = StandardWeight(2.0).derive(op, param)
+        w2 = from_descriptor(w.descriptor())
+        assert w2.label() == w.label()
+        r = np.array([0.1, 0.5, 0.9])
+        np.testing.assert_array_equal(w2.density(r), w.density(r))
+
+    def test_labels(self, std1):
+        assert std1.mu_plus().label() == "std:1|mu_plus"
+        assert std1.iterate_V(2).label() == "std:1|iterate_V|iterate_V"
+        assert std1.iterate_star(0) is std1
+        assert std1.power_tail(2).label() == "std:1|power_tail(2)"
+        assert std1.times_power(0.75).label() == "std:1|times_power(0.75)"
+
+    def test_descriptor_iterate_param_is_a_depth(self):
+        w = from_descriptor({"kind": "derived", "op": "iterate_star",
+                             "param": 3, "base": {"kind": "standard",
+                                                  "beta": 1.0}})
+        assert w.label() == "std:1" + "|iterate_star" * 3
+
+    @pytest.mark.parametrize("descriptor", [
+        {"kind": "standard"},
+        {"kind": "standard", "beta": "2"},
+        {"kind": "standard", "beta": True},
+        {"kind": "exponential", "c": None},
+        {"kind": "expr", "formula": 5},
+        {"kind": "derived", "op": "power_tail", "base": {"kind": "standard",
+                                                         "beta": 1.0}},
+        {"kind": "derived", "op": "times_power", "param": [1],
+         "base": {"kind": "standard", "beta": 1.0}},
+        {"kind": "derived", "op": "nope", "base": {"kind": "standard",
+                                                   "beta": 1.0}},
+        {"kind": "derived", "op": ["mu_plus"], "base": {"kind": "standard",
+                                                        "beta": 1.0}},
+        {"kind": "derived", "op": "iterate_V", "param": 9,
+         "base": {"kind": "standard", "beta": 1.0}},
+        {"kind": "derived", "op": "iterate_V", "param": float("nan"),
+         "base": {"kind": "standard", "beta": 1.0}},
+        {"kind": "derived", "op": "iterate_V", "param": 2.5,
+         "base": {"kind": "standard", "beta": 1.0}},
+        {"kind": "derived", "op": "mu_plus"},
+        [1],
+        5,
+    ])
+    def test_malformed_descriptor_is_weight_error(self, descriptor):
+        with pytest.raises(WeightError):
+            from_descriptor(descriptor)
 
 
 class TestCaches:
