@@ -323,6 +323,8 @@ def tent_norm_power(f: TaylorSeries, w: RadialWeight, p: float,
     integral against |D(f)|^2 is evaluated in closed form from the A_k
     (exact trigonometric windowing); the outer integral is a uniform
     trapezoid, alias-free since the xi-grid exceeds the angular degree.
+    ``err``, the gap to the trapezoid on every other xi node, covers the
+    outer xi rule only, not the radial rule (exact on both grids at p = 2).
     """
     if p <= 0:
         raise ValueError("p must be positive")
@@ -348,9 +350,10 @@ def tent_norm_power(f: TaylorSeries, w: RadialWeight, p: float,
     phi = 2.0 * np.pi * np.arange(m) / m
     inner = B[0].real + 2.0 * np.real(
         np.exp(1j * np.outer(phi, np.arange(1, d + 1))) @ B[1:])
-    inner = np.maximum(inner, 0.0)
-    value = float(np.pi / m * np.sum(inner ** (p / 2.0)))
-    return NormEstimate(value, 0.0, tag="tent-power",
+    powered = np.maximum(inner, 0.0) ** (p / 2.0)
+    value = float(np.pi / m * np.sum(powered))
+    err = abs(value - float(2.0 * np.pi / m * np.sum(powered[::2])))
+    return NormEstimate(value, err, tag="tent-power",
                         truncation={"series": f.degree, "xi": m, "p": p})
 
 
@@ -360,7 +363,10 @@ def tent_norm(f: TaylorSeries, w: RadialWeight, p: float,
     est = tent_norm_power(f, w, p, n_xi, spec)
     est.tag = "tent"
     if not est.diverged:
+        # the xi-rule gap on the root scale, on either side of the value
+        lo, hi = max(est.value - est.err, 0.0), est.value + est.err
         est.value = est.value ** (1.0 / p)
+        est.err = hi ** (1.0 / p) - lo ** (1.0 / p)
     return est
 
 
@@ -583,6 +589,23 @@ def bloch_mu(g: TaylorSeries, w: RadialWeight, n_ang: int = 2048,
                         anchor=complex(best_z))
 
 
+def _ball_sup(g: TaylorSeries, w: RadialWeight, q: float, rho, alpha: float,
+              anchors, depth: int, r: float):
+    """(sup, argmax) over anchors, default_anchors(depth) if None, of
+    int_{D(a,r)} |D(g)|^q mu_hat^q rho(|z|) dA / (1-|a|)^(alpha+2)."""
+    P = frac_derivative(g, w)
+    anchors = np.asarray(default_anchors(depth=depth) if anchors is None
+                         else anchors, dtype=complex)
+
+    def dens(z):
+        rr = np.abs(z)
+        return np.abs(P(z)) ** q * np.asarray(w.tail(rr), dtype=float) ** q \
+            * rho(rr)
+    vals = ball_integrals(dens, anchors, r) \
+        / (1.0 - np.abs(anchors)) ** (alpha + 2.0)
+    return _first_max(vals, anchors)
+
+
 def bloch_mu_lattice(g: TaylorSeries, w: RadialWeight, p: float, alpha: float,
                      anchors: Optional[Sequence[complex]] = None,
                      r: float = 0.5) -> NormEstimate:
@@ -590,17 +613,8 @@ def bloch_mu_lattice(g: TaylorSeries, w: RadialWeight, p: float, alpha: float,
 
     int_{D(a,r)} |D(g)|^p mu_hat^p (1-|z|)^alpha dA / (1-|a|)^(alpha+2).
     """
-    P = frac_derivative(g, w)
-    anchors = np.asarray(default_anchors(depth=8) if anchors is None
-                         else anchors, dtype=complex)
-
-    def dens(z):
-        rr = np.abs(z)
-        return np.abs(P(z)) ** p * np.asarray(w.tail(rr), dtype=float) ** p \
-            * (1.0 - rr) ** alpha
-    vals = ball_integrals(dens, anchors, r) \
-        / (1.0 - np.abs(anchors)) ** (alpha + 2.0)
-    best, best_a = _first_max(vals, anchors)
+    best, best_a = _ball_sup(g, w, p, lambda rr: (1.0 - rr) ** alpha, alpha,
+                             anchors, 8, r)
     return NormEstimate(best, math.nan, tag="bloch-mu-lattice",
                         truncation={"series": g.degree, "p": p, "alpha": alpha},
                         anchor=best_a)
@@ -716,17 +730,9 @@ def carleson_ratio_sup(g: TaylorSeries, w: RadialWeight, alpha: float,
         est = bmoa_mu_sup(g, w, anchors, spec)
         est.tag = "carleson-sup"
         return est
-    P = frac_derivative(g, w)
-    anchors = np.asarray(default_anchors(depth=10) if anchors is None
-                         else anchors, dtype=complex)
-
-    def dens(z):
-        rr = np.abs(z)
-        return np.abs(P(z)) ** 2 * np.asarray(w.tail(rr), dtype=float) ** 2 \
-            * (alpha + 1.0) * (1.0 - rr ** 2) ** alpha
-    vals = ball_integrals(dens, anchors, r) \
-        / (1.0 - np.abs(anchors)) ** (2.0 + alpha)
-    best, best_a = _first_max(vals, anchors)
+    best, best_a = _ball_sup(
+        g, w, 2.0, lambda rr: (alpha + 1.0) * (1.0 - rr ** 2) ** alpha, alpha,
+        anchors, 10, r)
     return NormEstimate(best, math.nan, tag="carleson-sup",
                         truncation={"series": g.degree, "alpha": alpha, "r": r},
                         anchor=best_a)

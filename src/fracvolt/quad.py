@@ -43,7 +43,7 @@ class NormEstimate:
     """A nonnegative scalar with its truncation and error bookkeeping."""
 
     value: float
-    err: float = 0.0
+    err: float
     tag: str = ""
     truncation: dict = field(default_factory=dict)
     diverged: bool = False

@@ -1,4 +1,4 @@
-"""Matrix truncations of the Volterra-type operator and Schatten quantities.
+"""Banded truncations of the Volterra-type operator and Schatten quantities.
 
 The operator maps f to the fractional integral of f times the fractional
 derivative of the symbol g.  On the monomial basis of A^2_alpha (alpha >= -1,
@@ -11,6 +11,10 @@ norming on A^2_alpha).  The comparison operator is the Toeplitz matrix of
 the measure |D(g)|^2 mu_hat^2 dA_alpha, whose entries collapse to finitely
 many radial integrals because |D(g)|^2 is a trigonometric polynomial; the
 exact angular reduction is mandatory here, no 2-D quadrature is involved.
+
+Every truncation is stored as its band, entries[k, j] = M[k + j, k] (zero
+where k + j >= N), in O(N deg g) memory; a Toeplitz matrix keeps its lower
+band.  `OperatorMatrix.dense` expands a band for the library and the tests.
 
 Radial measure convention for alpha = -1: dA_{-1} = dA / (1 - |z|), matching
 the H^2 Littlewood-Paley density mu_hat^2/(1-|z|) used by the space norms.
@@ -59,8 +63,6 @@ class OperatorError(Exception):
 class OperatorMatrix:
     entries: np.ndarray
     alpha: float
-    weight_label: str
-    symbol_degree: int
     kind: str = "volterra"
 
     @property
@@ -70,6 +72,15 @@ class OperatorMatrix:
     def __post_init__(self):
         if not np.all(np.isfinite(self.entries)):
             raise OperatorError("matrix entries must be finite")
+
+    def dense(self) -> np.ndarray:
+        """The full N x N matrix; a Toeplitz band gets its conjugate mirror."""
+        A = np.zeros((self.dimension, self.dimension), dtype=complex)
+        k, j = np.nonzero(self.entries)
+        if self.kind == "toeplitz":
+            A[k, k + j] = np.conj(self.entries[k, j])
+        A[k + j, k] = self.entries[k, j]      # after the mirror: the diagonal
+        return A
 
 
 @dataclass
@@ -88,7 +99,7 @@ class SingularSpectrum:
 
 def volterra_matrix(w: RadialWeight, g: TaylorSeries, alpha: float,
                     N: int = DEFAULT_TRUNCATION) -> OperatorMatrix:
-    """N x N truncation of the operator with symbol g on A^2_alpha."""
+    """N x N truncation of the operator with symbol g on A^2_alpha (band)."""
     if alpha < -1:
         raise OperatorError("alpha must be >= -1")
     if g.degree >= N:
@@ -96,13 +107,11 @@ def volterra_matrix(w: RadialWeight, g: TaylorSeries, alpha: float,
     mus = w.odd_moments(N)
     c = basis_norms(alpha, N)
     gh = g.coeffs
-    M = np.zeros((N, N), dtype=complex)
-    for j in range(min(g.degree, N - 1) + 1):
-        if gh[j] == 0:
-            continue
+    band = np.zeros((N, g.degree + 1), dtype=complex)
+    for j in range(g.degree + 1):       # a zero coefficient writes zeros
         m = np.arange(j, N)
-        M[m, m - j] = mus[m] * gh[j] / mus[j] * c[m] / c[m - j]
-    return OperatorMatrix(M, alpha, w.label(), g.degree)
+        band[: N - j, j] = mus[m] * gh[j] / mus[j] * c[m] / c[m - j]
+    return OperatorMatrix(band, alpha)
 
 
 def apply_matrix(M: OperatorMatrix, f: TaylorSeries) -> TaylorSeries:
@@ -113,7 +122,7 @@ def apply_matrix(M: OperatorMatrix, f: TaylorSeries) -> TaylorSeries:
     c = basis_norms(M.alpha, N)
     v = np.zeros(N, dtype=complex)
     v[: f.degree + 1] = f.coeffs * c[: f.degree + 1]
-    out = M.entries @ v
+    out = M.dense() @ v
     return TaylorSeries.from_coeffs(out / c)
 
 
@@ -147,41 +156,27 @@ def toeplitz_matrix(w: RadialWeight, g: TaylorSeries, alpha: float,
     I, _, diverged = radial_integrals(H, 2 * np.arange(N + d + 1) + 1)
     if diverged:
         raise OperatorError("the Toeplitz measure is not finite")
-    T = np.zeros((N, N), dtype=complex)
-    for off in range(min(d, N - 1) + 1):
+    band = np.zeros((N, min(d, N - 1) + 1), dtype=complex)
+    for off in range(band.shape[1]):
         wl = dg[off:] * np.conj(dg[: d + 1 - off])          # l = 0..d-off
         m = np.arange(off, N)
         acc = np.zeros(len(m), dtype=complex)
         for l, coef in enumerate(wl):
-            if coef == 0:
-                continue
             # radial power k + j + m + l + 1 with k = m - off, j = l + off
             acc += coef * I[m + l]
-        vals = 2.0 * acc / (c[m] * c[m - off])
-        T[m, m - off] = vals
-        if off > 0:
-            T[m - off, m] = np.conj(vals)
-    return OperatorMatrix(T, alpha, w.label(), g.degree, kind="toeplitz")
+        band[: N - off, off] = 2.0 * acc / (c[m] * c[m - off])
+    return OperatorMatrix(band, alpha, kind="toeplitz")
 
 
 def singular_values(M: OperatorMatrix) -> SingularSpectrum:
-    """Singular values of a lower-triangular matrix of bandwidth
-    ``symbol_degree``, from the eigenvalues of its banded Gram matrix.
-
-    Raises OperatorError when an entry lies above the diagonal or more than
-    ``symbol_degree`` below it, so a matrix the band does not hold is never
-    given a wrong spectrum.
-    """
-    A = M.entries
+    """Singular values of a lower-triangular band, from the eigenvalues of
+    its banded Gram matrix.  A Toeplitz band, whose matrix also has the
+    mirrored upper band, raises OperatorError."""
+    if M.kind != "volterra":
+        raise OperatorError("singular values need a lower-triangular band")
     N = M.dimension
-    d = min(M.symbol_degree, N - 1)
-    # D[j, k] = M[k + j, k], zero past the end of the j-th subdiagonal
-    k = np.arange(N)
-    rows = k + np.arange(d + 1)[:, None]
-    D = np.where(rows < N, A[np.minimum(rows, N - 1), k], 0)
-    if np.count_nonzero(D) != np.count_nonzero(A):
-        raise OperatorError("matrix is not lower triangular within its "
-                            "symbol bandwidth")
+    # D[j] is the j-th subdiagonal; C order keeps the Gram sums' rounding
+    D = np.ascontiguousarray(M.entries.T)
     nonzero = np.flatnonzero(D.any(axis=1))
     if len(nonzero) == 0:
         return SingularSpectrum(np.zeros(N), N)
@@ -217,8 +212,9 @@ def truncation_spectra(w: RadialWeight, g: TaylorSeries, alpha: float,
                        N: int = DEFAULT_TRUNCATION) -> tuple:
     """Spectra of the N x N truncation and of its leading N/2 block."""
     big = volterra_matrix(w, g, alpha, N)
-    half = OperatorMatrix(big.entries[: N // 2, : N // 2], alpha,
-                          big.weight_label, g.degree)
+    h = N // 2
+    # keep k + j < h: the lower triangle of the row-reversed band
+    half = OperatorMatrix(np.tril(big.entries[:h, :h][::-1])[::-1], alpha)
     return singular_values(big), singular_values(half)
 
 
@@ -278,24 +274,19 @@ def rayleigh_comparability(w: RadialWeight, g: TaylorSeries, alpha: float,
                            corpus: Sequence[TaylorSeries],
                            N: int = DEFAULT_TRUNCATION) -> dict:
     """<T f, f> / ||V f||^2 across a corpus; the two-sided bound witness."""
-    V = volterra_matrix(w, g, alpha, N)
-    T = toeplitz_matrix(w, g, alpha, N)
+    V = volterra_matrix(w, g, alpha, N).dense()
+    T = toeplitz_matrix(w, g, alpha, N).dense()
     c = basis_norms(alpha, N)
     ratios = []
     for f in corpus:
         if f.degree >= N:
             raise OperatorError("corpus degree exceeds truncation")
+        # coordinates in the orthonormal basis z^n / c_n
         v = np.zeros(N, dtype=complex)
         v[: f.degree + 1] = f.coeffs * c[: f.degree + 1]
-        quad_form = float(np.real(np.conj(v) @ (T.entries @ v)))
-        img = apply_matrix(V, f)
-        img_norm = float(np.sum(np.abs(img.coeffs) ** 2
-                                * c[: img.degree + 1] ** 2))
-        if img_norm == 0:
-            continue
-        ratios.append(quad_form / img_norm)
+        img_norm = float(np.sum(np.abs(V @ v) ** 2))
+        if img_norm != 0:
+            ratios.append(float(np.real(np.conj(v) @ (T @ v))) / img_norm)
     ratios = np.array(ratios)
-    if len(ratios) == 0:
-        return {"ratios": ratios, "max_over_min": np.nan}
-    return {"ratios": ratios,
-            "max_over_min": float(np.max(ratios) / np.min(ratios))}
+    spread = float(np.max(ratios) / np.min(ratios)) if len(ratios) else np.nan
+    return {"ratios": ratios, "max_over_min": spread}

@@ -112,6 +112,19 @@ class TestTent:
         b = norms.tent_norm_power(f.scale(3.0), std1, 1.0).value
         np.testing.assert_allclose(b, 3.0 * a, rtol=1e-10)
 
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_xi_rule_err_is_finite(self, std1, rng, p):
+        f = random_polynomial(rng, 12)
+        est = norms.tent_norm_power(f, std1, p)
+        assert np.isfinite(est.err) and est.err >= 0.0
+        root = norms.tent_norm(f, std1, p)
+        assert np.isfinite(root.err) and root.err >= 0.0
+
+    def test_xi_rule_err_at_rounding_level_for_p2(self, std1, rng):
+        # at p = 2 both xi grids integrate the trigonometric polynomial exactly
+        est = norms.tent_norm_power(random_polynomial(rng, 12), std1, 2.0)
+        assert est.err <= 1e-12 * est.value
+
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_against_masked_brute_force(self, std1, rng, p):
         # independent oracle: O(Nr * Ntheta * Nxi) masked polar quadrature

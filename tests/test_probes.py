@@ -1,31 +1,39 @@
-"""Every span that perfbench/tracing.py installs must find its target.
+"""Every span that perfbench/tracing.py installs must find its target, and
+its count hooks must read the shapes they model.
 
 The tracer replaces each probed function in the module namespaces that
 bind it, and each probed method in its class's own ``__dict__``.  A
-refactor that moves, renames or inherits a probed callable would make the
-traced benchmark run fail; this test fails first.  The tracing module is
-loaded by path (it imports only the standard library) and only read.
+refactor that moves, renames or inherits a probed callable, or changes
+what a count hook reads (say, the operator storage behind N), would make
+the traced benchmark run fail; these tests fail first.  The tracing and
+workload modules are loaded by path (they import only the standard
+library) and only read.
 """
 
 import importlib
 import importlib.util
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import fracvolt
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_probes():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.PROBES
+    return module
 
 
-PROBES = load_probes()
+tracing = load("tracing")
+workloads = load("workloads")
+PROBES = tracing.PROBES
 
 
 def test_probe_table_is_not_empty():
@@ -44,3 +52,33 @@ def test_probe_resolves(name, modname, attr):
         assert callable(getattr(raw, "__func__", raw))
     else:
         assert callable(getattr(module, attr))
+
+
+def run_warmup():
+    """(exit codes, stdout) of the common warm-up through ``cli.main``,
+    looked up per call so that a traced binding is the one run."""
+    from fracvolt import cli
+    codes, out = [], io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        for argv in workloads.COMMON_WARMUP:
+            codes.append(cli.main(argv.split()))
+    return codes, out.getvalue()
+
+
+def test_traced_warmup_counts_and_output():
+    plain_codes, plain_out = run_warmup()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(fracvolt)
+        codes, out = run_warmup()
+    finally:
+        tracer.active(False)
+    # 2 flags a detected divergence (the h2-lp ratio trend), a pass as in
+    # the benchmark's checks
+    assert codes == plain_codes and set(codes) <= {0, 2}
+    assert out == plain_out
+    counts = tracer.summary()
+    # the warm-up's one volterra request: N = 64 and its N/2 block
+    assert counts["volterra.volterra_matrix.entries"] == 64 ** 2
+    assert counts["volterra.singular_values.flops_computed"] == \
+        32 * 64 ** 3 // 3 + 32 * 32 ** 3 // 3

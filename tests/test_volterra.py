@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,22 +12,28 @@ from fracvolt.quad import radial_nodes
 from conftest import random_polynomial
 
 
+def symbol_series(symbol, rng):
+    """mono:<n> as the monomial, random:<n> as a random polynomial."""
+    kind, _, degree = symbol.partition(":")
+    return (TaylorSeries.monomial(int(degree)) if kind == "mono"
+            else random_polynomial(rng, int(degree)))
+
+
 class TestMatrix:
     def test_weighted_shift_entries(self, std1):
         # g = z on H^2: subdiagonal 2/(m+1)
-        M = vo.volterra_matrix(std1, TaylorSeries.monomial(1), -1, 12)
+        M = vo.volterra_matrix(std1, TaylorSeries.monomial(1), -1, 12).dense()
         for m in range(1, 12):
-            np.testing.assert_allclose(M.entries[m, m - 1], 2.0 / (m + 1),
-                                       rtol=1e-12)
-        assert np.count_nonzero(np.triu(M.entries, 1)) == 0   # lower triangular
+            np.testing.assert_allclose(M[m, m - 1], 2.0 / (m + 1), rtol=1e-12)
+        assert np.count_nonzero(np.triu(M, 1)) == 0   # lower triangular
 
     def test_constant_symbol_is_diagonal(self, std1):
         c = 2.5
-        M = vo.volterra_matrix(std1, TaylorSeries.from_coeffs([c]), -1, 8)
+        M = vo.volterra_matrix(std1, TaylorSeries.from_coeffs([c]), -1,
+                               8).dense()
         mus = std1.odd_moments(8)
-        np.testing.assert_allclose(np.diag(M.entries), c * mus / mus[0],
-                                   rtol=1e-12)
-        assert np.count_nonzero(M.entries - np.diag(np.diag(M.entries))) == 0
+        np.testing.assert_allclose(np.diag(M), c * mus / mus[0], rtol=1e-12)
+        assert np.count_nonzero(M - np.diag(np.diag(M))) == 0
 
     def test_zero_symbol(self, std1):
         M = vo.volterra_matrix(std1, TaylorSeries.zero(), -1, 8)
@@ -107,7 +114,7 @@ class TestToeplitz:
         # and panel-halving level, not bitwise
         w = from_shorthand(label)
         g = random_polynomial(rng, 5)
-        T = vo.toeplitz_matrix(w, g, alpha, 48).entries
+        T = vo.toeplitz_matrix(w, g, alpha, 48).dense()
         ref = cumulative_product_toeplitz(w, g, alpha, 48)
         np.testing.assert_allclose(T, ref, rtol=1e-10, atol=0)
 
@@ -123,25 +130,25 @@ class TestToeplitz:
 
     def test_corner_entry_matches_lp_integral(self, std1):
         # <T e_0, e_0> = total mass of |D(g)|^2 mu_hat^2/(1-|z|) dA = 1.6
-        T = vo.toeplitz_matrix(std1, TaylorSeries.monomial(1), -1, 4)
-        np.testing.assert_allclose(T.entries[0, 0].real, 1.6, rtol=1e-11)
+        T = vo.toeplitz_matrix(std1, TaylorSeries.monomial(1), -1, 4).dense()
+        np.testing.assert_allclose(T[0, 0].real, 1.6, rtol=1e-11)
 
     def test_hermitian_psd(self, std1, rng):
         g = random_polynomial(rng, 6)
-        T = vo.toeplitz_matrix(std1, g, 0.0, 32)
-        np.testing.assert_allclose(T.entries, T.entries.conj().T, atol=1e-12)
-        assert np.linalg.eigvalsh(T.entries).min() > -1e-10
+        T = vo.toeplitz_matrix(std1, g, 0.0, 32).dense()
+        np.testing.assert_allclose(T, T.conj().T, atol=1e-12)
+        assert np.linalg.eigvalsh(T).min() > -1e-10
 
     def test_quadratic_form_is_measure_integral(self, std1, rng):
         # <T f, f> = int |f|^2 dmu_g, checked against direct quadrature
         from fracvolt.quad import _panel_grid
         g = TaylorSeries.monomial(1)
         f = random_polynomial(rng, 5)
-        T = vo.toeplitz_matrix(std1, g, -1, 16)
+        T = vo.toeplitz_matrix(std1, g, -1, 16).dense()
         c = vo.basis_norms(-1.0, 16)
         v = np.zeros(16, dtype=complex)
         v[: f.degree + 1] = f.coeffs * c[: f.degree + 1]
-        got = float(np.real(np.conj(v) @ (T.entries @ v)))
+        got = float(np.real(np.conj(v) @ (T @ v)))
         _, nodes, weights = _panel_grid(24, 48, 32)
         rr, ww = nodes.ravel(), weights.ravel()
         m = 256
@@ -161,14 +168,14 @@ class TestSpectra:
         M = vo.volterra_matrix(std1, TaylorSeries.from_coeffs([2.0]), -1, 6)
         s = vo.singular_values(M)
         np.testing.assert_allclose(
-            s.values, np.sort(np.abs(np.diag(M.entries)))[::-1], rtol=1e-13)
+            s.values, np.sort(np.abs(np.diag(M.dense())))[::-1], rtol=1e-13)
 
     def test_weighted_shift_column_norms(self, std1, std2):
         # orthogonal columns: singular values equal column norms exactly
         for w, alpha in ((std1, -1.0), (std1, 0.0), (std2, -1.0), (std2, 2.0)):
             M = vo.volterra_matrix(w, TaylorSeries.monomial(1), alpha, 24)
             s = vo.singular_values(M)
-            cols = np.sort(np.linalg.norm(M.entries, axis=0))[::-1]
+            cols = np.sort(np.linalg.norm(M.dense(), axis=0))[::-1]
             np.testing.assert_allclose(s.values, cols, atol=1e-12)
 
     def test_shift_n4_values(self, std1):
@@ -187,25 +194,54 @@ class TestSpectra:
         s = vo.singular_values(M)
         assert s.values.shape == (N,) and s.truncation == N
         np.testing.assert_allclose(
-            s.values, np.linalg.svd(M.entries, compute_uv=False), atol=1e-15)
+            s.values, np.linalg.svd(M.dense(), compute_uv=False), atol=1e-15)
 
     def test_empty_half_block(self, std1):
         # the N/2 block at N = 1 is 0 x 0
         M = vo.volterra_matrix(std1, TaylorSeries.monomial(0), -1, 1)
-        empty = vo.OperatorMatrix(M.entries[:0, :0], -1, M.weight_label, 0)
+        empty = vo.OperatorMatrix(M.entries[:0], -1)
         assert vo.singular_values(empty).values.shape == (0,)
+        assert vo.truncation_spectra(std1, TaylorSeries.monomial(0), -1,
+                                     1)[1].values.shape == (0,)
 
-    def test_upper_triangle_entry_rejected(self, std1):
-        M = vo.volterra_matrix(std1, TaylorSeries.monomial(1), -1, 8)
-        M.entries[2, 5] = 1e-300
+    def test_toeplitz_band_rejected(self, std1):
+        # a Toeplitz band stands for a Hermitian matrix, not a lower triangle
+        T = vo.toeplitz_matrix(std1, TaylorSeries.monomial(1), -1, 8)
         with pytest.raises(vo.OperatorError):
-            vo.singular_values(M)
+            vo.singular_values(T)
 
-    def test_entry_below_band_rejected(self, std1):
-        M = vo.volterra_matrix(std1, TaylorSeries.monomial(1), -1, 8)
-        M.entries[7, 0] = 0.5j
-        with pytest.raises(vo.OperatorError):
-            vo.singular_values(M)
+
+class TestBand:
+    """Band storage: leading blocks are smaller truncations, and memory
+    grows with N (deg g + 1), never with N^2."""
+
+    @pytest.mark.parametrize("label", ["std:1", "std:2", "exp:1:1"])
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 2.0])
+    @pytest.mark.parametrize("symbol", ["mono:1", "mono:9", "random:12"])
+    def test_leading_block_is_half_truncation(self, label, alpha, symbol, rng):
+        w = from_shorthand(label)
+        g = symbol_series(symbol, rng)
+        N = 64
+        small = vo.volterra_matrix(w, g, alpha, N // 2)
+        big = vo.volterra_matrix(w, g, alpha, N).dense()
+        assert np.array_equal(big[: N // 2, : N // 2], small.dense())
+        # truncation_spectra's band slice is that same block
+        half = vo.truncation_spectra(w, g, alpha, N)[1]
+        assert np.array_equal(half.values, vo.singular_values(small).values)
+
+    def test_memory_is_linear_in_truncation(self, std1, rng):
+        N = 4096
+        g = random_polynomial(rng, 8)
+        assert vo.volterra_matrix(std1, g, -1, N).entries.nbytes == 16 * N * 9
+        tracemalloc.start()
+        try:
+            full, half = vo.truncation_spectra(std1, g, -1, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert full.values.shape == (N,) and half.values.shape == (N // 2,)
+        # one N x N complex array would take 16 N^2 = 268 MB
+        assert peak < N * N
 
 
 class TestDenseOracle:
@@ -224,12 +260,10 @@ class TestDenseOracle:
                                            ("random:1", 40), ("random:5", 97),
                                            ("random:16", 300)])
     def test_matches_dense_svd(self, label, alpha, symbol, N, rng):
-        kind, _, degree = symbol.partition(":")
-        g = (TaylorSeries.monomial(int(degree)) if kind == "mono"
-             else random_polynomial(rng, int(degree)))
+        g = symbol_series(symbol, rng)
         M = vo.volterra_matrix(from_shorthand(label), g, alpha, N)
         band = vo.singular_values(M).values
-        dense = np.linalg.svd(M.entries, compute_uv=False)
+        dense = np.linalg.svd(M.dense(), compute_uv=False)
         top = dense[0]
         assert np.all(np.abs(band - dense) <= 8.0 * math.sqrt(self.EPS) * top)
         large = dense >= 1e-3 * top
