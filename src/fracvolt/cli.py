@@ -17,6 +17,7 @@ identical arguments and seed produce byte-identical output.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Iterable, List, Optional
@@ -306,7 +307,11 @@ def cmd_equivalence(args) -> int:
     return code
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first request rather than at
+    import: building it costs about twenty parses, and parsing leaves it
+    unchanged."""
     ap = argparse.ArgumentParser(
         prog="fracvolt",
         description="numerical experiments for the weight-induced fractional "

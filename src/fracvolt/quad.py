@@ -135,6 +135,45 @@ def radial_nodes(spec: QuadratureSpec = DEFAULT_SPEC):
     return nodes.ravel(), weights.ravel()
 
 
+# Moments are formed this many indices at a time: a (MOMENT_CHUNK, nodes)
+# block stays in cache, and no (count, nodes) array is ever allocated.
+MOMENT_CHUNK = 16
+
+# exp(t) rounds to exactly 0.0 for every t below this (2^-1075, half the
+# least subnormal, is exp(-745.13)).
+EXP_UNDERFLOW = -746.0
+
+
+def _exp_window(t: np.ndarray) -> np.ndarray:
+    """np.exp(t) for a block of rows, evaluated only on the columns between
+    the first and the last where some row is not below EXP_UNDERFLOW; the
+    rest are the exact zeros np.exp would give there."""
+    live = np.flatnonzero(~np.all(t < EXP_UNDERFLOW, axis=0))
+    out = np.zeros_like(t)
+    if len(live):
+        cols = slice(live[0], live[-1] + 1)
+        with np.errstate(under="ignore"):
+            out[:, cols] = np.exp(t[:, cols])
+    return out
+
+
+def _by_chunks(xs, rows: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """rows(x) for each block of MOMENT_CHUNK of the ``xs``, passed as a
+    column x, joined into one vector."""
+    xs = np.asarray(xs, dtype=float)
+    out = np.empty(len(xs))
+    for i in range(0, len(xs), MOMENT_CHUNK):
+        out[i:i + MOMENT_CHUNK] = rows(xs[i:i + MOMENT_CHUNK, None])
+    return out
+
+
+@lru_cache(maxsize=None)
+def _log_grid(spec: QuadratureSpec):
+    """(log nodes, log weights) of the flattened reference grid."""
+    nodes, weights = radial_nodes(spec)
+    return np.log(nodes), np.log(weights)
+
+
 @lru_cache(maxsize=None)
 def _legendre_inverse_vandermonde(order: int):
     x, _ = gauss_rule(order)
@@ -249,12 +288,46 @@ class PanelFunction:
         F, idx = self._walk(r, self.anti)
         return self.prefix[idx] + (F - self.anti_lo[idx]) * self.half[idx]
 
+    def moments(self, xs) -> np.ndarray:
+        """int_0^1 s^x f(s) ds on the cached grid, for each x in ``xs``.
+
+        Each row is summed as ``np.sum(exp(x log s) * (f w))`` would sum it
+        alone; the rows are formed MOMENT_CHUNK at a time.
+        """
+        ln = np.log(self.flat_nodes)
+        vals = self.flat_values * self.flat_weights
+        return _by_chunks(
+            xs, lambda x: np.sum(_exp_window(x * ln) * vals, axis=1))
+
     def moment(self, x: float) -> float:
         """int_0^1 s^x f(s) ds on the cached grid."""
-        nodes = self.flat_nodes
-        vals = self.flat_values * self.flat_weights
-        with np.errstate(under="ignore"):
-            return float(np.sum(np.exp(x * np.log(nodes)) * vals))
+        return float(self.moments([x])[0])
+
+
+def log_moments(xs, log_density: np.ndarray,
+                spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
+    """log int_0^1 s^x f(s) ds for each x in ``xs``, by log-sum-exp on the
+    reference grid from ``log_density`` = log f at its nodes.
+
+    Terms that are not finite are dropped; since x log s and log w are
+    finite for every finite x, those are the columns where log f is not.
+    Each row is reduced as a lone 1-D log-sum-exp over the kept terms
+    would be, so the values do not depend on how ``xs`` is batched.
+    """
+    ln, lw = _log_grid(spec)
+    keep = np.isfinite(log_density)
+    ln, ld, lw = ln[keep], log_density[keep], lw[keep]
+    if not len(ld):
+        return np.full(len(xs), -np.inf)
+
+    def rows(x):
+        expo = (x * ln + ld) + lw
+        top = np.max(expo, axis=1)
+        # an infinite or NaN x leaves no finite term in its row: -inf
+        with np.errstate(invalid="ignore"):
+            total = np.sum(_exp_window(expo - top[:, None]), axis=1)
+            return np.where(np.isfinite(top), top + np.log(total), -np.inf)
+    return _by_chunks(xs, rows)
 
 
 def radial_diverges(values: np.ndarray,

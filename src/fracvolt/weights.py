@@ -41,7 +41,8 @@ import numpy as np
 from scipy import special as sps
 
 from .expr import Expression, ExprError
-from .quad import DEFAULT_SPEC, PanelFunction, QuadratureSpec, radial_diverges
+from .quad import (DEFAULT_SPEC, PanelFunction, QuadratureSpec, log_moments,
+                   radial_diverges)
 
 MAX_ITERATE_DEPTH = 4
 
@@ -80,7 +81,7 @@ class RadialWeight:
         self.spec = spec
         self._pf: Optional[PanelFunction] = None
         self._moment_cache: dict = {}
-        self._odd_cache: Optional[np.ndarray] = None
+        self._odd_cache = np.empty(0)
 
     # -- density ---------------------------------------------------------
     def _density(self, r: np.ndarray) -> np.ndarray:
@@ -111,38 +112,31 @@ class RadialWeight:
             return np.log(np.asarray(self.tail(r), dtype=float))
 
     # -- moments ---------------------------------------------------------
-    def _moment(self, x: float) -> float:
-        return self.panel_function().moment(x)
+    def _moments(self, xs: np.ndarray) -> np.ndarray:
+        """int_0^1 s^x mu(s) ds for each x in ``xs``; the one moment hook."""
+        return self.panel_function().moments(xs)
 
     def moment(self, x) -> float:
         x = float(x)
         if x < 0:
             raise WeightError("moment index must be nonnegative")
         if x not in self._moment_cache:
-            self._moment_cache[x] = self._moment(x)
+            self._moment_cache[x] = float(self._moments(np.array([x]))[0])
         return self._moment_cache[x]
 
     def log_moment(self, x: float) -> float:
         m = self.moment(x)
         return math.log(m) if m > 0 else -math.inf
 
-    def _grid_log_moment(self, x: float, log_density: np.ndarray) -> float:
-        """log int_0^1 s^x mu(s) ds by log-sum-exp on the panel grid, from
-        log mu at its nodes; terms that are not finite are dropped."""
-        pf = self.panel_function()
-        expo = x * np.log(pf.flat_nodes) + log_density + np.log(pf.flat_weights)
-        expo = expo[np.isfinite(expo)]
-        if len(expo) == 0:
-            return -math.inf
-        top = np.max(expo)
-        return float(top + np.log(np.sum(np.exp(expo - top))))
-
     def odd_moments(self, count: int) -> np.ndarray:
-        """[mu_1, mu_3, ..., mu_{2(count-1)+1}] computed in one batch."""
-        if self._odd_cache is None or len(self._odd_cache) < count:
-            self._odd_cache = np.array(
-                [self.moment(2 * n + 1) for n in range(count)])
-        return self._odd_cache[:count]
+        """[mu_1, mu_3, ..., mu_{2(count-1)+1}], computed in one batch by the
+        ``_moments`` hook; a longer request computes only the new indices.
+        Each value is bit-identical to ``moment(2n + 1)``."""
+        done = self._odd_cache
+        if len(done) < count:
+            new = self._moments(2.0 * np.arange(len(done), count) + 1.0)
+            done = self._odd_cache = np.concatenate([done, new])
+        return done[:count]
 
     # -- derived weights --------------------------------------------------
     def derive(self, op: str, param=None) -> "RadialWeight":
@@ -235,14 +229,14 @@ class StandardWeight(RadialWeight):
         with np.errstate(divide="ignore"):
             return self._log_total + np.log(self._tail_frac(r))
 
-    def _moment(self, x: float) -> float:
-        return math.exp(self.log_moment(x))
+    def _moments(self, xs):
+        return np.array([math.exp(self.log_moment(x)) for x in xs])
 
     def log_moment(self, x: float) -> float:
         return math.log(self.beta / 2.0) + sps.betaln((x + 1.0) / 2.0, self.beta)
 
     def odd_moments(self, count: int) -> np.ndarray:
-        if self._odd_cache is None or len(self._odd_cache) < count:
+        if len(self._odd_cache) < count:
             n = np.arange(count)
             b = self.beta
             logs = (math.log(b / 2.0) + sps.gammaln(n + 1.0)
@@ -276,6 +270,7 @@ class ExponentialWeight(RadialWeight):
         super().__init__(spec)
         self.c = float(c)
         self.gamma = float(gamma)
+        self._grid_log_density: Optional[np.ndarray] = None
 
     def _density(self, r):
         u = 1.0 - r
@@ -297,12 +292,17 @@ class ExponentialWeight(RadialWeight):
     def log_tail(self, r):
         return -self.c * (1.0 - r) ** -self.gamma
 
-    def log_moment(self, x: float) -> float:
-        return self._grid_log_moment(
-            x, self._log_density(self.panel_function().flat_nodes))
+    def _log_moments(self, xs) -> np.ndarray:
+        if self._grid_log_density is None:
+            self._grid_log_density = self._log_density(
+                self.panel_function().flat_nodes)
+        return log_moments(xs, self._grid_log_density, self.spec)
 
-    def _moment(self, x: float) -> float:
-        return math.exp(self.log_moment(x))
+    def log_moment(self, x: float) -> float:
+        return float(self._log_moments([x])[0])
+
+    def _moments(self, xs):
+        return np.array([math.exp(v) for v in self._log_moments(xs).tolist()])
 
     def label(self):
         return f"exp:{self.c:g}:{self.gamma:g}"
@@ -328,15 +328,15 @@ class ExprWeight(RadialWeight):
             raise WeightError("formula is negative or invalid on the probe grid")
         if radial_diverges(self.panel_function().flat_values, spec):
             raise WeightError("formula is not integrable up to r = 1")
+        with np.errstate(divide="ignore"):
+            self._grid_log_density = np.log(self.panel_function().flat_values)
 
     def _density(self, r):
         with np.errstate(under="ignore"):
             return np.asarray(self.expr(r), dtype=float)
 
     def log_moment(self, x: float) -> float:
-        with np.errstate(divide="ignore"):
-            logv = np.log(self.panel_function().flat_values)
-        return self._grid_log_moment(x, logv)
+        return float(log_moments([x], self._grid_log_density, self.spec)[0])
 
     def label(self):
         return f"expr:{self.formula}"

@@ -287,6 +287,36 @@ class TestUsageErrors:
         assert main(["--help"]) == EXIT_OK
         assert "usage:" in capsys.readouterr().out
 
+    def test_shared_parser_prints_what_a_fresh_one_prints(self):
+        argvs = [["moments", "--weight", "exp:1:1", "--x", "1,7"],
+                 ["classify", "--weight", "std:2", "--depth", "12"],
+                 ["norm", "--name", "bogus"],
+                 ["frac", "--symbol", "mono:3", "--op", "I"],
+                 ["norm", "--name", "hardy2-lp", "--symbol", "mono:2"],
+                 ["--help"],
+                 ["volterra", "--trunc", "32", "--p-list", "2",
+                  "--spectrum-head", "2"],
+                 ["equivalence", "--trunc", "8", "--format", "json"],
+                 ["volterra", "--help"]]
+
+        def run(argv):
+            out = io.StringIO()
+            with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                code = main(argv)
+            return code, out.getvalue()
+
+        fresh = []
+        for argv in argvs:
+            cli.build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert fresh[2] == (EXIT_INVARIANT, "")
+        assert fresh[5][0] == EXIT_OK and "usage:" in fresh[5][1]
+        assert all(out for _, out in fresh[:2] + fresh[3:])
+        cli.build_parser.cache_clear()
+        assert [run(argv) for argv in argvs] == fresh
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(argvs) - 1)
+
     def test_norm_choices_are_the_norm_table(self):
         assert set(cli.NORMS) == {
             "hardy2-coeff", "hardy2-lp", "tent", "bmoa", "bmoa-kernel",

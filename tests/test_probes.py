@@ -82,3 +82,26 @@ def test_traced_warmup_counts_and_output():
     assert counts["volterra.volterra_matrix.entries"] == 64 ** 2
     assert counts["volterra.singular_values.flops_computed"] == \
         32 * 64 ** 3 // 3 + 32 * 32 ** 3 // 3
+
+
+def run_volterra():
+    from fracvolt import cli
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.main("volterra --weight exp:1:1 --symbol mono:3 "
+                        "--trunc 64".split())
+    return code, out.getvalue()
+
+
+def test_traced_volterra_times_its_odd_moments():
+    # an odd_moments override on a subclass would escape the probes on
+    # RadialWeight and StandardWeight and read as zero moment time
+    plain = run_volterra()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(fracvolt)
+        traced = run_volterra()
+    finally:
+        tracer.active(False)
+    assert traced == plain
+    assert tracer.summary().get("weights.odd_moments.calls", 0) >= 1

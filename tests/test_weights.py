@@ -379,3 +379,114 @@ class TestCaches:
         w2 = StandardWeight(0.5).mu_plus()
         expect = [w2.moment(x) for x in xs]
         assert got == expect
+
+
+# -- batched moments against the per-index loops they replaced -------------
+
+def loop_log_moment(w, x, log_density):
+    """log int_0^1 s^x mu(s) ds by one 1-D log-sum-exp over the finite terms,
+    from log mu at the panel nodes."""
+    pf = w.panel_function()
+    expo = x * np.log(pf.flat_nodes) + log_density + np.log(pf.flat_weights)
+    expo = expo[np.isfinite(expo)]
+    if len(expo) == 0:
+        return -math.inf
+    top = np.max(expo)
+    return float(top + np.log(np.sum(np.exp(expo - top))))
+
+
+def loop_moment(w, x):
+    """One moment the unbatched way: log space for exponential weights,
+    the plain panel sum otherwise."""
+    pf = w.panel_function()
+    if isinstance(w, ExponentialWeight):
+        return math.exp(loop_log_moment(w, x, w._log_density(pf.flat_nodes)))
+    vals = pf.flat_values * pf.flat_weights
+    with np.errstate(under="ignore"):
+        return float(np.sum(np.exp(x * np.log(pf.flat_nodes)) * vals))
+
+
+def loop_log_of_moment(w, x):
+    if isinstance(w, ExponentialWeight):
+        return loop_log_moment(w, x, w._log_density(w.panel_function().flat_nodes))
+    if isinstance(w, ExprWeight):
+        with np.errstate(divide="ignore"):
+            logv = np.log(w.panel_function().flat_values)
+        return loop_log_moment(w, x, logv)
+    m = loop_moment(w, x)
+    return math.log(m) if m > 0 else -math.inf
+
+
+# exp(-1/(1-r)) underflows to 0 on the last panels, so its log density has
+# columns that the log-space batch drops
+BATCH_WEIGHTS = {
+    "exp:1:1": lambda: ExponentialWeight(1.0, 1.0),
+    "exp:2:0.5": lambda: ExponentialWeight(2.0, 0.5),
+    "expr:exp(-1/(1-r))": lambda: from_shorthand("expr:exp(-1/(1-r))"),
+    "tailexpr:(1-r)^2*exp(-r)": lambda: from_shorthand("tailexpr:(1-r)^2*exp(-r)"),
+    "exp:1:1|power_tail(2)": lambda: ExponentialWeight(1.0, 1.0).power_tail(2.0),
+}
+BATCH_MAX = 4096
+
+
+@pytest.fixture(scope="module")
+def loop_odd_moments():
+    """Per weight: [loop_moment(w, 2n + 1) for n < BATCH_MAX]."""
+    out = {}
+    for name, make in BATCH_WEIGHTS.items():
+        w = make()
+        out[name] = np.array([loop_moment(w, 2 * n + 1)
+                              for n in range(BATCH_MAX)])
+    return out
+
+
+class TestBatchedMoments:
+    @pytest.mark.parametrize("count", [1, 15, 16, 17, 700, BATCH_MAX])
+    @pytest.mark.parametrize("name", list(BATCH_WEIGHTS))
+    def test_odd_moments_equal_the_loop(self, loop_odd_moments, name, count):
+        got = BATCH_WEIGHTS[name]().odd_moments(count)
+        assert len(got) == count
+        assert np.array_equal(got, loop_odd_moments[name][:count])
+
+    @pytest.mark.parametrize("name", list(BATCH_WEIGHTS))
+    def test_cache_growth_equals_the_loop(self, loop_odd_moments, name):
+        w = BATCH_WEIGHTS[name]()
+        short = w.odd_moments(10).copy()
+        long = w.odd_moments(700)
+        assert np.array_equal(short, loop_odd_moments[name][:10])
+        assert np.array_equal(long, loop_odd_moments[name][:700])
+        assert np.array_equal(w.odd_moments(10), short)
+
+    @pytest.mark.parametrize("name", list(BATCH_WEIGHTS))
+    def test_scalar_moment_is_the_batch_entry(self, name):
+        w = BATCH_WEIGHTS[name]()
+        mus = BATCH_WEIGHTS[name]().odd_moments(40)
+        for n in (0, 1, 15, 16, 17, 39):
+            assert w.moment(2 * n + 1) == mus[n]
+
+    @pytest.mark.parametrize("name", list(BATCH_WEIGHTS))
+    def test_extreme_indices_match_the_loop(self, name):
+        # `moments --x` passes any float through, inf and nan included
+        w = BATCH_WEIGHTS[name]()
+        for x in (0.0, 1e300, math.inf, math.nan):
+            got, want = w.moment(x), loop_moment(w, x)
+            assert got == want or (math.isnan(got) and math.isnan(want))
+
+    @pytest.mark.parametrize("name", list(BATCH_WEIGHTS))
+    def test_log_moment_on_the_classify_ladder(self, name):
+        from fracvolt.weight_class import DEFAULT_DEPTH
+        w = BATCH_WEIGHTS[name]()
+        xs = 2.0 ** np.arange(0.0, DEFAULT_DEPTH + 1.0)
+        for x in np.concatenate([xs, 2.0 * xs]):
+            assert w.log_moment(x) == loop_log_of_moment(w, x)
+
+    def test_batch_never_holds_a_count_by_nodes_array(self):
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            ExponentialWeight(1.0, 1.0).odd_moments(4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one 4096 x 2304 float64 array alone would be 75 MB
+        assert peak < 8 * 2 ** 20
