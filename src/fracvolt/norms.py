@@ -54,6 +54,13 @@ BLOCK_ELEMENTS = 2 ** 17
 # terms, so their rounding stays many orders below this.
 BOUND_SLACK = 1e-9
 
+# The kernel ring FFTs take 64 / (1 - |a| r) samples, at most
+# KERNEL_FFT_SAMPLES, so they resolve the kernel peak only while
+# |a| <= 1 - 64 / KERNEL_FFT_SAMPLES = 1 - 2^-8 (the outermost default
+# kernel anchors); beyond it the FFT path (lambda != 2) refuses the anchor.
+KERNEL_FFT_SAMPLES = 16384
+KERNEL_FFT_MAX_RADIUS = 1.0 - 64.0 / KERNEL_FFT_SAMPLES
+
 
 # ---------------------------------------------------------------------------
 # shared machinery
@@ -431,14 +438,101 @@ def _kernel_anchor_set(depth: int = 8) -> np.ndarray:
     return np.array(anchors)
 
 
+def _elliptic_ke(q: np.ndarray):
+    """Complete elliptic integrals K(q) and E(q) of modulus q (0 <= q < 1)
+    by the arithmetic-geometric mean: K = pi / (2 AGM(1, sqrt(1 - q^2))),
+    E = K (1 - sum_n 2^(n-1) c_n^2) with c_0 = q, c_(n+1) = (a_n - b_n)/2."""
+    a = np.ones_like(q)
+    b = np.sqrt((1.0 - q) * (1.0 + q))
+    c, scale = q, 0.5
+    s = scale * c * c
+    for _ in range(64):
+        if not np.any(c > 2.0 ** -53 * a):
+            break
+        c = 0.5 * (a - b)
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        scale *= 2.0
+        s += scale * c * c
+    K = np.pi / (2.0 * a)
+    return K, K * (1.0 - s)
+
+
+def _laplace_khat(q: np.ndarray, d: int) -> np.ndarray:
+    """khat_k(q) = (1/2pi) int cos(k psi) |1 - q e^(i psi)|^-3 d psi for
+    k = 0..d, per q = |a| r (rows): the lambda = 2 kernel coefficients,
+    half the Laplace coefficients b_(3/2)^(k)(q) of celestial mechanics.
+
+    khat_0 = (2/pi) [2E - (1-q^2) K] / (1-q^2)^2 from the AGM
+    (:func:`_elliptic_ke`).  The higher k satisfy the three-term
+    recurrence (s = 3/2)
+
+        (k - s + 1) khat_(k+1) = k (q + 1/q) khat_k - (k + s - 1) khat_(k-1),
+
+    whose solution khat_k ~ q^k is minimal, so it runs two ways:
+
+    * q > switch: forward from khat_0 and
+      khat_1 = (2/pi) [(1+q^2) E - (1-q^2) K] / (q (1-q^2)^2), the
+      s-raising of the s = 1/2 pair (2/pi) K and (2/pi) (K - E) / q;
+    * q <= switch: Miller's backward ratios
+      r_k = (k+s-1) q / (k (1+q^2) - (k-s+1) q r_(k+1)), started from
+      r = 0 at n = d + ceil(20 / -ln switch) (190 steps above d at the
+      0.9 switch, so switch^(2(n-d)) < e^-40), and
+      khat_k = khat_0 r_1 ... r_k.  This form has no 1/q, so q = 0 is
+      exact (khat = 1, 0, 0, ...).
+
+    The switch is 0.9 up to degree 32 and 0.9^(32/d) above: the forward
+    recurrence amplifies rounding like q^-k, which this keeps below
+    0.9^-32 (at a fixed 0.9, degree 128 lost 1e-9 and degree 512 every
+    digit).  A switch below 0.9 loses digits on the forward side (1.7e-11
+    at 0.8, 1.3e-8 at 0.7).
+    """
+    q = np.asarray(q, dtype=float)
+    s = 1.5
+    K, E = _elliptic_ke(q)
+    w = (1.0 - q) * (1.0 + q)
+    out = np.empty((len(q), d + 1))
+    out[:, 0] = (2.0 / np.pi) * (2.0 * E - w * K) / w ** 2
+    if d == 0:
+        return out
+    switch = 0.9 ** min(1.0, 32.0 / d)
+    up = q > switch
+    if np.any(up):
+        qu, x = q[up], q[up] + 1.0 / q[up]
+        b = out[up]
+        b[:, 1] = (2.0 / np.pi) * ((1.0 + qu * qu) * E[up] - w[up] * K[up]) \
+            / (qu * w[up] ** 2)
+        for k in range(1, d):
+            b[:, k + 1] = (k * x * b[:, k] - (k + s - 1.0) * b[:, k - 1]) \
+                / (k - s + 1.0)
+        out[up] = b
+    down = ~up
+    if np.any(down):
+        qd = q[down]
+        qq = 1.0 + qd * qd
+        r = np.zeros(len(qd))
+        ratios = np.empty((len(qd), d + 1))
+        ratios[:, 0] = out[down, 0]
+        for k in range(d + math.ceil(20.0 / -math.log(switch)), 0, -1):
+            r = (k + s - 1.0) * qd / (k * qq - (k - s + 1.0) * qd * r)
+            if k <= d:
+                ratios[:, k] = r
+        out[down] = np.cumprod(ratios, axis=1)
+    return out
+
+
 class _KernelRings:
     """The radial rings of the kernel integral for one symbol.
 
     Per ring the angular integral is sum_k A_k(r) e^(ik arg a) khat_k(|a| r),
-    where khat are the kernel's angular Fourier coefficients, sampled on a
-    per-ring grid that refines as |a| r -> 1 so the kernel peak (angular
-    width ~ 1 - |a| r) stays resolved.  The khat depend on the anchor only
-    through t = |a|, so one radius costs one sweep of ring FFTs
+    where khat are the kernel's angular Fourier coefficients.  At
+    lambda = 2 they come in closed form (:func:`_laplace_khat`: AGM for
+    k = 0, then the three-term recurrence, forward above the 0.9 switch
+    and by Miller's backward ratios below it), O(deg) work per ring.  Any
+    other lambda takes the FFT path: the kernel is sampled on a per-ring
+    grid that refines as |a| r -> 1 so the kernel peak (angular width
+    ~ 1 - |a| r) stays resolved, which holds up to |a| = 1 - 2^-8
+    (KERNEL_FFT_MAX_RADIUS).  The khat depend on the anchor only through
+    t = |a|, so one radius costs one evaluation of the khat of every ring
     (:meth:`coefficients`), and each anchor of that radius one phase sum.
     """
 
@@ -453,13 +547,13 @@ class _KernelRings:
         self.degree = P.degree
         self.m_lo = max(256, 2 ** math.ceil(math.log2(2 * self.degree + 4)))
 
-    def coefficients(self, t: float, lam: float) -> np.ndarray:
-        """u_k(t) = (1-t)^lam 2 sum_rings base khat_k(t r) A_k(r), from the
-        ring FFTs in blocks of at most BLOCK_ELEMENTS samples."""
+    def fft_khat(self, tr: np.ndarray, lam: float) -> np.ndarray:
+        """khat_k(tr) for k = 0..deg per ring (rows), from the ring FFTs
+        in blocks of at most BLOCK_ELEMENTS samples: the path of every
+        lambda but 2, and the oracle of the closed form."""
         d = self.degree
-        u = np.zeros(d + 1, dtype=complex)
-        tr = t * self.nodes
-        m_per_ring = np.clip(64.0 / (1.0 - tr), self.m_lo, 16384)
+        khat = np.empty((len(tr), d + 1))
+        m_per_ring = np.clip(64.0 / (1.0 - tr), self.m_lo, KERNEL_FFT_SAMPLES)
         m_per_ring = (2 ** np.ceil(np.log2(m_per_ring))).astype(int)
         for m in np.unique(m_per_ring):
             sel = np.flatnonzero(m_per_ring == m)
@@ -471,9 +565,16 @@ class _KernelRings:
                 c = tr[rows][:, None]
                 K = ((1.0 - c * cos) ** 2
                      + (c * sin) ** 2) ** (-(lam + 1.0) / 2.0)
-                khat = np.fft.rfft(K, axis=1)[:, :d + 1].real / m
-                u += np.sum((self.base[rows, None] * khat) * self.A[rows],
-                            axis=0)
+                khat[rows] = np.fft.rfft(K, axis=1)[:, :d + 1].real / m
+        return khat
+
+    def coefficients(self, t: float, lam: float) -> np.ndarray:
+        """u_k(t) = (1-t)^lam 2 sum_rings base khat_k(t r) A_k(r), the khat
+        in closed form at lambda = 2 and from the ring FFTs otherwise."""
+        tr = t * self.nodes
+        khat = (_laplace_khat(tr, self.degree) if lam == 2.0
+                else self.fft_khat(tr, lam))
+        u = np.sum((self.base[:, None] * khat) * self.A, axis=0)
         u *= (1.0 - t) ** lam * 2.0
         return u
 
@@ -493,14 +594,26 @@ class _KernelRings:
         return (1.0 - ts) ** lam * 2.0 * (peak @ (self.base * self.A[:, 0].real))
 
 
+def _kernel_radii(anchors: np.ndarray, lam: float):
+    """(distinct |a| ascending, the index of each anchor's radius); the FFT
+    path (lam != 2) raises ValueError for |a| > KERNEL_FFT_MAX_RADIUS,
+    where its capped ring grids no longer resolve the kernel peak."""
+    ts, inverse = np.unique(np.abs(anchors), return_inverse=True)
+    if lam != 2.0 and len(ts) and ts[-1] > KERNEL_FFT_MAX_RADIUS:
+        raise ValueError(
+            f"kernel anchors need |a| <= 1 - 2^-8 at lambda = {lam:g} "
+            f"(got {ts[-1]!r}); only lambda = 2 has the closed form")
+    return ts, inverse
+
+
 def bmoa_kernel_values(g: TaylorSeries, w: RadialWeight, lam: float,
                        anchors: np.ndarray,
                        spec: QuadratureSpec = KERNEL_SPEC) -> np.ndarray:
     """int_D (1-|a|)^lam / |1 - conj(a) z|^(lam+1) d nu_g(z) per anchor a:
-    one sweep of ring FFTs per distinct |a| (:class:`_KernelRings`), then
-    one phase sum per anchor."""
+    the kernel coefficients of every ring once per distinct |a|
+    (:class:`_KernelRings`), then one phase sum per anchor."""
     rings = _KernelRings(g, w, spec)
-    ts, inverse = np.unique(np.abs(anchors), return_inverse=True)
+    ts, inverse = _kernel_radii(anchors, lam)
     U = np.zeros((len(ts), rings.degree + 1), dtype=complex)
     for j, t in enumerate(ts):
         U[j] = rings.coefficients(t, lam)
@@ -517,15 +630,23 @@ def bmoa_kernel_sup(g: TaylorSeries, w: RadialWeight, lam: float = 2.0,
     (1-t)^lam 2 sum_rings base A_0(r) (1 - t r)^-(lam+1) of
     :meth:`_KernelRings.bounds` is formed for every t first, the radii run
     in decreasing order of it, and a radius whose bound times
-    1 + BOUND_SLACK is below the best value found so far gets no ring FFTs:
-    none of its anchors can reach the maximum.  The value and the
-    first-maximum anchor are those of :func:`bmoa_kernel_values` over all
-    anchors, bit for bit.
+    1 + BOUND_SLACK is below the best value found so far gets no kernel
+    coefficients: none of its anchors can reach the maximum.  The value
+    and the first-maximum anchor are those of :func:`bmoa_kernel_values`
+    over all anchors, bit for bit.
+
+    A radius costs one evaluation of the khat of every active ring.  At
+    lambda = 2 (the CLI's only value) they come in closed form
+    (:func:`_laplace_khat`): khat_0 = (2/pi) [2E - (1-q^2) K] / (1-q^2)^2
+    with q = t r, then the three-term recurrence, forward from khat_0 and
+    khat_1 for q above the 0.9 switch and by Miller's backward ratios
+    below it.  Any other lambda runs the ring FFTs, which need
+    |a| <= 1 - 2^-8 (ValueError otherwise).
     """
     anchors = np.asarray(_kernel_anchor_set() if anchors is None else anchors,
                          dtype=complex)
     rings = _KernelRings(g, w, spec)
-    ts, inverse = np.unique(np.abs(anchors), return_inverse=True)
+    ts, inverse = _kernel_radii(anchors, lam)
     bound = rings.bounds(ts, lam)
     U = np.zeros((len(ts), rings.degree + 1), dtype=complex)
     done = np.zeros(len(ts), dtype=bool)
