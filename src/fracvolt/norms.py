@@ -9,7 +9,9 @@ trigonometric polynomial
 
 Angular integrals over full circles, cones |arg z - arg xi| < 1 - |z| and
 Carleson squares therefore collapse to closed windowed sums of the A_k, so
-the only quadrature error left is radial.  Radial integrals run on the
+the only quadrature error left is radial.  The Besov and Bergman p-means
+take the same A_k to |P|^2 on each ring's m angles with one real inverse
+FFT, and average (|P|^2)^(p/2).  Radial integrals run on the
 geometric Gauss-Legendre panels of :mod:`fracvolt.quad`; suprema over disc
 anchors are maxima over an explicit anchor set (lattice plus radial rays)
 and report their argmax anchor.
@@ -41,11 +43,13 @@ from .weights import RadialWeight, _power_tail
 KERNEL_SPEC = QuadratureSpec(left_levels=12, right_levels=20)
 
 # Elements (rows x angles) per block of the radius-by-angle loops: the
-# circle samples of the p-means and of bloch_mu, and the kernel FFTs.  One
-# complex array of a block takes 2 MB.  With blocks of 8 MB or more the
-# allocator handed the scratch back to the system after each call and
-# every Besov p-mean page-faulted about 6 MB back in; 2 MB blocks are
-# reused from the heap, and the extra loop passes cost no measurable time.
+# ring transforms of the p-means, the circle samples of bloch_mu and the
+# kernel FFTs.  A real array of a block (the p-means' |P|^2 and its power,
+# the kernel samples) takes 1 MB, a complex one (bloch_mu's samples) 2 MB.
+# With blocks of 8 MB or more the allocator handed the scratch back to the
+# system after each call and every Besov p-mean page-faulted about 6 MB
+# back in; blocks this size are reused from the heap, and the extra loop
+# passes cost no measurable time.
 BLOCK_ELEMENTS = 2 ** 17
 
 # Relative slack on the upper bounds that let bloch_mu and bmoa_kernel_sup
@@ -87,13 +91,13 @@ def angular_autocorr(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
 
     One real product of the power matrix against the real and imaginary
     parts of the lag products, column k holding c_{m+k} conj(c_m) in row
-    k + 2m.
+    k + 2m (the pair n = m + k >= m lands in row n + m, column n - m).
     """
     c = np.asarray(coeffs, dtype=complex)
     d = len(c) - 1
+    n, m = np.tril_indices(d + 1)
     W = np.zeros((2 * d + 1, d + 1), dtype=complex)
-    for k in range(d + 1):
-        W[k + 2 * np.arange(d + 1 - k), k] = c[k:] * np.conj(c[: d + 1 - k])
+    W[n + m, n - m] = c[n] * np.conj(c[m])
     with np.errstate(under="ignore"):
         R = _power_matrix(radii, 2 * d) @ np.hstack([W.real, W.imag])
     return R[:, : d + 1] + 1j * R[:, d + 1:]
@@ -116,9 +120,31 @@ def _sample_circle(coeffs: np.ndarray, radii: np.ndarray, m: int) -> np.ndarray:
     return np.abs(samples)
 
 
+def _ring_square(coeffs: np.ndarray, radii: np.ndarray, m: int) -> np.ndarray:
+    """|P(r e^(i theta))|^2 on m uniform angles, per radius, clamped at 0.
+
+    Built from the lags of :func:`angular_autocorr`: A_0 + 2 Re sum_k
+    A_k e^(ik theta) on the m angles is the unscaled inverse real FFT of
+    A (m irfft(A)).  When 2 deg >= m, lag k is first folded onto frequency
+    k mod m and its conjugate onto -k mod m, so the rule aliases as
+    sampling P itself would.
+    """
+    A = angular_autocorr(coeffs, radii)
+    d = A.shape[1] - 1
+    if 2 * d >= m:
+        k = np.arange(d + 1)
+        folded = np.zeros((len(radii), m), dtype=complex)
+        np.add.at(folded, (slice(None), k % m), A)
+        np.add.at(folded, (slice(None), -k[1:] % m), np.conj(A[:, 1:]))
+        A = folded[:, : m // 2 + 1]
+    sq = np.fft.irfft(A, n=m, axis=1, norm="forward")
+    return np.maximum(sq, 0.0, out=sq)
+
+
 def _disc_p_integral(coeffs: np.ndarray, p: float, density, m: int,
                      spec: QuadratureSpec) -> float:
-    """int_D |P|^p density(|z|) dA: per-radius p-means of |P| on m angles.
+    """int_D |P|^p density(|z|) dA: per-radius means of (|P|^2)^(p/2) on
+    m angles.
 
     Each ring is sampled over its true angular period only.  If every
     exponent in P's support is v mod g, then P(z) = z^v Q(z^g), so
@@ -129,27 +155,40 @@ def _disc_p_integral(coeffs: np.ndarray, p: float, density, m: int,
     (m/g)-point grid.  So the m-angle mean of |P|^p equals the (m/g)-angle
     mean of (r^v |Q|)^p exactly; only rounding differs.  A single term
     needs one sample per ring, as does the zero series (g = m).  When
-    g = 1, P itself is sampled on all m angles.
+    g = 1, P itself is transformed on all m angles.
+
+    Each ring's |P|^2 comes from :func:`_ring_square`, a block of rows at
+    a time, times r^(2v).  The coefficients are first scaled by 2^-e, with
+    e the binary exponent of max |c_n|, so that squaring neither
+    underflows nor overflows; the result is scaled back by 2^(ep).
+    Rounding: |P|^2 is a sum of terms of size up to A_0 = sum |c_n|^2
+    r^(2n), so each sample carries an absolute error of about eps A_0.
+    Near a zero of P that is a large relative error in |P|^p (negative
+    sums are clamped to 0), but the samples it affects carry a negligible
+    share of the mean.
     """
-    c = np.asarray(coeffs, dtype=complex)
+    c = np.array(coeffs, dtype=complex)
     support = np.flatnonzero(c)
     v = int(support[0]) if len(support) else 0
     g = math.gcd(m, *(int(n) - v for n in support))
+    e = int(np.frexp(np.max(np.abs(c)))[1]) if len(support) else 0
+    c = np.ldexp(c.view(float), -e).view(complex)
     nodes, weights = radial_nodes(spec)
     radii, scale = nodes, None
     if g > 1:
         c, m = c[v::g], m // g
         with np.errstate(under="ignore"):
-            radii, scale = nodes ** g, nodes ** v
+            radii, scale = nodes ** g, nodes ** (2 * v)
     mean_p = np.empty(len(nodes))
     for sl in _row_blocks(len(nodes), m):
-        samples = _sample_circle(c, radii[sl], m)
+        sq = _ring_square(c, radii[sl], m)
         if scale is not None:
-            samples *= scale[sl, None]
-        mean_p[sl] = np.mean(samples ** p, axis=1)
+            sq *= scale[sl, None]
+        mean_p[sl] = np.mean(sq ** (p / 2.0), axis=1)
     with np.errstate(over="ignore", divide="ignore", under="ignore"):
         dens = density(nodes)
-    return float(np.sum(2.0 * weights * nodes * dens * mean_p))
+        return float(np.sum(2.0 * weights * nodes * dens * mean_p)
+                     * np.exp2(e * p))
 
 
 def _lp_factor(w: RadialWeight):

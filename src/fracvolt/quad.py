@@ -263,16 +263,18 @@ class PanelFunction:
         return np.clip(idx, 0, len(self.edges) - 2)
 
     def _walk(self, r, table: np.ndarray):
-        """Per-panel Legendre series ``table`` at r: (values, panel index)."""
+        """Per-panel Legendre series ``table`` at r: (values, panel index).
+
+        One ``legval`` call for all points, each carrying its own panel's
+        coefficient row (``tensor=False``): numpy's recurrence runs element
+        by element, so each value is bit-identical to a per-panel call.
+        """
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty_like(r)
         idx = self._panel_index(r)
-        for p in np.unique(idx):
-            sel = idx == p
-            lo, hi = self.edges[p], self.edges[p + 1]
-            t = 2.0 * (r[sel] - lo) / (hi - lo) - 1.0
-            out[sel] = npleg.legval(t, table[p])
-        return out, idx
+        lo, hi = self.edges[idx], self.edges[idx + 1]
+        t = 2.0 * (r - lo) / (hi - lo) - 1.0
+        return npleg.legval(t, np.moveaxis(table[idx], -1, 0),
+                            tensor=False), idx
 
     def evaluate(self, r) -> np.ndarray:
         return self._walk(r, self.coeffs)[0]

@@ -64,6 +64,20 @@ class TestCommands:
         np.testing.assert_allclose(float(out.strip().split("\n")[1].split(",")[4]),
                                    1.0 / 6.0, rtol=1e-12)
 
+    def test_moments_err_not_estimated_for_panel_moments(self, capsys):
+        # expr: moments are the panel moments themselves: no cross-check
+        code, out = run_cli(capsys, "moments", "--weight", "expr:(1-r)^2",
+                            "--x", "1,3")
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [row[8] for row in rows] == ["nan", "nan"]
+        np.testing.assert_allclose([float(row[4]) for row in rows],
+                                   [1.0 / 12.0, 1.0 / 60.0], rtol=1e-12)
+        assert [row[5] for row in rows] == [row[4] for row in rows]
+        # std: has closed-form moments, so err compares two routes
+        _, out = run_cli(capsys, "moments", "--weight", "std:2", "--x", "3")
+        assert float(out.strip().split("\n")[1].split(",")[8]) < 1e-12
+
     def test_classify_json_verdicts(self, capsys):
         code, out = run_cli(capsys, "classify", "--weight", "exp:1:1",
                             "--format", "json")

@@ -122,6 +122,24 @@ class TestPanelFunction:
             np.testing.assert_array_equal(pf.prefix_integral(r),
                                           per_panel_loop(pf, r, "prefix"))
 
+    def test_walk_makes_one_legval_call(self, monkeypatch):
+        pf = PanelFunction.from_callable(lambda r: np.exp(-r))
+        grid, _ = radial_nodes()
+        calls = []
+        original = npleg.legval
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(npleg, "legval", counted)
+        for r in (np.array([0.3]), grid[:64], grid):
+            assert len(np.unique(pf._panel_index(r))) in (1, 2, 72)
+            for method in (pf.evaluate, pf.suffix_integral, pf.prefix_integral):
+                calls.clear()
+                method(r)
+                assert len(calls) == 1
+
     def test_suffix_matches_antiderivative(self):
         pf = PanelFunction.from_callable(lambda r: 3.0 * r * r)
         r = np.array([0.0, 0.1, 0.5, 0.99, 0.999999])
