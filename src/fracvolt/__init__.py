@@ -22,13 +22,10 @@ from .weights import (
 from .taylor import (
     KernelSlice,
     TaylorSeries,
-    cauchy_product,
     frac_R,
     frac_derivative,
     frac_integral,
     frac_rep_identity_check,
-    inner_product,
-    kernel_eval,
 )
 
 __all__ = [
@@ -48,9 +45,6 @@ __all__ = [
     "frac_derivative",
     "frac_integral",
     "frac_R",
-    "cauchy_product",
-    "kernel_eval",
-    "inner_product",
     "frac_rep_identity_check",
 ]
 

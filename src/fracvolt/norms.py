@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import special as sps
 
-from .geometry import ball_integrals, build_lattice
+from .geometry import build_lattice
 from .quad import (DEFAULT_SPEC, NormEstimate, QuadratureSpec,
                    angular_nodes_for_degree, gauss_rule, panel_edges,
                    radial_diverges, radial_integrals, radial_nodes)
@@ -307,8 +307,7 @@ class SquareMachine:
 
 @lru_cache(maxsize=8)
 def _cached_lattice_points(r: float, seed: int, max_radius: float):
-    return build_lattice(r, seed=seed, max_radius=max_radius,
-                         verify=False).points
+    return build_lattice(r, seed=seed, max_radius=max_radius)
 
 
 def default_anchors(depth: int = 12, lattice_r: float = 0.7, seed: int = 0,
@@ -749,37 +748,6 @@ def bloch_mu(g: TaylorSeries, w: RadialWeight, n_ang: int = 2048,
                         anchor=complex(best_z))
 
 
-def _ball_sup(g: TaylorSeries, w: RadialWeight, q: float, rho, alpha: float,
-              anchors, depth: int, r: float):
-    """(sup, argmax) over anchors, default_anchors(depth) if None, of
-    int_{D(a,r)} |D(g)|^q mu_hat^q rho(|z|) dA / (1-|a|)^(alpha+2)."""
-    P = frac_derivative(g, w)
-    anchors = np.asarray(default_anchors(depth=depth) if anchors is None
-                         else anchors, dtype=complex)
-
-    def dens(z):
-        rr = np.abs(z)
-        return np.abs(P(z)) ** q * np.asarray(w.tail(rr), dtype=float) ** q \
-            * rho(rr)
-    vals = ball_integrals(dens, anchors, r) \
-        / (1.0 - np.abs(anchors)) ** (alpha + 2.0)
-    return _first_max(vals, anchors)
-
-
-def bloch_mu_lattice(g: TaylorSeries, w: RadialWeight, p: float, alpha: float,
-                     anchors: Optional[Sequence[complex]] = None,
-                     r: float = 0.5) -> NormEstimate:
-    """sup over anchors of the beta-ball average matching the Bloch seminorm:
-
-    int_{D(a,r)} |D(g)|^p mu_hat^p (1-|z|)^alpha dA / (1-|a|)^(alpha+2).
-    """
-    best, best_a = _ball_sup(g, w, p, lambda rr: (1.0 - rr) ** alpha, alpha,
-                             anchors, 8, r)
-    return NormEstimate(best, math.nan, tag="bloch-mu-lattice",
-                        truncation={"series": g.degree, "p": p, "alpha": alpha},
-                        anchor=best_a)
-
-
 # ---------------------------------------------------------------------------
 # Besov / Bergman quantities
 # ---------------------------------------------------------------------------
@@ -799,6 +767,8 @@ def besov_mu(g: TaylorSeries, w: RadialWeight, p: float,
              spec: QuadratureSpec = DEFAULT_SPEC) -> NormEstimate:
     """||g||^p in the fractional-derivative Besov space:
     int_D |D(g)|^p mu_hat^p / (1-|z|^2)^2 dA."""
+    if p <= 0:
+        raise ValueError("p must be positive")
     if tail_weight_test(w, p, spec) == "not-a-weight":
         return NormEstimate(np.inf, np.inf, tag="besov-mu", diverged=True,
                             truncation={"series": g.degree, "p": p})
@@ -826,6 +796,8 @@ def besov_mu_series(g: TaylorSeries, w: RadialWeight,
 def besov_classical(g: TaylorSeries, p: float,
                     spec: QuadratureSpec = DEFAULT_SPEC) -> NormEstimate:
     """||g||^p in B_p: derivative order n_p = least n with n p > 1."""
+    if p <= 0:
+        raise ValueError("p must be positive")
     n_p = 1
     while n_p * p <= 1.0:
         n_p += 1
@@ -846,6 +818,8 @@ def besov_classical(g: TaylorSeries, p: float,
 def bergman_norm(f: TaylorSeries, alpha: float, p: float,
                  spec: QuadratureSpec = DEFAULT_SPEC) -> NormEstimate:
     """||f||^p in A^p_alpha with dA_alpha = (alpha+1)(1-|z|^2)^alpha dA."""
+    if p <= 0:
+        raise ValueError("p must be positive")
     if alpha <= -1:
         raise ValueError("bergman_norm needs alpha > -1")
     m = angular_nodes_for_degree(f.degree, spec)
@@ -870,29 +844,3 @@ def basis_norms(alpha: float, count: int) -> np.ndarray:
 def bergman2_coeff(f: TaylorSeries, alpha: float) -> float:
     """||f||^2 in A^2_alpha by orthogonality."""
     return float(np.sum(np.abs(f.coeffs * basis_norms(alpha, f.degree + 1)) ** 2))
-
-
-# ---------------------------------------------------------------------------
-# Carleson measure suprema
-# ---------------------------------------------------------------------------
-
-def carleson_ratio_sup(g: TaylorSeries, w: RadialWeight, alpha: float,
-                       anchors: Optional[Sequence[complex]] = None,
-                       r: float = 0.5,
-                       spec: QuadratureSpec = DEFAULT_SPEC) -> NormEstimate:
-    """Carleson supremum of d nu_g = |D(g)|^2 mu_hat^2 dA_alpha.
-
-    alpha = -1: classical squares, sup nu(S(a))/(1-|a|) with
-    dA_{-1} = dA/(1-|z|); alpha > -1: hyperbolic discs,
-    sup nu(D(a,r))/(1-|a|)^(2+alpha).
-    """
-    if alpha == -1:
-        est = bmoa_mu_sup(g, w, anchors, spec)
-        est.tag = "carleson-sup"
-        return est
-    best, best_a = _ball_sup(
-        g, w, 2.0, lambda rr: (alpha + 1.0) * (1.0 - rr ** 2) ** alpha, alpha,
-        anchors, 10, r)
-    return NormEstimate(best, math.nan, tag="carleson-sup",
-                        truncation={"series": g.degree, "alpha": alpha, "r": r},
-                        anchor=best_a)

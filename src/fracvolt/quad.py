@@ -1,4 +1,4 @@
-"""Deterministic 1-D and polar 2-D quadrature on the unit interval / disc.
+"""Deterministic radial quadrature on the unit interval, and its angular rule.
 
 The radial rule is Gauss-Legendre on geometrically refined panels.  Panels
 accumulate toward both endpoints (edges at 2^-j on the left and 1 - 2^-j on
@@ -48,19 +48,6 @@ class NormEstimate:
     truncation: dict = field(default_factory=dict)
     diverged: bool = False
     anchor: Optional[complex] = None
-
-    def as_dict(self) -> dict:
-        d = {
-            "value": self.value,
-            "err": self.err,
-            "tag": self.tag,
-            "diverged": self.diverged,
-        }
-        d.update({f"trunc_{k}": v for k, v in self.truncation.items()})
-        if self.anchor is not None:
-            d["anchor_re"] = self.anchor.real
-            d["anchor_im"] = self.anchor.imag
-        return d
 
 
 @dataclass(frozen=True)
@@ -215,18 +202,15 @@ class PanelFunction:
         inv = _legendre_inverse_vandermonde(order)
         self.coeffs = values @ inv.T          # per-panel Legendre coefficients
         # per-panel antiderivatives in the local variable, their values at the
-        # panel ends, and the local-to-global scale (hi - lo) / 2
+        # upper panel ends, and the local-to-global scale (hi - lo) / 2
         self.anti = npleg.legint(self.coeffs, axis=1)
         self.anti_hi = npleg.legval(1.0, self.anti.T)
-        self.anti_lo = npleg.legval(-1.0, self.anti.T)
         self.half = 0.5 * (edges[1:] - edges[:-1])
         self.panel_integrals = np.sum(weights * values, axis=1)
         # suffix[p] = integral over panels p..end; suffix[P] = 0
         self.suffix = np.concatenate(
             [np.cumsum(self.panel_integrals[::-1])[::-1], [0.0]]
         )
-        # prefix[p] = integral over panels 0..p-1; prefix[0] = 0
-        self.prefix = np.concatenate([[0.0], np.cumsum(self.panel_integrals)])
 
     @classmethod
     def from_callable(cls, f: Callable[[np.ndarray], np.ndarray],
@@ -283,12 +267,6 @@ class PanelFunction:
         """Vectorised int_r^1 f(s) ds."""
         F, idx = self._walk(r, self.anti)
         return (self.anti_hi[idx] - F) * self.half[idx] + self.suffix[idx + 1]
-
-    def prefix_integral(self, r) -> np.ndarray:
-        """Vectorised int_0^r f(s) ds (accumulated from the left, so it stays
-        accurate even when the integrand diverges at 1)."""
-        F, idx = self._walk(r, self.anti)
-        return self.prefix[idx] + (F - self.anti_lo[idx]) * self.half[idx]
 
     def moments(self, xs) -> np.ndarray:
         """int_0^1 s^x f(s) ds on the cached grid, for each x in ``xs``.
@@ -374,33 +352,3 @@ def angular_nodes_for_degree(max_trig_degree: int,
                              spec: QuadratureSpec = DEFAULT_SPEC) -> int:
     """Node count with trigonometric exactness for degrees < node count."""
     return max(spec.angular_nodes, 4 * (max_trig_degree + 1))
-
-
-def integrate_disc(F: Callable[[np.ndarray], np.ndarray],
-                   region: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                   spec: QuadratureSpec = DEFAULT_SPEC,
-                   max_trig_degree: int = 0) -> NormEstimate:
-    """int_D F(z) dA over the unit disc (or a sub-region), dA normalised.
-
-    ``F`` maps an array of complex points to values; ``region`` is a boolean
-    predicate over the same points.  The rule is a polar product: the
-    reference radial panels against a uniform angular grid.
-    """
-    rnodes, rweights = radial_nodes(spec)
-    m = angular_nodes_for_degree(max_trig_degree, spec)
-
-    def one_pass(m_ang: int) -> float:
-        theta = 2.0 * np.pi * np.arange(m_ang) / m_ang
-        z = rnodes[:, None] * np.exp(1j * theta[None, :])
-        vals = np.asarray(F(z.ravel()), dtype=float).reshape(z.shape)
-        if region is not None:
-            mask = np.asarray(region(z.ravel()), dtype=bool).reshape(z.shape)
-            vals = np.where(mask, vals, 0.0)
-        ang_mean = np.sum(vals, axis=1) / m_ang
-        return float(np.sum(2.0 * rweights * rnodes * ang_mean))
-
-    v1 = one_pass(m)
-    v2 = one_pass(2 * m)
-    err = abs(v2 - v1)
-    return NormEstimate(value=v2, err=err, tag="disc-integral",
-                        truncation={"angular": 2 * m})

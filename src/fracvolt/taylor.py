@@ -127,23 +127,6 @@ def frac_R(f: TaylorSeries, w_num: RadialWeight, w_den: RadialWeight) -> TaylorS
     return TaylorSeries.from_coeffs(f.coeffs * num / den)
 
 
-def cauchy_product(f: TaylorSeries, g: TaylorSeries, truncation: int = None) -> TaylorSeries:
-    """Coefficient m -> sum_{k<=m} f_k g_{m-k}, truncated at ``truncation``."""
-    full = np.convolve(f.coeffs, g.coeffs)
-    if truncation is not None:
-        if truncation < 0:
-            raise ValueError("truncation must be >= 0")
-        full = full[: truncation + 1]
-    return TaylorSeries.from_coeffs(full)
-
-
-def inner_product(f: TaylorSeries, g: TaylorSeries, w: RadialWeight) -> complex:
-    """<f, g> in A^2_w via orthogonality of monomials."""
-    n = min(f.degree, g.degree) + 1
-    mus = w.odd_moments(n)
-    return complex(np.sum(f.coeffs[:n] * np.conj(g.coeffs[:n]) * 2.0 * mus))
-
-
 @dataclass(frozen=True)
 class KernelSlice:
     """Reproducing kernel of A^2_w anchored at z, truncated to N terms."""
@@ -159,29 +142,6 @@ class KernelSlice:
 
     def series(self) -> TaylorSeries:
         return TaylorSeries.from_coeffs(self.coefficients())
-
-
-def kernel_eval(k: KernelSlice, zeta, N: int = None):
-    """Partial kernel sum sum_{n<=N} (conj(z) zeta)^n / (2 mu_{2n+1}).
-
-    Returns (value, tail_bound); the bound extrapolates the last term
-    geometrically and is infinite when the term ratio has not dropped
-    below 1.
-    """
-    N = k.truncation if N is None else min(N, k.truncation)
-    mus = k.weight.odd_moments(N + 1)
-    zeta = complex(zeta)
-    t = np.conj(k.z) * zeta
-    if abs(t) >= 1.0:
-        raise ValueError("kernel series needs |conj(z) zeta| < 1")
-    terms = t ** np.arange(N + 1) / (2.0 * mus)
-    value = complex(np.sum(terms))
-    if N >= 1 and abs(terms[N - 1]) > 0:
-        q = abs(terms[N]) / abs(terms[N - 1])
-        tail = abs(terms[N]) * q / (1.0 - q) if q < 1.0 else np.inf
-    else:
-        tail = abs(terms[N]) if N >= 0 else np.inf
-    return value, float(tail)
 
 
 @lru_cache(maxsize=None)

@@ -7,17 +7,11 @@ with alpha = -1 denoting H^2) it is lower triangular and banded:
     M[m, k] = mu_{2m+1} g_{m-k} / mu_{2(m-k)+1} * c_m / c_k,   0 <= m-k <= deg g,
 
 where c_n = ||z^n|| in the ambient space (c_n = 1 on H^2, the Gamma-ratio
-norming on A^2_alpha).  The comparison operator is the Toeplitz matrix of
-the measure |D(g)|^2 mu_hat^2 dA_alpha, whose entries collapse to finitely
-many radial integrals because |D(g)|^2 is a trigonometric polynomial; the
-exact angular reduction is mandatory here, no 2-D quadrature is involved.
+norming on A^2_alpha).
 
 Every truncation is stored as its band, entries[k, j] = M[k + j, k] (zero
-where k + j >= N), in O(N deg g) memory; a Toeplitz matrix keeps its lower
-band.  `OperatorMatrix.dense` expands a band for the library and the tests.
-
-Radial measure convention for alpha = -1: dA_{-1} = dA / (1 - |z|), matching
-the H^2 Littlewood-Paley density mu_hat^2/(1-|z|) used by the space norms.
+where k + j >= N), in O(N deg g) memory.  `OperatorMatrix.dense` expands a
+band for the tests.
 
 Singular values come from the banded Gram matrix M^H M, Hermitian with
 bandwidth deg g, whose diagonals are formed from those of M and passed to
@@ -43,10 +37,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import Lattice, ball_integrals
-from .norms import _lp_factor, basis_norms
-from .quad import NormEstimate, radial_integrals
-from .taylor import TaylorSeries, cauchy_product, frac_derivative, frac_integral
+from .norms import basis_norms
+from .quad import NormEstimate
+from .taylor import TaylorSeries
 from .weights import RadialWeight
 
 DEFAULT_TRUNCATION = 256
@@ -63,7 +56,6 @@ class OperatorError(Exception):
 class OperatorMatrix:
     entries: np.ndarray
     alpha: float
-    kind: str = "volterra"
 
     @property
     def dimension(self) -> int:
@@ -74,12 +66,10 @@ class OperatorMatrix:
             raise OperatorError("matrix entries must be finite")
 
     def dense(self) -> np.ndarray:
-        """The full N x N matrix; a Toeplitz band gets its conjugate mirror."""
+        """The full N x N lower-triangular matrix."""
         A = np.zeros((self.dimension, self.dimension), dtype=complex)
         k, j = np.nonzero(self.entries)
-        if self.kind == "toeplitz":
-            A[k, k + j] = np.conj(self.entries[k, j])
-        A[k + j, k] = self.entries[k, j]      # after the mirror: the diagonal
+        A[k + j, k] = self.entries[k, j]
         return A
 
 
@@ -114,66 +104,9 @@ def volterra_matrix(w: RadialWeight, g: TaylorSeries, alpha: float,
     return OperatorMatrix(band, alpha)
 
 
-def apply_matrix(M: OperatorMatrix, f: TaylorSeries) -> TaylorSeries:
-    """Image of f under the truncated matrix, back in Taylor coefficients."""
-    N = M.dimension
-    if f.degree >= N:
-        raise OperatorError("input degree exceeds the truncation")
-    c = basis_norms(M.alpha, N)
-    v = np.zeros(N, dtype=complex)
-    v[: f.degree + 1] = f.coeffs * c[: f.degree + 1]
-    out = M.dense() @ v
-    return TaylorSeries.from_coeffs(out / c)
-
-
-def apply_compositional(w: RadialWeight, g: TaylorSeries, f: TaylorSeries,
-                        N: int) -> TaylorSeries:
-    """I(f * D(g)) truncated: the defining composition, the dual path."""
-    prod = cauchy_product(f, frac_derivative(g, w), truncation=N - 1)
-    return frac_integral(prod, w)
-
-
-def toeplitz_matrix(w: RadialWeight, g: TaylorSeries, alpha: float,
-                    N: int = DEFAULT_TRUNCATION) -> OperatorMatrix:
-    """Toeplitz operator of d mu_g = |D(g)|^2 mu_hat^2 dA_alpha on A^2_alpha.
-
-    <T e_k, e_m> = int e_k conj(e_m) d mu_g; the angular integral picks the
-    (m - k)-th Fourier mode of |D(g)|^2, so entries are Hermitian, banded
-    with bandwidth deg g, and reduce to the radial integrals
-    I[j] = int_0^1 r^(2j+1) mu_hat(r)^2 rho_alpha(r) dr.
-    """
-    if alpha < -1:
-        raise OperatorError("alpha must be >= -1")
-    c = basis_norms(alpha, N)
-    dg = frac_derivative(g, w).coeffs
-    d = len(dg) - 1
-    if alpha == -1:
-        H = _lp_factor(w)
-    else:
-        def H(r):
-            return (np.asarray(w.tail(r), dtype=float) ** 2
-                    * (alpha + 1.0) * (1.0 - r ** 2) ** alpha)
-    I, _, diverged = radial_integrals(H, 2 * np.arange(N + d + 1) + 1)
-    if diverged:
-        raise OperatorError("the Toeplitz measure is not finite")
-    band = np.zeros((N, min(d, N - 1) + 1), dtype=complex)
-    for off in range(band.shape[1]):
-        wl = dg[off:] * np.conj(dg[: d + 1 - off])          # l = 0..d-off
-        m = np.arange(off, N)
-        acc = np.zeros(len(m), dtype=complex)
-        for l, coef in enumerate(wl):
-            # radial power k + j + m + l + 1 with k = m - off, j = l + off
-            acc += coef * I[m + l]
-        band[: N - off, off] = 2.0 * acc / (c[m] * c[m - off])
-    return OperatorMatrix(band, alpha, kind="toeplitz")
-
-
 def singular_values(M: OperatorMatrix) -> SingularSpectrum:
     """Singular values of a lower-triangular band, from the eigenvalues of
-    its banded Gram matrix.  A Toeplitz band, whose matrix also has the
-    mirrored upper band, raises OperatorError."""
-    if M.kind != "volterra":
-        raise OperatorError("singular values need a lower-triangular band")
+    its banded Gram matrix."""
     N = M.dimension
     # D[j] is the j-th subdiagonal; C order keeps the Gram sums' rounding
     D = np.ascontiguousarray(M.entries.T)
@@ -248,45 +181,3 @@ def schatten_truncation_profile(w: RadialWeight, g: TaylorSeries, alpha: float,
         M = volterra_matrix(w, g, alpha, int(N))
         out.append(schatten_norm(singular_values(M), p).value)
     return out
-
-
-def lattice_schatten_sum(w: RadialWeight, g: TaylorSeries, p: float,
-                         lattice: Lattice, n_rad: int = 24,
-                         n_ang: int = 48) -> NormEstimate:
-    """Discretised Besov-type sum over the lattice balls:
-
-    sum_j ( (1/(1-|z_j|^2)^2) int_{D(z_j, r)} |D(g)|^2 mu_hat^2 dA )^(p/2).
-    """
-    P = frac_derivative(g, w)
-    r = lattice.separation
-    per = ball_integrals(lambda z: np.abs(P(z)) ** 2 * np.asarray(
-        w.tail(np.abs(z)), dtype=float) ** 2, lattice.points, r, n_rad, n_ang)
-    scale = (1.0 - np.abs(lattice.points) ** 2) ** 2
-    total = float(np.sum((per / scale) ** (p / 2.0)))
-    # err: not estimated (one lattice, one ball rule)
-    return NormEstimate(total, math.nan, tag="lattice-schatten",
-                        truncation={"lattice": len(lattice.points),
-                                    "r": r, "p": p,
-                                    "max_radius": lattice.max_radius})
-
-
-def rayleigh_comparability(w: RadialWeight, g: TaylorSeries, alpha: float,
-                           corpus: Sequence[TaylorSeries],
-                           N: int = DEFAULT_TRUNCATION) -> dict:
-    """<T f, f> / ||V f||^2 across a corpus; the two-sided bound witness."""
-    V = volterra_matrix(w, g, alpha, N).dense()
-    T = toeplitz_matrix(w, g, alpha, N).dense()
-    c = basis_norms(alpha, N)
-    ratios = []
-    for f in corpus:
-        if f.degree >= N:
-            raise OperatorError("corpus degree exceeds truncation")
-        # coordinates in the orthonormal basis z^n / c_n
-        v = np.zeros(N, dtype=complex)
-        v[: f.degree + 1] = f.coeffs * c[: f.degree + 1]
-        img_norm = float(np.sum(np.abs(V @ v) ** 2))
-        if img_norm != 0:
-            ratios.append(float(np.real(np.conj(v) @ (T @ v))) / img_norm)
-    ratios = np.array(ratios)
-    spread = float(np.max(ratios) / np.min(ratios)) if len(ratios) else np.nan
-    return {"ratios": ratios, "max_over_min": spread}

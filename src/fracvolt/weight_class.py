@@ -150,6 +150,8 @@ def classify_dcheck(w: RadialWeight, K_grid: Sequence[float] = DEFAULT_K_GRID,
 def classify(w: RadialWeight, depth: int = DEFAULT_DEPTH,
              K_grid: Sequence[float] = DEFAULT_K_GRID) -> WeightClassReport:
     """Full report: upper and lower doubling evidence plus estimates."""
+    if depth < 1:
+        raise ValueError("--depth must be at least 1")
     up = classify_dhat(w, depth)
     low = classify_dcheck(w, K_grid, depth)
     verdicts = {"dhat": up.pop("dhat_verdict"),
@@ -162,44 +164,3 @@ def classify(w: RadialWeight, depth: int = DEFAULT_DEPTH,
         "verdicts are grid evidence, not proofs; a finite grid cannot decide "
         "an asymptotic class")
     return report
-
-
-def integral_dcheck_profile(w: RadialWeight, gamma: float, eta: float,
-                            depth: int = 20):
-    """Ratio profile of the integral lower-doubling test.
-
-    left(r) = int_0^r ds / (tail(s)^gamma (1-s)^eta) compared against
-    1 / (tail(r)^gamma (1-r)^(eta-1)); a bounded ratio profile is
-    lower-doubling evidence for the chosen (gamma, eta).  The test fixes
-    the pair; it cannot search the eta threshold.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if eta > 1.0:
-        raise ValueError("eta must be <= 1")
-    from .quad import PanelFunction
-
-    def integrand(s):
-        with np.errstate(over="ignore", divide="ignore"):
-            return np.exp(-gamma * np.asarray(w.log_tail(s), dtype=float)) \
-                * (1.0 - s) ** -eta
-
-    pf = PanelFunction.from_callable(integrand, w.spec)
-    r = 1.0 - 2.0 ** -np.arange(1.0, depth + 1.0)
-    left = pf.prefix_integral(r)
-    lt = np.asarray(w.log_tail(r), dtype=float)
-    with np.errstate(over="ignore"):
-        right_inv = np.exp(gamma * lt) * (1.0 - r) ** (eta - 1.0)
-    ratio = left * right_inv
-    return list(zip(r, ratio))
-
-
-def moment_vs_tail_profile(w: RadialWeight, depth: int = 20):
-    """log(mu_x / tail(1 - 1/x)) at x = 2^j: bounded iff upper doubling."""
-    xs = 2.0 ** np.arange(0.0, depth + 1.0)
-    out = []
-    for x in xs:
-        lm = w.log_moment(x)
-        lt = float(np.asarray(w.log_tail(1.0 - 1.0 / x), dtype=float))
-        out.append((x, lm - lt))
-    return out

@@ -225,6 +225,25 @@ class TestErrorExits:
                             "--trunc", "-5")
         assert "--trunc" in line
 
+    @pytest.mark.parametrize("p", ["0", "-1"])
+    @pytest.mark.parametrize("name", ["besov", "besov-classical", "bergman"])
+    def test_p_mean_needs_positive_p(self, capsys, name, p):
+        # besov-classical looped forever on these, bergman printed a value
+        line = self.run_err(capsys, "norm", "--name", name, "--alpha", "0",
+                            "--p", p)
+        assert "p must be positive" in line
+
+    def test_besov_equivalence_needs_positive_p(self, capsys):
+        line = self.run_err(capsys, "equivalence", "--name", "besov",
+                            "--p", "0")
+        assert "p must be positive" in line
+
+    def test_classify_depth_below_one(self, capsys):
+        # an empty dyadic grid reached numpy's reduction error
+        for depth in ("0", "-1"):
+            line = self.run_err(capsys, "classify", "--depth", depth)
+            assert "--depth" in line
+
     # malformed input: each was a traceback (exit 1) or a silent exit 0
 
     def test_descriptor_missing_beta(self, capsys):

@@ -269,26 +269,6 @@ class TestBloch:
                 for n in (1, 4, 16, 64)]
         assert max(vals) / min(vals) < 3.0
 
-    def test_lattice_variant_comparable(self, std1, rng):
-        g = random_polynomial(rng, 8)
-        sup = norms.bloch_mu(g, std1).value
-        latt = norms.bloch_mu_lattice(g, std1, 2.0, 0.0).value
-        # p = 2, alpha = 0 ball average vs sup^2: bounded both ways
-        assert latt < 40.0 * sup ** 2 and latt > sup ** 2 / 40.0
-
-    def test_lattice_variant_zero(self, std1):
-        assert norms.bloch_mu_lattice(TaylorSeries.zero(), std1, 2.0, 0.0).value == 0
-
-    def test_ball_average_closed_form_at_origin(self, std1):
-        # g = z, p = 2, alpha = 0, anchor 0: the ball D(0, r) is the disc of
-        # radius tanh(r) and the average is 2 int_0^t 16 r^3 (1-r)^2 dr
-        import numpy as _np
-        t = _np.tanh(0.5)
-        expect = 32.0 * (t ** 4 / 4.0 - 2.0 * t ** 5 / 5.0 + t ** 6 / 6.0)
-        est = norms.bloch_mu_lattice(TaylorSeries.monomial(1), std1, 2.0, 0.0,
-                                     anchors=[0.0 + 0.0j], r=0.5)
-        np.testing.assert_allclose(est.value, expect, rtol=1e-10)
-
     def test_homogeneity(self, std2, rng):
         g = random_polynomial(rng, 6)
         a = norms.bloch_mu(g, std2).value
@@ -384,18 +364,3 @@ class TestBesovBergman:
             a = norms.besov_classical(g, p).value
             b = norms.besov_classical(g.scale(2.0), p).value
             np.testing.assert_allclose(b, 2.0 ** p * a, rtol=1e-10)
-
-
-class TestCarlesonSup:
-    def test_zero(self, std1):
-        assert norms.carleson_ratio_sup(TaylorSeries.zero(), std1, -1.0).value == 0
-
-    def test_alpha_minus_one_is_square_path(self, std1):
-        g = TaylorSeries.monomial(1)
-        a = norms.carleson_ratio_sup(g, std1, -1.0).value
-        b = norms.bmoa_mu_sup(g, std1).value
-        assert a == b
-
-    def test_alpha_zero_finite(self, std1):
-        est = norms.carleson_ratio_sup(TaylorSeries.monomial(1), std1, 0.0)
-        assert 0.0 < est.value < 10.0

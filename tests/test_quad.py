@@ -1,9 +1,9 @@
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from fracvolt.quad import (GRID_TOP, NormEstimate, PanelFunction, _halved_grid,
-                           integrate_disc, looks_divergent, panel_edges,
-                           radial_diverges, radial_integrals, radial_nodes)
+from fracvolt.quad import (GRID_TOP, PanelFunction, _halved_grid,
+                           looks_divergent, panel_edges, radial_diverges,
+                           radial_integrals, radial_nodes)
 
 
 def integrate(f):
@@ -62,24 +62,6 @@ class TestMonitor:
                                             1.0 / (1.0 - r), 0.0))
 
 
-class TestIntegrateDisc:
-    def test_unit_mass(self):
-        est = integrate_disc(lambda z: np.ones_like(z, dtype=float))
-        np.testing.assert_allclose(est.value, 1.0, rtol=1e-12)
-
-    def test_second_moment(self):
-        # 2 int r^3 dr = 1/2
-        est = integrate_disc(lambda z: np.abs(z) ** 2)
-        np.testing.assert_allclose(est.value, 0.5, rtol=1e-12)
-
-    def test_carleson_square_region(self):
-        from fracvolt.geometry import CarlesonSquare, square_area
-        sq = CarlesonSquare(0.5)
-        est = integrate_disc(lambda z: np.ones_like(z, dtype=float),
-                             region=sq.contains)
-        np.testing.assert_allclose(est.value, square_area(0.5), rtol=1e-3)
-
-
 def per_panel_loop(pf, r, kind):
     """Reference walk: one Legendre evaluation per panel, antiderivative
     rebuilt on every call."""
@@ -95,12 +77,8 @@ def per_panel_loop(pf, r, kind):
             out[sel] = npleg.legval(t, pf.coeffs[p])
             continue
         anti = npleg.legint(pf.coeffs[p])
-        if kind == "suffix":
-            part = (npleg.legval(1.0, anti) - npleg.legval(t, anti)) * half
-            out[sel] = part + pf.suffix[p + 1]
-        else:
-            part = (npleg.legval(t, anti) - npleg.legval(-1.0, anti)) * half
-            out[sel] = pf.prefix[p] + part
+        part = (npleg.legval(1.0, anti) - npleg.legval(t, anti)) * half
+        out[sel] = part + pf.suffix[p + 1]
     return out
 
 
@@ -119,8 +97,6 @@ class TestPanelFunction:
                                           per_panel_loop(pf, r, "evaluate"))
             np.testing.assert_array_equal(pf.suffix_integral(r),
                                           per_panel_loop(pf, r, "suffix"))
-            np.testing.assert_array_equal(pf.prefix_integral(r),
-                                          per_panel_loop(pf, r, "prefix"))
 
     def test_walk_makes_one_legval_call(self, monkeypatch):
         pf = PanelFunction.from_callable(lambda r: np.exp(-r))
@@ -135,7 +111,7 @@ class TestPanelFunction:
         monkeypatch.setattr(npleg, "legval", counted)
         for r in (np.array([0.3]), grid[:64], grid):
             assert len(np.unique(pf._panel_index(r))) in (1, 2, 72)
-            for method in (pf.evaluate, pf.suffix_integral, pf.prefix_integral):
+            for method in (pf.evaluate, pf.suffix_integral):
                 calls.clear()
                 method(r)
                 assert len(calls) == 1
@@ -145,13 +121,6 @@ class TestPanelFunction:
         r = np.array([0.0, 0.1, 0.5, 0.99, 0.999999])
         np.testing.assert_allclose(pf.suffix_integral(r), GRID_TOP ** 3 - r ** 3,
                                    rtol=1e-12, atol=1e-14)
-
-    def test_prefix_accurate_for_divergent_integrand(self):
-        with np.errstate(divide="ignore"):
-            pf = PanelFunction.from_callable(lambda r: (1.0 - r) ** -3.0)
-        r = np.array([0.5, 0.9, 0.99])
-        exact = 0.5 * ((1.0 - r) ** -2 - 1.0)
-        np.testing.assert_allclose(pf.prefix_integral(r), exact, rtol=1e-11)
 
     def test_evaluate_reproduces_smooth_function(self):
         pf = PanelFunction.from_callable(np.cos)
@@ -184,9 +153,3 @@ def test_looks_divergent():
     assert looks_divergent(2.0 ** -np.arange(20)) is False
     assert looks_divergent(np.ones(20)) is True
     assert looks_divergent(2.0 ** np.arange(20)) is True
-
-
-def test_norm_estimate_dict():
-    est = NormEstimate(1.0, 1e-3, tag="x", truncation={"N": 4}, anchor=1j)
-    d = est.as_dict()
-    assert d["trunc_N"] == 4 and d["anchor_im"] == 1.0

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fracvolt import (KernelSlice, StandardWeight, TaylorSeries,
-                      cauchy_product, frac_R, frac_derivative, frac_integral,
-                      frac_rep_identity_check, inner_product, kernel_eval)
+from fracvolt import (KernelSlice, StandardWeight, TaylorSeries, frac_R,
+                      frac_derivative, frac_integral, frac_rep_identity_check)
 from conftest import random_polynomial
 
 
@@ -114,50 +113,7 @@ class TestFractionalOperators:
                                        atol=1e-13)
 
 
-class TestCauchyProduct:
-    def test_square_of_binomial(self):
-        f = TaylorSeries.from_coeffs([1.0, 1.0])
-        np.testing.assert_allclose(cauchy_product(f, f).coeffs, [1.0, 2.0, 1.0])
-
-    def test_zero_annihilates(self, rng):
-        f = random_polynomial(rng, 6)
-        out = cauchy_product(f, TaylorSeries.zero())
-        assert out.degree == 0 and out.coeffs[0] == 0
-
-    def test_against_double_loop(self, rng):
-        f = random_polynomial(rng, 5)
-        g = random_polynomial(rng, 5)
-        brute = np.zeros(11, dtype=complex)
-        for i, a in enumerate(f.coeffs):
-            for j, b in enumerate(g.coeffs):
-                brute[i + j] += a * b
-        np.testing.assert_allclose(cauchy_product(f, g).coeffs, brute, atol=1e-15)
-
-    def test_truncation(self, rng):
-        f = random_polynomial(rng, 5)
-        out = cauchy_product(f, f, truncation=3)
-        assert out.degree <= 3
-
-
 class TestKernel:
-    def test_beta1_geometric_kernel(self, std1):
-        # sum (n+1) t^n = 1/(1-t)^2
-        k = KernelSlice(std1, 0.6, 256)
-        val, tail = kernel_eval(k, 0.5)
-        np.testing.assert_allclose(val, 1.0 / (1.0 - 0.3) ** 2, rtol=1e-10)
-        assert tail < 1e-10
-
-    def test_anchor_zero(self, std2):
-        k = KernelSlice(std2, 0.0, 16)
-        val, _ = kernel_eval(k, 0.7)
-        np.testing.assert_allclose(val, 1.0 / (2.0 * std2.moment(1)), rtol=1e-13)
-
-    def test_symmetry(self, std2):
-        z, zeta = 0.3 + 0.4j, -0.2 + 0.5j
-        a, _ = kernel_eval(KernelSlice(std2, z, 128), zeta)
-        b, _ = kernel_eval(KernelSlice(std2, zeta, 128), z)
-        np.testing.assert_allclose(a, np.conj(b), rtol=1e-12)
-
     def test_reproducing_by_quadrature(self, std1, std2, rng):
         # <p, B_z> over the disc, computed by honest polar quadrature
         from fracvolt.quad import _panel_grid
@@ -175,13 +131,6 @@ class TestKernel:
                 ang = vals.mean(axis=1)
                 got = np.sum(2.0 * ww * rr * dens * ang)
                 np.testing.assert_allclose(got, p(z), rtol=1e-9, atol=1e-11)
-
-    def test_inner_product_orthogonality(self, std2):
-        zn = TaylorSeries.monomial(3)
-        zm = TaylorSeries.monomial(5)
-        assert inner_product(zn, zm, std2) == 0
-        np.testing.assert_allclose(inner_product(zn, zn, std2),
-                                   2.0 * std2.moment(7), rtol=1e-13)
 
 
 class TestRepresentationIdentity:

@@ -4,11 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracvolt import TailExprWeight, TaylorSeries, frac_derivative, from_shorthand
+from fracvolt import TaylorSeries, from_shorthand
 from fracvolt import norms
 from fracvolt import volterra as vo
-from fracvolt.geometry import build_lattice
-from fracvolt.quad import radial_nodes
 from conftest import random_polynomial
 
 
@@ -38,125 +36,6 @@ class TestMatrix:
     def test_zero_symbol(self, std1):
         M = vo.volterra_matrix(std1, TaylorSeries.zero(), -1, 8)
         assert not np.any(M.entries)
-
-    def test_apply_matches_composition(self, std1, std2, rng):
-        for w in (std1, std2):
-            f = random_polynomial(rng, 10)
-            g = random_polynomial(rng, 6)
-            V = vo.volterra_matrix(w, g, -1, 32)
-            a = vo.apply_matrix(V, f)
-            b = vo.apply_compositional(w, g, f, 32)
-            np.testing.assert_allclose(a.coeffs, b.coeffs[: len(a.coeffs)],
-                                       atol=1e-12)
-
-    def test_apply_on_bergman_basis(self, std1, rng):
-        # dual path in A^2_0 coordinates as well
-        f = random_polynomial(rng, 8)
-        g = random_polynomial(rng, 5)
-        V = vo.volterra_matrix(std1, g, 0.0, 24)
-        a = vo.apply_matrix(V, f)
-        b = vo.apply_compositional(std1, g, f, 24)
-        np.testing.assert_allclose(a.coeffs, b.coeffs[: len(a.coeffs)],
-                                   atol=1e-12)
-
-    def test_image_of_constant_is_symbol(self, std1):
-        g = TaylorSeries.monomial(1)
-        V = vo.volterra_matrix(std1, g, -1, 8)
-        img = vo.apply_matrix(V, TaylorSeries.from_coeffs([1.0]))
-        np.testing.assert_allclose(img.coeffs, g.coeffs.tolist() , atol=1e-14)
-
-    def test_zero_input(self, std1):
-        V = vo.volterra_matrix(std1, TaylorSeries.monomial(1), -1, 8)
-        out = vo.apply_matrix(V, TaylorSeries.zero())
-        assert not np.any(out.coeffs)
-
-    def test_dimension_guard(self, std1, rng):
-        V = vo.volterra_matrix(std1, TaylorSeries.monomial(1), -1, 8)
-        with pytest.raises(vo.OperatorError):
-            vo.apply_matrix(V, random_polynomial(rng, 20))
-
-
-def cumulative_product_toeplitz(w, g, alpha, N):
-    """Reference Toeplitz matrix: every radial power integral from one
-    running product r^q on the unhalved grid."""
-    nodes, weights = radial_nodes()
-    tails = np.asarray(w.tail(nodes), dtype=float)
-    if alpha == -1:
-        rho = 1.0 / (1.0 - nodes)
-    else:
-        rho = (alpha + 1.0) * (1.0 - nodes ** 2) ** alpha
-    dg = frac_derivative(g, w).coeffs
-    d = len(dg) - 1
-    cur = weights * tails ** 2 * rho
-    I = [np.sum(cur)]
-    for _ in range(2 * N + 2 * d + 2):
-        cur = cur * nodes
-        I.append(np.sum(cur))
-    c = vo.basis_norms(alpha, N)
-    T = np.zeros((N, N), dtype=complex)
-    for off in range(min(d, N - 1) + 1):
-        wl = dg[off:] * np.conj(dg[: d + 1 - off])
-        m = np.arange(off, N)
-        acc = np.zeros(len(m), dtype=complex)
-        for l, coef in enumerate(wl):
-            acc += coef * np.array([I[q] for q in 2 * m + 2 * l + 1])
-        T[m, m - off] = 2.0 * acc / (c[m] * c[m - off])
-        T[m - off, m] = np.conj(T[m, m - off])
-    return T
-
-
-class TestToeplitz:
-    @pytest.mark.parametrize("label, alpha", [("std:1", -1), ("std:2", 0.0),
-                                              ("exp:1:1", -1), ("std:0.7", 1.5)])
-    def test_matches_cumulative_product_integrals(self, label, alpha, rng):
-        # the engine takes r^q per power on halved panels; the reference
-        # multiplies up r^q on the unhalved grid, so agreement is to rounding
-        # and panel-halving level, not bitwise
-        w = from_shorthand(label)
-        g = random_polynomial(rng, 5)
-        T = vo.toeplitz_matrix(w, g, alpha, 48).dense()
-        ref = cumulative_product_toeplitz(w, g, alpha, 48)
-        np.testing.assert_allclose(T, ref, rtol=1e-10, atol=0)
-
-    def test_divergent_measure_rejected(self):
-        # mu_hat^2/(1-r) ~ 1/((1-r) sqrt(log)) is not integrable
-        w = TailExprWeight("(1+log(1/(1-r)))^(-0.25)")
-        with pytest.raises(vo.OperatorError):
-            vo.toeplitz_matrix(w, TaylorSeries.monomial(1), -1, 8)
-
-    def test_zero_symbol(self, std1):
-        T = vo.toeplitz_matrix(std1, TaylorSeries.zero(), -1, 6)
-        assert not np.any(T.entries)
-
-    def test_corner_entry_matches_lp_integral(self, std1):
-        # <T e_0, e_0> = total mass of |D(g)|^2 mu_hat^2/(1-|z|) dA = 1.6
-        T = vo.toeplitz_matrix(std1, TaylorSeries.monomial(1), -1, 4).dense()
-        np.testing.assert_allclose(T[0, 0].real, 1.6, rtol=1e-11)
-
-    def test_hermitian_psd(self, std1, rng):
-        g = random_polynomial(rng, 6)
-        T = vo.toeplitz_matrix(std1, g, 0.0, 32).dense()
-        np.testing.assert_allclose(T, T.conj().T, atol=1e-12)
-        assert np.linalg.eigvalsh(T).min() > -1e-10
-
-    def test_quadratic_form_is_measure_integral(self, std1, rng):
-        # <T f, f> = int |f|^2 dmu_g, checked against direct quadrature
-        from fracvolt.quad import _panel_grid
-        g = TaylorSeries.monomial(1)
-        f = random_polynomial(rng, 5)
-        T = vo.toeplitz_matrix(std1, g, -1, 16).dense()
-        c = vo.basis_norms(-1.0, 16)
-        v = np.zeros(16, dtype=complex)
-        v[: f.degree + 1] = f.coeffs * c[: f.degree + 1]
-        got = float(np.real(np.conj(v) @ (T @ v)))
-        _, nodes, weights = _panel_grid(24, 48, 32)
-        rr, ww = nodes.ravel(), weights.ravel()
-        m = 256
-        zeta = rr[:, None] * np.exp(2j * np.pi * np.arange(m)[None, :] / m)
-        dens = np.abs(f(zeta)) ** 2 * np.abs(4.0 * zeta) ** 2
-        radial = (1.0 - rr) ** 2 / (1.0 - rr)
-        expect = float(np.sum(2.0 * ww * rr * radial * dens.mean(axis=1)))
-        np.testing.assert_allclose(got, expect, rtol=1e-10)
 
 
 class TestSpectra:
@@ -203,12 +82,6 @@ class TestSpectra:
         assert vo.singular_values(empty).values.shape == (0,)
         assert vo.truncation_spectra(std1, TaylorSeries.monomial(0), -1,
                                      1)[1].values.shape == (0,)
-
-    def test_toeplitz_band_rejected(self, std1):
-        # a Toeplitz band stands for a Hermitian matrix, not a lower triangle
-        T = vo.toeplitz_matrix(std1, TaylorSeries.monomial(1), -1, 8)
-        with pytest.raises(vo.OperatorError):
-            vo.singular_values(T)
 
 
 class TestBand:
@@ -333,52 +206,3 @@ class TestSchatten:
             ratios.append(s / b)
         ratios = np.array(ratios)
         assert ratios.max() / ratios.min() < 1e3
-
-
-class TestLatticeSum:
-    def test_zero_symbol(self, std1):
-        lat = build_lattice(0.5, seed=0, max_radius=0.99, verify=False)
-        est = vo.lattice_schatten_sum(std1, TaylorSeries.zero(), 2.0, lat)
-        assert est.value == 0.0
-
-    def test_err_is_not_estimated(self, std1):
-        lat = build_lattice(0.5, seed=0, max_radius=0.99, verify=False)
-        est = vo.lattice_schatten_sum(std1, TaylorSeries.monomial(1), 2.0, lat)
-        assert math.isnan(est.err)
-
-    def test_comparable_with_besov(self, std1):
-        g = TaylorSeries.monomial(1)
-        lat = build_lattice(0.5, seed=0, verify=False)
-        est = vo.lattice_schatten_sum(std1, g, 2.0, lat)
-        besov = norms.besov_mu(g, std1, 2.0).value
-        assert est.value / besov < 32.0 and besov / est.value < 32.0
-
-    def test_refinement_stability(self, std1):
-        g = TaylorSeries.monomial(1)
-        a = vo.lattice_schatten_sum(
-            std1, g, 2.0, build_lattice(0.5, seed=0, verify=False)).value
-        b = vo.lattice_schatten_sum(
-            std1, g, 2.0, build_lattice(0.25, seed=0, verify=False)).value
-        assert a / b < 4.0 and b / a < 4.0
-
-
-class TestRayleigh:
-    def test_zero_symbol_empty(self, std1, rng):
-        out = vo.rayleigh_comparability(std1, TaylorSeries.zero(), -1,
-                                        [random_polynomial(rng, 4)], 16)
-        assert len(out["ratios"]) == 0
-
-    def test_two_sided_bounds(self, std1, rng):
-        corpus = [random_polynomial(rng, int(rng.integers(2, 33)))
-                  for _ in range(20)]
-        out = vo.rayleigh_comparability(std1, TaylorSeries.monomial(1), -1,
-                                        corpus, 256)
-        assert out["max_over_min"] < 100.0
-
-    def test_scale_invariance(self, std1, rng):
-        f = random_polynomial(rng, 10)
-        a = vo.rayleigh_comparability(std1, TaylorSeries.monomial(1), -1,
-                                      [f], 64)["ratios"][0]
-        b = vo.rayleigh_comparability(std1, TaylorSeries.monomial(1), -1,
-                                      [f.scale(2.0)], 64)["ratios"][0]
-        np.testing.assert_allclose(a, b, rtol=1e-12)

@@ -3,9 +3,7 @@ import pytest
 
 from fracvolt import StandardWeight
 from fracvolt.weight_class import (EVIDENCE_AGAINST, EVIDENCE_FOR, classify,
-                                   classify_dcheck, classify_dhat,
-                                   integral_dcheck_profile,
-                                   moment_vs_tail_profile)
+                                   classify_dcheck, classify_dhat)
 
 
 class TestGroundTruth:
@@ -93,38 +91,3 @@ class TestMutualImplication:
             tails = np.array([lr for _, lr in frag["dhat_tail_profile"]])
             moms = np.array([lr for _, lr in frag["moment_profile"]])
             assert _plateaus(tails) == _plateaus(moms), w.label()
-
-    def test_moment_vs_tail_profile(self, std1, std2, exp_weight):
-        # mu_x <= C tail(1 - 1/x)  iff upper doubling
-        for w in (std1, std2):
-            prof = np.array([v for _, v in moment_vs_tail_profile(w, 16)])
-            assert np.ptp(prof) < 2.0          # bounded spread in log scale
-        prof = np.array([v for _, v in moment_vs_tail_profile(exp_weight, 16)])
-        assert prof[-1] > prof[2] + 10.0       # grows without bound
-
-
-class TestIntegralTest:
-    def test_beta1_gamma2_eta0_bounded(self, std1):
-        prof = integral_dcheck_profile(std1, 2.0, 0.0)
-        ratios = np.array([v for _, v in prof])
-        # exact value of the ratio is r at radius r
-        assert ratios.max() <= 1.0 + 1e-9
-        np.testing.assert_allclose(ratios[-1], 1.0, rtol=1e-6)
-
-    def test_beta1_gamma2_eta1_matched_divergence(self, std1):
-        # both sides blow up like (1-r)^-2; the ratio settles at 1/2
-        prof = integral_dcheck_profile(std1, 2.0, 1.0)
-        ratios = np.array([v for _, v in prof])
-        np.testing.assert_allclose(ratios[-1], 0.5, rtol=1e-6)
-
-    def test_r_zero_gives_zero(self, std1):
-        from fracvolt.quad import PanelFunction
-        # the left side is an empty integral at r = 0
-        pf = PanelFunction.from_callable(lambda s: 1.0 / (1.0 - s) ** 2)
-        assert pf.prefix_integral(0.0)[0] == 0.0
-
-    def test_parameter_guards(self, std1):
-        with pytest.raises(ValueError):
-            integral_dcheck_profile(std1, -1.0, 0.0)
-        with pytest.raises(ValueError):
-            integral_dcheck_profile(std1, 2.0, 1.5)
