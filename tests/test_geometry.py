@@ -43,6 +43,19 @@ class TestMetrics:
         w = (rng.uniform(-0.7, 0.7, 10) + 1j * rng.uniform(-0.7, 0.7, 10))
         np.testing.assert_allclose(pseudo_distance(z, w), pseudo_distance(w, z))
 
+    def test_hyper_values(self):
+        # the hyperbolic distance is artanh of the pseudohyperbolic one
+        assert np.arctanh(pseudo_distance(0.3j, 0.3j)) == 0.0
+        np.testing.assert_allclose(np.arctanh(pseudo_distance(0.0, 0.5)),
+                                   0.5 * np.log(3.0), rtol=1e-14)
+
+    def test_hyper_triangle_inequality(self, rng):
+        pts = rng.uniform(-0.6, 0.6, (50, 3)) + 1j * rng.uniform(-0.6, 0.6, (50, 3))
+        a, b, c = pts[:, 0], pts[:, 1], pts[:, 2]
+        lhs = np.arctanh(pseudo_distance(a, c))
+        rhs = np.arctanh(pseudo_distance(a, b)) + np.arctanh(pseudo_distance(b, c))
+        assert np.all(lhs <= rhs + 1e-12)
+
 
 class TestLattice:
     def test_invariants_r_half(self):
@@ -55,6 +68,18 @@ class TestLattice:
         a = build_lattice(0.4, seed=7, max_radius=0.99)
         b = build_lattice(0.4, seed=7, max_radius=0.99)
         np.testing.assert_array_equal(a, b)
+
+    def test_overlap_bound(self):
+        # no probe point lies in more than a bounded number of discs D(a, r)
+        pts = build_lattice(0.5, seed=2, max_radius=0.99)
+        rng = np.random.default_rng(4)
+        rad = np.tanh(np.arctanh(0.99) * rng.uniform(0.0, 1.0, 2000))
+        probe = rad * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2000))
+        worst = max(int(np.sum(pseudo_distance(probe[i:i + 512, None],
+                                               pts[None, :]) < np.tanh(0.5),
+                               axis=1).max())
+                    for i in range(0, 2000, 512))
+        assert worst <= 64
 
     def test_origin_always_covered(self):
         pts = build_lattice(0.3, seed=0, max_radius=0.9)

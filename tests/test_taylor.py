@@ -114,6 +114,24 @@ class TestFractionalOperators:
 
 
 class TestKernel:
+    def test_beta1_geometric_kernel(self, std1):
+        # sum (n+1) t^n = 1/(1-t)^2
+        k = KernelSlice(std1, 0.6, 256)
+        np.testing.assert_allclose(k.series()(0.5), 1.0 / (1.0 - 0.3) ** 2,
+                                   rtol=1e-10)
+        assert abs(k.coefficients()[-1] * 0.5 ** k.truncation) < 1e-10
+
+    def test_anchor_zero(self, std2):
+        k = KernelSlice(std2, 0.0, 16)
+        np.testing.assert_allclose(k.series()(0.7), 1.0 / (2.0 * std2.moment(1)),
+                                   rtol=1e-13)
+
+    def test_symmetry(self, std2):
+        z, zeta = 0.3 + 0.4j, -0.2 + 0.5j
+        a = KernelSlice(std2, z, 128).series()(zeta)
+        b = KernelSlice(std2, zeta, 128).series()(z)
+        np.testing.assert_allclose(a, np.conj(b), rtol=1e-12)
+
     def test_reproducing_by_quadrature(self, std1, std2, rng):
         # <p, B_z> over the disc, computed by honest polar quadrature
         from fracvolt.quad import _panel_grid

@@ -37,6 +37,14 @@ class TestMatrix:
         M = vo.volterra_matrix(std1, TaylorSeries.zero(), -1, 8)
         assert not np.any(M.entries)
 
+    def test_image_of_constant_is_symbol(self, std1):
+        # the first column, taken back from basis to Taylor coefficients
+        g = TaylorSeries.monomial(1)
+        V = vo.volterra_matrix(std1, g, -1, 8)
+        c = norms.basis_norms(V.alpha, V.dimension)
+        img = V.dense()[:, 0] * c[0] / c
+        np.testing.assert_allclose(img, np.eye(8)[1], atol=1e-14)
+
 
 class TestSpectra:
     def test_zero_matrix(self, std1):
