@@ -7,7 +7,7 @@ grid diagnostics for the doubling classes of weights.
 """
 
 from . import geometry, norms, quad, taylor, volterra, weight_class, weights
-from .quad import NormEstimate, QuadratureSpec
+from .quad import NormEstimate
 from .weights import (
     DerivedWeight,
     ExponentialWeight,
@@ -30,7 +30,6 @@ from .taylor import (
 
 __all__ = [
     "NormEstimate",
-    "QuadratureSpec",
     "RadialWeight",
     "StandardWeight",
     "ExponentialWeight",

@@ -248,8 +248,8 @@ def cmd_volterra(args) -> int:
     g = parse_symbol(args.symbol)
     spectra = volterra.truncation_spectra(w, g, args.alpha, args.trunc)
     rows = []
-    for i, lam in enumerate(spectra[0].values[: args.spectrum_head]):
-        rows.append(Row("volterra-spectrum", w.label(), args.symbol, i, lam,
+    for i, sigma in enumerate(spectra[0].values[: args.spectrum_head]):
+        rows.append(Row("volterra-spectrum", w.label(), args.symbol, i, sigma,
                         "", "", args.trunc))
     code = EXIT_OK
     for p in [float(t) for t in args.p_list.split(",")]:

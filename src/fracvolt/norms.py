@@ -16,6 +16,11 @@ geometric Gauss-Legendre panels of :mod:`fracvolt.quad`; suprema over disc
 anchors are maxima over an explicit anchor set (lattice plus radial rays)
 and report their argmax anchor.
 
+Every rule is fixed: the reference grid of :mod:`fracvolt.quad`,
+TENT_XI_NODES boundary points for the tent norm, BLOCH_ANGLES angles per
+ring for the Bloch supremum, and for the BMOA kernel test the exponent
+lambda = 2 on the reduced KERNEL_LEVELS grid.
+
 Tail convention: mu_hat(r) = int_r^1 mu(s) ds throughout, and dA is the
 normalised area measure.  The outer boundary integral of the tent norm uses
 |dxi| = d(theta)/2, which makes the p = 2 tent norm square equal to the
@@ -32,20 +37,25 @@ import numpy as np
 from scipy import special as sps
 
 from .geometry import build_lattice
-from .quad import (DEFAULT_SPEC, NormEstimate, QuadratureSpec,
-                   angular_nodes_for_degree, gauss_rule, panel_edges,
-                   radial_diverges, radial_integrals, radial_nodes)
+from .quad import (PANEL_ORDER, NormEstimate, angular_nodes_for_degree,
+                   gauss_rule, panel_edges, radial_diverges, radial_integrals,
+                   radial_nodes)
 from .taylor import TaylorSeries, frac_derivative
 from .weights import RadialWeight, _power_tail
 
-# reduced radial grid for 2-D kernel quadrature: measures with polynomial
-# densities carry no mass beyond 1 - 2^-20
-KERNEL_SPEC = QuadratureSpec(left_levels=12, right_levels=20)
+# (left, right) levels of the reduced radial grid of the kernel integral:
+# measures with polynomial densities carry no mass beyond 1 - 2^-20
+KERNEL_LEVELS = (12, 20)
+
+# Boundary points xi of the tent norm's outer integral (more when the
+# angular degree needs them), and angles per ring of the Bloch supremum.
+TENT_XI_NODES = 512
+BLOCH_ANGLES = 2048
 
 # Elements (rows x angles) per block of the radius-by-angle loops: the
-# ring transforms of the p-means, the circle samples of bloch_mu and the
-# kernel FFTs.  A real array of a block (the p-means' |P|^2 and its power,
-# the kernel samples) takes 1 MB, a complex one (bloch_mu's samples) 2 MB.
+# ring transforms of the p-means and the circle samples of bloch_mu.  A
+# real array of a block (the p-means' |P|^2 and its power) takes 1 MB, a
+# complex one (bloch_mu's samples) 2 MB.
 # With blocks of 8 MB or more the allocator handed the scratch back to the
 # system after each call and every Besov p-mean page-faulted about 6 MB
 # back in; blocks this size are reused from the heap, and the extra loop
@@ -58,17 +68,16 @@ BLOCK_ELEMENTS = 2 ** 17
 # terms, so their rounding stays many orders below this.
 BOUND_SLACK = 1e-9
 
-# The kernel ring FFTs take 64 / (1 - |a| r) samples, at most
-# KERNEL_FFT_SAMPLES, so they resolve the kernel peak only while
-# |a| <= 1 - 64 / KERNEL_FFT_SAMPLES = 1 - 2^-8 (the outermost default
-# kernel anchors); beyond it the FFT path (lambda != 2) refuses the anchor.
-KERNEL_FFT_SAMPLES = 16384
-KERNEL_FFT_MAX_RADIUS = 1.0 - 64.0 / KERNEL_FFT_SAMPLES
-
 
 # ---------------------------------------------------------------------------
 # shared machinery
 # ---------------------------------------------------------------------------
+
+def check_exponent(p: float) -> None:
+    """ValueError unless 0 < p < inf; NaN fails too."""
+    if not 0.0 < p < math.inf:
+        raise ValueError(f"p must be positive and finite, got {p!r}")
+
 
 def _row_blocks(n_rows: int, row_len: int):
     """Slices of at most max(1, BLOCK_ELEMENTS // row_len) rows."""
@@ -141,8 +150,7 @@ def _ring_square(coeffs: np.ndarray, radii: np.ndarray, m: int) -> np.ndarray:
     return np.maximum(sq, 0.0, out=sq)
 
 
-def _disc_p_integral(coeffs: np.ndarray, p: float, density, m: int,
-                     spec: QuadratureSpec) -> float:
+def _disc_p_integral(coeffs: np.ndarray, p: float, density, m: int) -> float:
     """int_D |P|^p density(|z|) dA: per-radius means of (|P|^2)^(p/2) on
     m angles.
 
@@ -173,7 +181,7 @@ def _disc_p_integral(coeffs: np.ndarray, p: float, density, m: int,
     g = math.gcd(m, *(int(n) - v for n in support))
     e = int(np.frexp(np.max(np.abs(c)))[1]) if len(support) else 0
     c = np.ldexp(c.view(float), -e).view(complex)
-    nodes, weights = radial_nodes(spec)
+    nodes, weights = radial_nodes()
     radii, scale = nodes, None
     if g > 1:
         c, m = c[v::g], m // g
@@ -200,11 +208,10 @@ def _lp_factor(w: RadialWeight):
     return H
 
 
-def _orthogonal_sum(c: np.ndarray, H, tag: str, truncation: dict,
-                    spec: QuadratureSpec) -> NormEstimate:
+def _orthogonal_sum(c: np.ndarray, H, tag: str, truncation: dict) -> NormEstimate:
     """int_D |P|^2 H(|z|) dA for P with coefficients c, by orthogonality:
     sum_n |c_n|^2 2 int_0^1 r^(2n+1) H(r) dr."""
-    vals, errs, diverged = radial_integrals(H, 2 * np.arange(len(c)) + 1, spec)
+    vals, errs, diverged = radial_integrals(H, 2 * np.arange(len(c)) + 1)
     if diverged:
         return NormEstimate(np.inf, np.inf, tag=tag, diverged=True,
                             truncation=truncation)
@@ -255,21 +262,19 @@ class SquareMachine:
     formed once per radius, and each anchor then costs one phase sum.
     """
 
-    def __init__(self, P: TaylorSeries, radial_factor,
-                 spec: QuadratureSpec = DEFAULT_SPEC):
+    def __init__(self, P: TaylorSeries, radial_factor):
         self.P = P
         self.radial_factor = radial_factor
-        self.edges = panel_edges(spec.left_levels, spec.right_levels)
-        self.nodes, self.weights = radial_nodes(spec)
+        self.edges = panel_edges()
+        self.nodes, self.weights = radial_nodes()
         self.H = radial_factor(self.nodes)
         self.A = angular_autocorr(self.P.coeffs, self.nodes)
         self.degree = self.P.degree
         base = (self.weights * self.nodes * self.H)[:, None] * self.A
-        per_panel = base.reshape(-1, spec.order, self.degree + 1).sum(axis=1)
+        per_panel = base.reshape(-1, PANEL_ORDER, self.degree + 1).sum(axis=1)
         self.panel_suffix = np.vstack([
             np.cumsum(per_panel[::-1], axis=0)[::-1],
             np.zeros((1, self.degree + 1))])
-        self.spec = spec
 
     def _suffix_from(self, t: np.ndarray) -> np.ndarray:
         """Row i: Q_k = int_{t_i}^1 r H(r) A_k(r) dr for all k."""
@@ -333,32 +338,28 @@ def hardy2_coeff(f: TaylorSeries) -> NormEstimate:
                         truncation={"series": f.degree})
 
 
-def hardy2_lp(f: TaylorSeries, w: RadialWeight,
-              spec: QuadratureSpec = DEFAULT_SPEC) -> NormEstimate:
+def hardy2_lp(f: TaylorSeries, w: RadialWeight) -> NormEstimate:
     """int_D |D(f)|^2 mu_hat^2 / (1 - |z|) dA via the radial series.
 
     Orthogonality collapses the angular integral:
     sum_n |f_n / mu_{2n+1}|^2 * 2 int_0^1 r^(2n+1) mu_hat(r)^2/(1-r) dr.
     """
     return _orthogonal_sum(frac_derivative(f, w).coeffs, _lp_factor(w),
-                           "hardy2-lp", {"series": f.degree}, spec)
+                           "hardy2-lp", {"series": f.degree})
 
 
-def h2_monomial_ratios(w: RadialWeight, ns,
-                       spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
+def h2_monomial_ratios(w: RadialWeight, ns) -> np.ndarray:
     """int_0^1 mu_hat^2/(1-r) r^(2n+1) dr / mu_{2n+1}^2 (the discrete witness),
     batched over the monomial degrees ``ns``."""
     ns = np.asarray(ns, dtype=int)
-    vals, _, diverged = radial_integrals(_lp_factor(w), 2 * ns + 1, spec)
+    vals, _, diverged = radial_integrals(_lp_factor(w), 2 * ns + 1)
     if diverged:
         return np.full(len(ns), np.inf)
     mus = np.array([w.moment(2 * int(n) + 1) for n in ns])
     return vals / mus ** 2
 
 
-def tent_norm_power(f: TaylorSeries, w: RadialWeight, p: float,
-                    n_xi: int = 512,
-                    spec: QuadratureSpec = DEFAULT_SPEC) -> NormEstimate:
+def tent_norm_power(f: TaylorSeries, w: RadialWeight, p: float) -> NormEstimate:
     """The p-th power of the tent norm of f through D(f).
 
     inner(xi) = int_{cone(xi)} |D(f)|^2 (mu_hat/(1-|z|))^2 dA,
@@ -367,21 +368,21 @@ def tent_norm_power(f: TaylorSeries, w: RadialWeight, p: float,
     Per ring, the cone cuts the window |theta - arg xi| < 1 - r whose
     integral against |D(f)|^2 is evaluated in closed form from the A_k
     (exact trigonometric windowing); the outer integral is a uniform
-    trapezoid, alias-free since the xi-grid exceeds the angular degree.
+    trapezoid on TENT_XI_NODES points, or more when the angular degree
+    needs them, so the xi-grid always exceeds the degree and does not alias.
     ``err``, the gap to the trapezoid on every other xi node, covers the
     outer xi rule only, not the radial rule (exact on both grids at p = 2).
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
+    check_exponent(p)
     P = frac_derivative(f, w)
-    nodes, weights = radial_nodes(spec)
+    nodes, weights = radial_nodes()
 
     def H(r):
         with np.errstate(over="ignore", divide="ignore"):
             return (np.asarray(w.tail(r), dtype=float) / (1.0 - r)) ** 2
 
     # integrability of the cone-integrated density mu_hat^2/(1-r)
-    if radial_diverges(_lp_factor(w)(nodes), spec):
+    if radial_diverges(_lp_factor(w)(nodes)):
         return NormEstimate(np.inf, np.inf, tag="tent-power", diverged=True,
                             truncation={"series": f.degree, "p": p})
 
@@ -391,7 +392,7 @@ def tent_norm_power(f: TaylorSeries, w: RadialWeight, p: float,
     base = (weights * nodes * H(nodes))[:, None]
     B = np.sum(base * win * A, axis=0) / np.pi
 
-    m = int(max(n_xi, 2 ** math.ceil(math.log2(max(2, 2 * d + 2)))))
+    m = int(max(TENT_XI_NODES, 2 ** math.ceil(math.log2(max(2, 2 * d + 2)))))
     phi = 2.0 * np.pi * np.arange(m) / m
     inner = B[0].real + 2.0 * np.real(
         np.exp(1j * np.outer(phi, np.arange(1, d + 1))) @ B[1:])
@@ -402,10 +403,8 @@ def tent_norm_power(f: TaylorSeries, w: RadialWeight, p: float,
                         truncation={"series": f.degree, "xi": m, "p": p})
 
 
-def tent_norm(f: TaylorSeries, w: RadialWeight, p: float,
-              n_xi: int = 512,
-              spec: QuadratureSpec = DEFAULT_SPEC) -> NormEstimate:
-    est = tent_norm_power(f, w, p, n_xi, spec)
+def tent_norm(f: TaylorSeries, w: RadialWeight, p: float) -> NormEstimate:
+    est = tent_norm_power(f, w, p)
     est.tag = "tent"
     if not est.diverged:
         # the xi-rule gap on the root scale, on either side of the value
@@ -415,11 +414,11 @@ def tent_norm(f: TaylorSeries, w: RadialWeight, p: float,
     return est
 
 
-def hardy_p_reference(f: TaylorSeries, p: float, m: int = None) -> NormEstimate:
+def hardy_p_reference(f: TaylorSeries, p: float) -> NormEstimate:
     """M_p(r, f) at r = 1 - 2^-30: the reference H^p norm for polynomials."""
     r0 = 1.0 - 2.0 ** -30
     d = f.degree
-    m = m or max(1024, 4 * (d + 1))
+    m = angular_nodes_for_degree(d)
     samples = _sample_circle(f.coeffs, np.array([r0]), m)[0]
     value = float(np.mean(samples ** p) ** (1.0 / p))
     # err: not estimated (the circle mean at one radius near 1)
@@ -443,26 +442,23 @@ def _square_sup(machine: SquareMachine, anchors, tag: str,
 
 
 def bmoa_mu_sup(g: TaylorSeries, w: RadialWeight,
-                anchors: Optional[Sequence[complex]] = None,
-                spec: QuadratureSpec = DEFAULT_SPEC) -> NormEstimate:
+                anchors: Optional[Sequence[complex]] = None) -> NormEstimate:
     """sup_a nu_g(S(a)) / (1 - |a|),  d nu_g = |D(g)|^2 mu_hat^2/(1-|z|) dA."""
-    machine = SquareMachine(frac_derivative(g, w), _lp_factor(w), spec)
+    machine = SquareMachine(frac_derivative(g, w), _lp_factor(w))
     return _square_sup(machine, anchors, "bmoa-mu", g.degree)
 
 
 def bmoa_classical(g: TaylorSeries,
-                   anchors: Optional[Sequence[complex]] = None,
-                   spec: QuadratureSpec = DEFAULT_SPEC) -> NormEstimate:
+                   anchors: Optional[Sequence[complex]] = None) -> NormEstimate:
     """Classical BMOA seminorm squared:
     sup_a int_{S(a)} |g'|^2 (1-|z|^2) dA / (1-|a|)."""
-    machine = SquareMachine(g.derivative(), lambda r: 1.0 - r * r, spec)
+    machine = SquareMachine(g.derivative(), lambda r: 1.0 - r * r)
     return _square_sup(machine, anchors, "bmoa-classical", g.degree)
 
 
-def vanishing_profile(g: TaylorSeries, w: RadialWeight, depth: int = 12,
-                      spec: QuadratureSpec = DEFAULT_SPEC):
+def vanishing_profile(g: TaylorSeries, w: RadialWeight, depth: int = 12):
     """(|a|, nu_g(S(a))/(1-|a|)) along a = 1 - 2^-j; j = 1..depth."""
-    machine = SquareMachine(frac_derivative(g, w), _lp_factor(w), spec)
+    machine = SquareMachine(frac_derivative(g, w), _lp_factor(w))
     a = 1.0 - 2.0 ** -np.arange(1.0, depth + 1)
     return list(zip(a.tolist(), (machine.square_mass(a) / (1.0 - a)).tolist()))
 
@@ -471,8 +467,8 @@ def _kernel_anchor_set(depth: int = 8) -> np.ndarray:
     anchors = [0.0 + 0.0j]
     for j in range(1, depth + 1):
         t = 1.0 - 2.0 ** -j
-        n_ang = 12 if j <= 4 else 4
-        anchors.extend(t * np.exp(2j * np.pi * (np.arange(n_ang) + 0.5 * j) / n_ang))
+        count = 12 if j <= 4 else 4
+        anchors.extend(t * np.exp(2j * np.pi * (np.arange(count) + 0.5 * j) / count))
     return np.array(anchors)
 
 
@@ -562,65 +558,34 @@ class _KernelRings:
     """The radial rings of the kernel integral for one symbol.
 
     Per ring the angular integral is sum_k A_k(r) e^(ik arg a) khat_k(|a| r),
-    where khat are the kernel's angular Fourier coefficients.  At
-    lambda = 2 they come in closed form (:func:`_laplace_khat`: AGM for
-    k = 0, then the three-term recurrence, forward above the 0.9 switch
-    and by Miller's backward ratios below it), O(deg) work per ring.  Any
-    other lambda takes the FFT path: the kernel is sampled on a per-ring
-    grid that refines as |a| r -> 1 so the kernel peak (angular width
-    ~ 1 - |a| r) stays resolved, which holds up to |a| = 1 - 2^-8
-    (KERNEL_FFT_MAX_RADIUS).  The khat depend on the anchor only through
-    t = |a|, so one radius costs one evaluation of the khat of every ring
-    (:meth:`coefficients`), and each anchor of that radius one phase sum.
+    where khat are the angular Fourier coefficients of the lambda = 2
+    kernel, in closed form (:func:`_laplace_khat`), O(deg) work per ring.
+    The khat depend on the anchor only through t = |a|, so one radius
+    costs one evaluation of the khat of every ring (:meth:`coefficients`),
+    and each anchor of that radius one phase sum.
     """
 
-    def __init__(self, g: TaylorSeries, w: RadialWeight,
-                 spec: QuadratureSpec):
+    def __init__(self, g: TaylorSeries, w: RadialWeight):
         P = frac_derivative(g, w)
-        nodes, weights = radial_nodes(spec)
+        nodes, weights = radial_nodes(*KERNEL_LEVELS)
         base = weights * nodes * _lp_factor(w)(nodes)
         active = base > 1e-18 * np.sum(base)
         self.nodes, self.base = nodes[active], base[active]
         self.A = angular_autocorr(P.coeffs, self.nodes)
         self.degree = P.degree
-        self.m_lo = max(256, 2 ** math.ceil(math.log2(2 * self.degree + 4)))
 
-    def fft_khat(self, tr: np.ndarray, lam: float) -> np.ndarray:
-        """khat_k(tr) for k = 0..deg per ring (rows), from the ring FFTs
-        in blocks of at most BLOCK_ELEMENTS samples: the path of every
-        lambda but 2, and the oracle of the closed form."""
-        d = self.degree
-        khat = np.empty((len(tr), d + 1))
-        m_per_ring = np.clip(64.0 / (1.0 - tr), self.m_lo, KERNEL_FFT_SAMPLES)
-        m_per_ring = (2 ** np.ceil(np.log2(m_per_ring))).astype(int)
-        for m in np.unique(m_per_ring):
-            sel = np.flatnonzero(m_per_ring == m)
-            psi = 2.0 * np.pi * np.arange(m) / m
-            cos, sin = np.cos(psi), np.sin(psi)
-            for blk in _row_blocks(len(sel), m):
-                rows = sel[blk]
-                # |1 - (t r) e^(i psi)|^2 = (1 - t r cos psi)^2 + (t r sin psi)^2
-                c = tr[rows][:, None]
-                K = ((1.0 - c * cos) ** 2
-                     + (c * sin) ** 2) ** (-(lam + 1.0) / 2.0)
-                khat[rows] = np.fft.rfft(K, axis=1)[:, :d + 1].real / m
-        return khat
-
-    def coefficients(self, t: float, lam: float) -> np.ndarray:
-        """u_k(t) = (1-t)^lam 2 sum_rings base khat_k(t r) A_k(r), the khat
-        in closed form at lambda = 2 and from the ring FFTs otherwise."""
-        tr = t * self.nodes
-        khat = (_laplace_khat(tr, self.degree) if lam == 2.0
-                else self.fft_khat(tr, lam))
+    def coefficients(self, t: float) -> np.ndarray:
+        """u_k(t) = (1-t)^2 2 sum_rings base khat_k(t r) A_k(r)."""
+        khat = _laplace_khat(t * self.nodes, self.degree)
         u = np.sum((self.base[:, None] * khat) * self.A, axis=0)
-        u *= (1.0 - t) ** lam * 2.0
+        u *= (1.0 - t) ** 2.0 * 2.0
         return u
 
-    def bounds(self, ts: np.ndarray, lam: float) -> np.ndarray:
+    def bounds(self, ts: np.ndarray) -> np.ndarray:
         """Per radius t, an upper bound of the kernel integral at every
         anchor of modulus t:
 
-            (1-t)^lam 2 sum_rings base A_0(r) (1 - t r)^-(lam+1).
+            (1-t)^2 2 sum_rings base A_0(r) (1 - t r)^-3.
 
         |1 - conj(a) z| >= 1 - t r bounds the kernel on the ring, and the
         ring term sum_k khat_k A_k e^(ik arg a) is exactly the discrete
@@ -628,71 +593,49 @@ class _KernelRings:
         which is at most max K times the mean of |P|^2, that is A_0.
         """
         with np.errstate(divide="ignore", over="ignore"):
-            peak = (1.0 - np.outer(ts, self.nodes)) ** (-(lam + 1.0))
-        return (1.0 - ts) ** lam * 2.0 * (peak @ (self.base * self.A[:, 0].real))
+            peak = (1.0 - np.outer(ts, self.nodes)) ** -3.0
+        return (1.0 - ts) ** 2.0 * 2.0 * (peak @ (self.base * self.A[:, 0].real))
 
 
-def _kernel_radii(anchors: np.ndarray, lam: float):
-    """(distinct |a| ascending, the index of each anchor's radius); the FFT
-    path (lam != 2) raises ValueError for |a| > KERNEL_FFT_MAX_RADIUS,
-    where its capped ring grids no longer resolve the kernel peak."""
-    ts, inverse = np.unique(np.abs(anchors), return_inverse=True)
-    if lam != 2.0 and len(ts) and ts[-1] > KERNEL_FFT_MAX_RADIUS:
-        raise ValueError(
-            f"kernel anchors need |a| <= 1 - 2^-8 at lambda = {lam:g} "
-            f"(got {ts[-1]!r}); only lambda = 2 has the closed form")
-    return ts, inverse
-
-
-def bmoa_kernel_values(g: TaylorSeries, w: RadialWeight, lam: float,
-                       anchors: np.ndarray,
-                       spec: QuadratureSpec = KERNEL_SPEC) -> np.ndarray:
-    """int_D (1-|a|)^lam / |1 - conj(a) z|^(lam+1) d nu_g(z) per anchor a:
-    the kernel coefficients of every ring once per distinct |a|
+def bmoa_kernel_values(g: TaylorSeries, w: RadialWeight,
+                       anchors: np.ndarray) -> np.ndarray:
+    """int_D (1-|a|)^2 / |1 - conj(a) z|^3 d nu_g(z) per anchor a: the
+    kernel coefficients of every ring once per distinct |a|
     (:class:`_KernelRings`), then one phase sum per anchor."""
-    rings = _KernelRings(g, w, spec)
-    ts, inverse = _kernel_radii(anchors, lam)
+    rings = _KernelRings(g, w)
+    ts, inverse = np.unique(np.abs(anchors), return_inverse=True)
     U = np.zeros((len(ts), rings.degree + 1), dtype=complex)
     for j, t in enumerate(ts):
-        U[j] = rings.coefficients(t, lam)
+        U[j] = rings.coefficients(t)
     return _phase_sum(U[inverse], anchors)
 
 
-def bmoa_kernel_sup(g: TaylorSeries, w: RadialWeight, lam: float = 2.0,
-                    anchors: Optional[Sequence[complex]] = None,
-                    spec: QuadratureSpec = KERNEL_SPEC) -> NormEstimate:
-    """sup_a int_D (1-|a|)^lam / |1 - conj(a) z|^(lam+1) d nu_g(z) over the
-    anchors (default ``_kernel_anchor_set()``).
+def bmoa_kernel_sup(g: TaylorSeries, w: RadialWeight,
+                    anchors: Optional[Sequence[complex]] = None) -> NormEstimate:
+    """sup_a int_D (1-|a|)^2 / |1 - conj(a) z|^3 d nu_g(z) over the anchors
+    (default ``_kernel_anchor_set()``): the kernel test at lambda = 2.
 
     Branch and bound over the distinct radii t = |a|: the bound
-    (1-t)^lam 2 sum_rings base A_0(r) (1 - t r)^-(lam+1) of
+    (1-t)^2 2 sum_rings base A_0(r) (1 - t r)^-3 of
     :meth:`_KernelRings.bounds` is formed for every t first, the radii run
     in decreasing order of it, and a radius whose bound times
     1 + BOUND_SLACK is below the best value found so far gets no kernel
     coefficients: none of its anchors can reach the maximum.  The value
     and the first-maximum anchor are those of :func:`bmoa_kernel_values`
     over all anchors, bit for bit.
-
-    A radius costs one evaluation of the khat of every active ring.  At
-    lambda = 2 (the CLI's only value) they come in closed form
-    (:func:`_laplace_khat`): khat_0 = (2/pi) [2E - (1-q^2) K] / (1-q^2)^2
-    with q = t r, then the three-term recurrence, forward from khat_0 and
-    khat_1 for q above the 0.9 switch and by Miller's backward ratios
-    below it.  Any other lambda runs the ring FFTs, which need
-    |a| <= 1 - 2^-8 (ValueError otherwise).
     """
     anchors = np.asarray(_kernel_anchor_set() if anchors is None else anchors,
                          dtype=complex)
-    rings = _KernelRings(g, w, spec)
-    ts, inverse = _kernel_radii(anchors, lam)
-    bound = rings.bounds(ts, lam)
+    rings = _KernelRings(g, w)
+    ts, inverse = np.unique(np.abs(anchors), return_inverse=True)
+    bound = rings.bounds(ts)
     U = np.zeros((len(ts), rings.degree + 1), dtype=complex)
     done = np.zeros(len(ts), dtype=bool)
     best = -np.inf
     for j in np.argsort(-bound, kind="stable"):
         if bound[j] * (1.0 + BOUND_SLACK) < best:
             continue
-        U[j] = rings.coefficients(ts[j], lam)
+        U[j] = rings.coefficients(ts[j])
         done[j] = True
         mine = inverse == j
         vals = _phase_sum(U[inverse[mine]], anchors[mine])
@@ -703,7 +646,7 @@ def bmoa_kernel_sup(g: TaylorSeries, w: RadialWeight, lam: float = 2.0,
     values[~done[inverse]] = -np.inf
     best, best_a = _first_max(values, anchors)
     return NormEstimate(best, math.nan, tag="bmoa-kernel",
-                        truncation={"series": g.degree, "lambda": lam,
+                        truncation={"series": g.degree, "lambda": 2.0,
                                     "anchors": len(anchors)},
                         anchor=best_a)
 
@@ -712,9 +655,9 @@ def bmoa_kernel_sup(g: TaylorSeries, w: RadialWeight, lam: float = 2.0,
 # Bloch-type quantities
 # ---------------------------------------------------------------------------
 
-def bloch_mu(g: TaylorSeries, w: RadialWeight, n_ang: int = 2048,
-             spec: QuadratureSpec = DEFAULT_SPEC) -> NormEstimate:
-    """sup_z mu_hat(|z|) |D(g)(z)| over the radial-by-angular grid.
+def bloch_mu(g: TaylorSeries, w: RadialWeight) -> NormEstimate:
+    """sup_z mu_hat(|z|) |D(g)(z)| over the radial nodes by BLOCH_ANGLES
+    angles.
 
     Branch and bound over the radial nodes: |D(g)(r e^(i theta))| is at
     most sum_n |c_n| r^n, so B(r) = mu_hat(r) sum_n |c_n| r^n bounds a
@@ -725,26 +668,27 @@ def bloch_mu(g: TaylorSeries, w: RadialWeight, n_ang: int = 2048,
     and its first-maximum anchor are those of the full grid, bit for bit.
     """
     P = frac_derivative(g, w)
-    nodes, _ = radial_nodes(spec)
+    m = BLOCH_ANGLES
+    nodes, _ = radial_nodes()
     tails = np.asarray(w.tail(nodes), dtype=float)
     with np.errstate(under="ignore"):
         bound = tails * (_power_matrix(nodes, P.degree) @ np.abs(P.coeffs))
     top = int(np.argmax(np.where(np.isnan(bound), -np.inf, bound)))
-    lower = np.max(_sample_circle(P.coeffs, nodes[top:top + 1], n_ang)
+    lower = np.max(_sample_circle(P.coeffs, nodes[top:top + 1], m)
                    * tails[top])
     keep = np.flatnonzero(~(bound * (1.0 + BOUND_SLACK) < lower))
     best, best_z = -np.inf, 0j
-    for sl in _row_blocks(len(keep), n_ang):
+    for sl in _row_blocks(len(keep), m):
         rows = keep[sl]
-        vals = _sample_circle(P.coeffs, nodes[rows], n_ang)
+        vals = _sample_circle(P.coeffs, nodes[rows], m)
         vals *= tails[rows][:, None]
         j = int(np.argmax(vals))
         if vals.ravel()[j] > best:
             best = float(vals.ravel()[j])
-            ri, ai = divmod(j, n_ang)
-            best_z = nodes[rows[ri]] * np.exp(2j * np.pi * ai / n_ang)
+            ri, ai = divmod(j, m)
+            best_z = nodes[rows[ri]] * np.exp(2j * np.pi * ai / m)
     return NormEstimate(best, math.nan, tag="bloch-mu",
-                        truncation={"series": g.degree, "angular": n_ang},
+                        truncation={"series": g.degree, "angular": m},
                         anchor=complex(best_z))
 
 
@@ -752,52 +696,46 @@ def bloch_mu(g: TaylorSeries, w: RadialWeight, n_ang: int = 2048,
 # Besov / Bergman quantities
 # ---------------------------------------------------------------------------
 
-def tail_weight_test(w: RadialWeight, p: float,
-                     spec: QuadratureSpec = DEFAULT_SPEC) -> str:
+def tail_weight_test(w: RadialWeight, p: float) -> str:
     """'weight' if mu_hat(r)^p / (1-r)^2 is integrable, else 'not-a-weight'.
 
     Decided by geometric decay of the trailing panel integrals; zero tails
     (underflow of a rapidly decaying weight) count as decay.
     """
-    H = _power_tail(w, p)(radial_nodes(spec)[0])
-    return "not-a-weight" if radial_diverges(H, spec) else "weight"
+    H = _power_tail(w, p)(radial_nodes()[0])
+    return "not-a-weight" if radial_diverges(H) else "weight"
 
 
-def besov_mu(g: TaylorSeries, w: RadialWeight, p: float,
-             spec: QuadratureSpec = DEFAULT_SPEC) -> NormEstimate:
+def besov_mu(g: TaylorSeries, w: RadialWeight, p: float) -> NormEstimate:
     """||g||^p in the fractional-derivative Besov space:
     int_D |D(g)|^p mu_hat^p / (1-|z|^2)^2 dA."""
-    if p <= 0:
-        raise ValueError("p must be positive")
-    if tail_weight_test(w, p, spec) == "not-a-weight":
+    check_exponent(p)
+    if tail_weight_test(w, p) == "not-a-weight":
         return NormEstimate(np.inf, np.inf, tag="besov-mu", diverged=True,
                             truncation={"series": g.degree, "p": p})
     P = frac_derivative(g, w)
-    m = angular_nodes_for_degree(g.degree, spec)
+    m = angular_nodes_for_degree(g.degree)
     value = _disc_p_integral(
         P.coeffs, p,
         lambda r: np.asarray(w.tail(r), dtype=float) ** p / (1.0 - r ** 2) ** 2,
-        m, spec)
+        m)
     return NormEstimate(value, math.nan, tag="besov-mu",
                         truncation={"series": g.degree, "p": p, "angular": m})
 
 
-def besov_mu_series(g: TaylorSeries, w: RadialWeight,
-                    spec: QuadratureSpec = DEFAULT_SPEC) -> NormEstimate:
+def besov_mu_series(g: TaylorSeries, w: RadialWeight) -> NormEstimate:
     """p = 2 closed path by orthogonality (dual route to besov_mu)."""
     def H(r):
         with np.errstate(over="ignore", divide="ignore"):
             return np.asarray(w.tail(r), dtype=float) ** 2 / (1.0 - r * r) ** 2
 
     return _orthogonal_sum(frac_derivative(g, w).coeffs, H, "besov-mu-series",
-                           {"series": g.degree, "p": 2}, spec)
+                           {"series": g.degree, "p": 2})
 
 
-def besov_classical(g: TaylorSeries, p: float,
-                    spec: QuadratureSpec = DEFAULT_SPEC) -> NormEstimate:
+def besov_classical(g: TaylorSeries, p: float) -> NormEstimate:
     """||g||^p in B_p: derivative order n_p = least n with n p > 1."""
-    if p <= 0:
-        raise ValueError("p must be positive")
+    check_exponent(p)
     n_p = 1
     while n_p * p <= 1.0:
         n_p += 1
@@ -807,24 +745,22 @@ def besov_classical(g: TaylorSeries, p: float,
         head += abs(gk(0.0)) ** p
         gk = gk.derivative()
     # gk is now the n_p-th derivative
-    m = angular_nodes_for_degree(g.degree, spec)
+    m = angular_nodes_for_degree(g.degree)
     expo = n_p * p - 2.0
     value = head + _disc_p_integral(gk.coeffs, p,
-                                    lambda r: (1.0 - r ** 2) ** expo, m, spec)
+                                    lambda r: (1.0 - r ** 2) ** expo, m)
     return NormEstimate(value, math.nan, tag="besov-classical",
                         truncation={"series": g.degree, "p": p, "n_p": n_p})
 
 
-def bergman_norm(f: TaylorSeries, alpha: float, p: float,
-                 spec: QuadratureSpec = DEFAULT_SPEC) -> NormEstimate:
+def bergman_norm(f: TaylorSeries, alpha: float, p: float) -> NormEstimate:
     """||f||^p in A^p_alpha with dA_alpha = (alpha+1)(1-|z|^2)^alpha dA."""
-    if p <= 0:
-        raise ValueError("p must be positive")
-    if alpha <= -1:
-        raise ValueError("bergman_norm needs alpha > -1")
-    m = angular_nodes_for_degree(f.degree, spec)
+    check_exponent(p)
+    if not -1 < alpha < math.inf:
+        raise ValueError("bergman_norm needs a finite alpha > -1")
+    m = angular_nodes_for_degree(f.degree)
     value = _disc_p_integral(
-        f.coeffs, p, lambda r: (alpha + 1.0) * (1.0 - r ** 2) ** alpha, m, spec)
+        f.coeffs, p, lambda r: (alpha + 1.0) * (1.0 - r ** 2) ** alpha, m)
     return NormEstimate(value, math.nan, tag="bergman",
                         truncation={"series": f.degree, "p": p, "alpha": alpha})
 

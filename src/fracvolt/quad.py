@@ -7,6 +7,12 @@ the right) so that integrable endpoint singularities of the form
 is the uniform trapezoid, which integrates e^{ik\theta} exactly whenever the
 node count exceeds |k|.
 
+There is one reference grid: LEFT_LEVELS and RIGHT_LEVELS dyadic levels
+with PANEL_ORDER nodes per panel (2304 nodes), and at least
+DEFAULT_ANGULAR_NODES angles.  The only other radial grid is the kernel
+integral's reduced one, selected by its level counts in
+:func:`radial_nodes`.
+
 Area measure convention: dA = dx dy / pi, so the disc has unit area and for a
 radial integrand F,  int_D F dA = 2 * int_0^1 F(r) r dr.
 
@@ -50,19 +56,6 @@ class NormEstimate:
     anchor: Optional[complex] = None
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Radial/angular rule parameters."""
-
-    left_levels: int = LEFT_LEVELS
-    right_levels: int = RIGHT_LEVELS
-    order: int = PANEL_ORDER
-    angular_nodes: int = DEFAULT_ANGULAR_NODES
-
-
-DEFAULT_SPEC = QuadratureSpec()
-
-
 @lru_cache(maxsize=None)
 def gauss_rule(order: int):
     x, w = npleg.leggauss(order)
@@ -100,7 +93,8 @@ def _rule_on(edges: np.ndarray, order: int):
 
 
 @lru_cache(maxsize=None)
-def _panel_grid(left_levels: int, right_levels: int, order: int):
+def _panel_grid(left_levels: int = LEFT_LEVELS,
+                right_levels: int = RIGHT_LEVELS, order: int = PANEL_ORDER):
     """Per-panel node/weight matrices for the reference edge set."""
     edges = panel_edges(left_levels, right_levels)
     nodes, weights = _rule_on(edges, order)
@@ -108,7 +102,8 @@ def _panel_grid(left_levels: int, right_levels: int, order: int):
 
 
 @lru_cache(maxsize=None)
-def _halved_grid(left_levels: int, right_levels: int, order: int):
+def _halved_grid(left_levels: int = LEFT_LEVELS,
+                 right_levels: int = RIGHT_LEVELS, order: int = PANEL_ORDER):
     """Flattened (nodes, weights) of the reference grid with every panel halved."""
     edges = panel_edges(left_levels, right_levels)
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -116,9 +111,11 @@ def _halved_grid(left_levels: int, right_levels: int, order: int):
     return nodes.ravel(), weights.ravel()
 
 
-def radial_nodes(spec: QuadratureSpec = DEFAULT_SPEC):
-    """Flattened (nodes, weights) for int_0^1 f(r) dr on the reference grid."""
-    _, nodes, weights = _panel_grid(spec.left_levels, spec.right_levels, spec.order)
+def radial_nodes(left_levels: int = LEFT_LEVELS,
+                 right_levels: int = RIGHT_LEVELS):
+    """Flattened (nodes, weights) for int_0^1 f(r) dr on the reference grid,
+    or on the grid of other level counts (the kernel integral's)."""
+    _, nodes, weights = _panel_grid(left_levels, right_levels)
     return nodes.ravel(), weights.ravel()
 
 
@@ -155,9 +152,9 @@ def _by_chunks(xs, rows: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _log_grid(spec: QuadratureSpec):
+def _log_grid():
     """(log nodes, log weights) of the flattened reference grid."""
-    nodes, weights = radial_nodes(spec)
+    nodes, weights = radial_nodes()
     return np.log(nodes), np.log(weights)
 
 
@@ -213,20 +210,16 @@ class PanelFunction:
         )
 
     @classmethod
-    def from_callable(cls, f: Callable[[np.ndarray], np.ndarray],
-                      spec: QuadratureSpec = DEFAULT_SPEC) -> "PanelFunction":
-        edges, nodes, weights = _panel_grid(
-            spec.left_levels, spec.right_levels, spec.order)
+    def from_callable(cls, f: Callable[[np.ndarray], np.ndarray]) -> "PanelFunction":
+        edges, nodes, weights = _panel_grid()
         values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
         if not np.all(np.isfinite(values)):
             raise QuadratureError("non-finite values on the quadrature grid")
         return cls(edges, nodes, weights, values)
 
     @classmethod
-    def from_values(cls, values_flat: np.ndarray,
-                    spec: QuadratureSpec = DEFAULT_SPEC) -> "PanelFunction":
-        edges, nodes, weights = _panel_grid(
-            spec.left_levels, spec.right_levels, spec.order)
+    def from_values(cls, values_flat: np.ndarray) -> "PanelFunction":
+        edges, nodes, weights = _panel_grid()
         values = np.asarray(values_flat, dtype=float).reshape(nodes.shape)
         return cls(edges, nodes, weights, values)
 
@@ -284,8 +277,7 @@ class PanelFunction:
         return float(self.moments([x])[0])
 
 
-def log_moments(xs, log_density: np.ndarray,
-                spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
+def log_moments(xs, log_density: np.ndarray) -> np.ndarray:
     """log int_0^1 s^x f(s) ds for each x in ``xs``, by log-sum-exp on the
     reference grid from ``log_density`` = log f at its nodes.
 
@@ -294,7 +286,7 @@ def log_moments(xs, log_density: np.ndarray,
     Each row is reduced as a lone 1-D log-sum-exp over the kept terms
     would be, so the values do not depend on how ``xs`` is batched.
     """
-    ln, lw = _log_grid(spec)
+    ln, lw = _log_grid()
     keep = np.isfinite(log_density)
     ln, ld, lw = ln[keep], log_density[keep], lw[keep]
     if not len(ld):
@@ -310,8 +302,7 @@ def log_moments(xs, log_density: np.ndarray,
     return _by_chunks(xs, rows)
 
 
-def radial_diverges(values: np.ndarray,
-                    spec: QuadratureSpec = DEFAULT_SPEC) -> bool:
+def radial_diverges(values: np.ndarray) -> bool:
     """Panel-sum monitor: does int_0^1 H(r) dr diverge, given H on the grid?
 
     Only whole dyadic panels are compared: the last panel [1 - 2^-R, GRID_TOP]
@@ -319,13 +310,12 @@ def radial_diverges(values: np.ndarray,
     geometric sequence.  A zero last panel (a tail that underflowed) counts
     as decay.
     """
-    _, _, weights = _panel_grid(spec.left_levels, spec.right_levels, spec.order)
+    _, _, weights = _panel_grid()
     sums = np.sum(weights * np.reshape(values, weights.shape), axis=1)
     return bool(sums[-1] != 0.0 and looks_divergent(sums[:-1]))
 
 
-def radial_integrals(H: Callable[[np.ndarray], np.ndarray], powers,
-                     spec: QuadratureSpec = DEFAULT_SPEC):
+def radial_integrals(H: Callable[[np.ndarray], np.ndarray], powers):
     """(values, errs, diverged): int_0^1 r^q H(r) dr for each q in ``powers``.
 
     Values come from halved panels, the error indicator from the difference
@@ -334,21 +324,19 @@ def radial_integrals(H: Callable[[np.ndarray], np.ndarray], powers,
     flag set rather than raised, because several of the quantities downstream
     hinge on divergence as a first-class outcome.
     """
-    nodes, weights = radial_nodes(spec)
-    fnodes, fweights = _halved_grid(spec.left_levels, spec.right_levels,
-                                    spec.order)
+    nodes, weights = radial_nodes()
+    fnodes, fweights = _halved_grid()
     h = H(nodes)
     hf = H(fnodes)
     powers = np.asarray(powers, dtype=float)
     with np.errstate(under="ignore"):
         coarse = np.array([float(np.sum(weights * h * nodes ** q)) for q in powers])
         fine = np.array([float(np.sum(fweights * hf * fnodes ** q)) for q in powers])
-    if radial_diverges(h, spec) or not np.all(np.isfinite(fine)):
+    if radial_diverges(h) or not np.all(np.isfinite(fine)):
         return np.full(len(powers), np.inf), np.full(len(powers), np.inf), True
     return fine, np.abs(fine - coarse), False
 
 
-def angular_nodes_for_degree(max_trig_degree: int,
-                             spec: QuadratureSpec = DEFAULT_SPEC) -> int:
+def angular_nodes_for_degree(max_trig_degree: int) -> int:
     """Node count with trigonometric exactness for degrees < node count."""
-    return max(spec.angular_nodes, 4 * (max_trig_degree + 1))
+    return max(DEFAULT_ANGULAR_NODES, 4 * (max_trig_degree + 1))

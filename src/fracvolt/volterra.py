@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .norms import basis_norms
+from .norms import basis_norms, check_exponent
 from .quad import NormEstimate
 from .taylor import TaylorSeries
 from .weights import RadialWeight
@@ -90,8 +90,8 @@ class SingularSpectrum:
 def volterra_matrix(w: RadialWeight, g: TaylorSeries, alpha: float,
                     N: int = DEFAULT_TRUNCATION) -> OperatorMatrix:
     """N x N truncation of the operator with symbol g on A^2_alpha (band)."""
-    if alpha < -1:
-        raise OperatorError("alpha must be >= -1")
+    if not -1 <= alpha < math.inf:
+        raise OperatorError("alpha must be finite and >= -1")
     if g.degree >= N:
         raise OperatorError("symbol degree must stay below the truncation")
     mus = w.odd_moments(N)
@@ -133,8 +133,7 @@ def singular_values(M: OperatorMatrix) -> SingularSpectrum:
 
 def schatten_norm(spectrum: SingularSpectrum, p: float) -> NormEstimate:
     """(sum lambda^p)^(1/p) at the spectrum's truncation."""
-    if p <= 0:
-        raise ValueError("p must be positive")
+    check_exponent(p)
     value = float(np.sum(spectrum.values ** p) ** (1.0 / p))
     # no error is estimated at a single truncation
     return NormEstimate(value, math.nan, tag="schatten",

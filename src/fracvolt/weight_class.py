@@ -125,11 +125,12 @@ def classify_dcheck(w: RadialWeight, K_grid: Sequence[float] = DEFAULT_K_GRID,
         last = logratio[-q:]
         mid = logratio[2 * q: 3 * q]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            d_last = np.log(np.expm1(last))
-            d_mid = np.log(np.expm1(mid))
-            trend = np.mean(d_last) - np.mean(d_mid)   # nan when both overflow
             deep_enough = bool(np.min(np.exp(last)) >= DCHECK_MIN_RATIO)
-        declining = bool(trend <= DCHECK_DECLINE_LOG)
+            # no trend without a mid quarter (depth 1), and a nan one when
+            # both windows overflow: neither counts as declining
+            declining = len(mid) > 0 and bool(
+                np.mean(np.log(np.expm1(last)))
+                - np.mean(np.log(np.expm1(mid))) <= DCHECK_DECLINE_LOG)
         evidence[K] = deep_enough and not declining
     verdict = EVIDENCE_FOR if any(evidence.values()) else EVIDENCE_AGAINST
 

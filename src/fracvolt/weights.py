@@ -20,7 +20,9 @@ Families
   log-kernel star iterates, the Schatten cut-off weight tail^p / (1-r)^2,
   and multiplication by (1 - r)^eta.
 
-Derived weights are materialised as per-panel Legendre expansions
+Every weight's quadrature data lives on the one reference grid of
+:mod:`fracvolt.quad`; no weight carries a rule of its own.  Derived weights
+are materialised as per-panel Legendre expansions on that grid
 (:class:`fracvolt.quad.PanelFunction`), so nested integrals reduce to suffix
 integrals of smooth data; log-type endpoint singularities are split off
 analytically before expansion.
@@ -41,8 +43,7 @@ import numpy as np
 from scipy import special as sps
 
 from .expr import Expression, ExprError
-from .quad import (DEFAULT_SPEC, PanelFunction, QuadratureSpec, log_moments,
-                   radial_diverges)
+from .quad import PanelFunction, log_moments, radial_diverges
 
 MAX_ITERATE_DEPTH = 4
 
@@ -77,8 +78,7 @@ class RadialWeight:
 
     kind = "abstract"
 
-    def __init__(self, spec: QuadratureSpec = DEFAULT_SPEC):
-        self.spec = spec
+    def __init__(self):
         self._pf: Optional[PanelFunction] = None
         self._moment_cache: dict = {}
         self._odd_cache = np.empty(0)
@@ -97,7 +97,7 @@ class RadialWeight:
 
     def panel_function(self) -> PanelFunction:
         if self._pf is None:
-            self._pf = PanelFunction.from_callable(self._density, self.spec)
+            self._pf = PanelFunction.from_callable(self._density)
         return self._pf
 
     # -- tail ------------------------------------------------------------
@@ -201,10 +201,10 @@ class StandardWeight(RadialWeight):
 
     kind = "standard"
 
-    def __init__(self, beta: float, spec: QuadratureSpec = DEFAULT_SPEC):
+    def __init__(self, beta: float):
         if not (math.isfinite(beta) and beta > 0):
             raise WeightError("standard weight needs a finite beta > 0")
-        super().__init__(spec)
+        super().__init__()
         self.beta = float(beta)
         self._log_total = (math.log(beta / 2.0)
                            + sps.betaln(0.5, beta))
@@ -263,11 +263,10 @@ class ExponentialWeight(RadialWeight):
 
     kind = "exponential"
 
-    def __init__(self, c: float = 1.0, gamma: float = 1.0,
-                 spec: QuadratureSpec = DEFAULT_SPEC):
+    def __init__(self, c: float = 1.0, gamma: float = 1.0):
         if not (math.isfinite(c) and math.isfinite(gamma) and c > 0 and gamma > 0):
             raise WeightError("exponential weight needs finite c, gamma > 0")
-        super().__init__(spec)
+        super().__init__()
         self.c = float(c)
         self.gamma = float(gamma)
         self._grid_log_density: Optional[np.ndarray] = None
@@ -296,7 +295,7 @@ class ExponentialWeight(RadialWeight):
         if self._grid_log_density is None:
             self._grid_log_density = self._log_density(
                 self.panel_function().flat_nodes)
-        return log_moments(xs, self._grid_log_density, self.spec)
+        return log_moments(xs, self._grid_log_density)
 
     def log_moment(self, x: float) -> float:
         return float(self._log_moments([x])[0])
@@ -316,8 +315,8 @@ class ExprWeight(RadialWeight):
 
     kind = "expr"
 
-    def __init__(self, formula: str, spec: QuadratureSpec = DEFAULT_SPEC):
-        super().__init__(spec)
+    def __init__(self, formula: str):
+        super().__init__()
         try:
             self.expr = Expression(formula)
         except ExprError as e:
@@ -326,7 +325,7 @@ class ExprWeight(RadialWeight):
         vals = np.asarray(self.expr(_PROBE), dtype=float)
         if np.any(np.isnan(vals)) or np.any(vals < 0.0):
             raise WeightError("formula is negative or invalid on the probe grid")
-        if radial_diverges(self.panel_function().flat_values, spec):
+        if radial_diverges(self.panel_function().flat_values):
             raise WeightError("formula is not integrable up to r = 1")
         with np.errstate(divide="ignore"):
             self._grid_log_density = np.log(self.panel_function().flat_values)
@@ -336,7 +335,7 @@ class ExprWeight(RadialWeight):
             return np.asarray(self.expr(r), dtype=float)
 
     def log_moment(self, x: float) -> float:
-        return float(log_moments([x], self._grid_log_density, self.spec)[0])
+        return float(log_moments([x], self._grid_log_density)[0])
 
     def label(self):
         return f"expr:{self.formula}"
@@ -350,8 +349,8 @@ class TailExprWeight(RadialWeight):
 
     kind = "tail_expr"
 
-    def __init__(self, formula: str, spec: QuadratureSpec = DEFAULT_SPEC):
-        super().__init__(spec)
+    def __init__(self, formula: str):
+        super().__init__()
         try:
             self.tail_expr = Expression(formula)
             self.density_expr = Expression(
@@ -395,7 +394,7 @@ class DerivedWeight(RadialWeight):
     kind = "derived"
 
     def __init__(self, base: RadialWeight, op: str, param: float = None):
-        super().__init__(base.spec)
+        super().__init__()
         self.base = base
         self.op = op
         self.param = param
@@ -425,8 +424,7 @@ def _mu_plus(base, _):
     mu0 = float(base.density(np.array([0.0]))[0])
     if not np.isfinite(mu0):
         mu0 = 0.0
-    aux = PanelFunction.from_callable(lambda s: (base.density(s) - mu0) / s,
-                                      base.spec)
+    aux = PanelFunction.from_callable(lambda s: (base.density(s) - mu0) / s)
 
     def dens(r):
         out = aux.suffix_integral(r)
@@ -438,7 +436,7 @@ def _mu_plus(base, _):
 def _iterate_V(base, _):
     # V(r) = 2 int_r^1 s prev(s) ds
     prev = base.panel_function()
-    aux = PanelFunction.from_values(prev.flat_nodes * prev.flat_values, base.spec)
+    aux = PanelFunction.from_values(prev.flat_nodes * prev.flat_values)
     return lambda r: 2.0 * aux.suffix_integral(r)
 
 
@@ -449,8 +447,8 @@ def _iterate_star(base, _):
     s = prev.flat_nodes
     with np.errstate(divide="ignore", invalid="ignore"):
         slog = np.where(s > 0, s * np.log(s), 0.0)
-    aux_log = PanelFunction.from_values(slog * prev.flat_values, base.spec)
-    aux_lin = PanelFunction.from_values(s * prev.flat_values, base.spec)
+    aux_log = PanelFunction.from_values(slog * prev.flat_values)
+    aux_lin = PanelFunction.from_values(s * prev.flat_values)
 
     def dens(r):
         if np.any(r <= 0.0):

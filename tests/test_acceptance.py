@@ -179,7 +179,7 @@ def test_criterion_9_bmoa_dual_path_and_vanishing():
     all_monotone = True
     for _, g in _symbol_corpus():
         a = norms.bmoa_mu_sup(g, w1).value
-        b = norms.bmoa_kernel_sup(g, w1, 2.0).value
+        b = norms.bmoa_kernel_sup(g, w1).value
         worst_factor = max(worst_factor, a / b, b / a)
         prof = norms.vanishing_profile(g, w1, depth=13)
         vals = [v for _, v in prof]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from fracvolt import TaylorSeries, frac_derivative, from_shorthand, norms
 from fracvolt.cli import parse_symbol
-from fracvolt.quad import DEFAULT_SPEC, gauss_rule, panel_edges, radial_nodes
+from fracvolt.quad import PANEL_ORDER, gauss_rule, panel_edges, radial_nodes
 
 WEIGHTS = ("std:1", "std:2", "exp:1:1")
 SYMBOLS = ("mono:1", "mono:8", "random:8:1", "random:32:1", "log:64")
@@ -38,13 +38,13 @@ def oracle_autocorr(coeffs, radii):
 class OracleSquares:
     """nu(S(a)) one anchor at a time, for |P|^2 H(|z|) dA."""
 
-    def __init__(self, P, H, spec=DEFAULT_SPEC):
+    def __init__(self, P, H):
         self.coeffs, self.H, self.d = P.coeffs, H, P.degree
-        self.edges = panel_edges(spec.left_levels, spec.right_levels)
-        nodes, weights = radial_nodes(spec)
+        self.edges = panel_edges()
+        nodes, weights = radial_nodes()
         base = (weights * nodes * H(nodes))[:, None] \
             * oracle_autocorr(self.coeffs, nodes)
-        per_panel = base.reshape(-1, spec.order, self.d + 1).sum(axis=1)
+        per_panel = base.reshape(-1, PANEL_ORDER, self.d + 1).sum(axis=1)
         self.suffix = np.vstack([np.cumsum(per_panel[::-1], axis=0)[::-1],
                                  np.zeros((1, self.d + 1))])
 
@@ -82,10 +82,10 @@ def oracle_sup(values, anchors):
     return best, best_a
 
 
-def oracle_kernel_values(symbols, w, lam, anchors, spec=norms.KERNEL_SPEC):
+def oracle_kernel_values(symbols, w, anchors):
     """Kernel integral per anchor (rows) for each symbol (columns); the
     kernel coefficients of one anchor serve every symbol."""
-    nodes, weights = radial_nodes(spec)
+    nodes, weights = radial_nodes(*norms.KERNEL_LEVELS)
     base = weights * nodes * norms._lp_factor(w)(nodes)
     Ps = [frac_derivative(g, w) for g in symbols]
     As = [oracle_autocorr(P.coeffs, nodes) for P in Ps]
@@ -104,14 +104,14 @@ def oracle_kernel_values(symbols, w, lam, anchors, spec=norms.KERNEL_SPEC):
             psi = 2.0 * np.pi * np.arange(m) / m
             c = tr[sel][:, None]
             K = ((1.0 - c * np.cos(psi)) ** 2
-                 + (c * np.sin(psi)) ** 2) ** (-(lam + 1.0) / 2.0)
+                 + (c * np.sin(psi)) ** 2) ** -1.5
             khat = np.fft.rfft(K, axis=1)[:, :d + 1] / m
             for j, (P, A) in enumerate(zip(Ps, As)):
                 e = P.degree + 1
                 ang = khat[:, 0].real * A[sel, 0].real + 2.0 * np.sum(
                     np.real(A[sel, 1:] * phase[1:e]) * khat[:, 1:e].real, axis=1)
                 out[i, j] += float(np.sum(base[sel] * ang))
-        out[i] *= (1.0 - t) ** lam * 2.0
+        out[i] *= (1.0 - t) ** 2.0 * 2.0
     return out
 
 
@@ -233,7 +233,7 @@ def test_bmoa_sup_makes_two_autocorr_calls(monkeypatch):
     norms.bmoa_mu_sup(g, w)
     # the machine build, then one partial panel of 16 nodes per radius
     radii = np.unique(np.abs(norms.default_anchors()))
-    assert calls == [len(radial_nodes(DEFAULT_SPEC)[0]), 16 * len(radii)]
+    assert calls == [len(radial_nodes()[0]), 16 * len(radii)]
     calls.clear()
     norms.bmoa_classical(g)
     assert len(calls) == 2
@@ -244,9 +244,9 @@ def test_kernel_values_match_oracle(weight):
     w = from_shorthand(weight)
     symbols = [parse_symbol(s) for s in SYMBOLS]
     anchors = norms._kernel_anchor_set()
-    old = oracle_kernel_values(symbols, w, 2.0, anchors)
+    old = oracle_kernel_values(symbols, w, anchors)
     for j, g in enumerate(symbols):
-        new = norms.bmoa_kernel_values(g, w, 2.0, anchors)
+        new = norms.bmoa_kernel_values(g, w, anchors)
         assert_masses_match(new, old[:, j])
         est = norms.bmoa_kernel_sup(g, w)
         best, best_a = oracle_sup(old[:, j], anchors)
@@ -257,27 +257,27 @@ def test_kernel_values_match_oracle(weight):
 def test_kernel_values_hand_anchors():
     w, g = from_shorthand("std:1"), parse_symbol("random:8:1")
     anchors = hand_anchors()
-    old = oracle_kernel_values([g], w, 1.5, anchors)[:, 0]
-    new = norms.bmoa_kernel_values(g, w, 1.5, anchors)
+    old = oracle_kernel_values([g], w, anchors)[:, 0]
+    new = norms.bmoa_kernel_values(g, w, anchors)
     assert_masses_match(new, old)
     assert new[0] == new[3]
-    est = norms.bmoa_kernel_sup(g, w, 1.5, anchors=anchors)
+    est = norms.bmoa_kernel_sup(g, w, anchors=anchors)
     assert est.anchor == oracle_sup(old, anchors)[1]
 
 
 def test_kernel_blocks_do_not_change_values(monkeypatch):
     w, g = from_shorthand("std:1"), parse_symbol("random:8:2")
     anchors = norms._kernel_anchor_set()
-    whole = norms.bmoa_kernel_values(g, w, 2.0, anchors)
+    whole = norms.bmoa_kernel_values(g, w, anchors)
     monkeypatch.setattr(norms, "BLOCK_ELEMENTS", 1)
-    one_row = norms.bmoa_kernel_values(g, w, 2.0, anchors)
+    one_row = norms.bmoa_kernel_values(g, w, anchors)
     assert_masses_match(one_row, whole)
 
 
 def test_block_scratch_stays_small():
-    # the kernel FFTs and the Bloch circle samples run in row blocks of
-    # BLOCK_ELEMENTS: well under 16 MB of arrays at once (the unblocked
-    # loops peaked at about 110 MB and 60 MB)
+    # the Bloch circle samples run in row blocks of BLOCK_ELEMENTS, and the
+    # kernel sup takes its coefficients in closed form: well under 16 MB of
+    # arrays at once (the unblocked loops peaked at about 110 MB and 60 MB)
     w = from_shorthand("std:1")
     for run in (lambda: norms.bmoa_kernel_sup(parse_symbol("random:24:1"), w),
                 lambda: norms.bloch_mu(parse_symbol("random:32:1"), w)):
@@ -329,7 +329,7 @@ def oracle_bloch(g, w, n_ang=2048):
     """The full-grid scan: every radial node sampled, blocks in node order,
     strict ``>`` between blocks."""
     P = frac_derivative(g, w)
-    nodes, _ = radial_nodes(DEFAULT_SPEC)
+    nodes, _ = radial_nodes()
     tails = np.asarray(w.tail(nodes), dtype=float)
     best, best_z = -np.inf, 0j
     for sl in norms._row_blocks(len(nodes), n_ang):
@@ -343,9 +343,9 @@ def oracle_bloch(g, w, n_ang=2048):
     return best, complex(best_z)
 
 
-def oracle_kernel_sup(g, w, lam, anchors):
+def oracle_kernel_sup(g, w, anchors):
     """Every anchor's kernel value, then the first maximum."""
-    return norms._first_max(norms.bmoa_kernel_values(g, w, lam, anchors),
+    return norms._first_max(norms.bmoa_kernel_values(g, w, anchors),
                             anchors)
 
 
@@ -354,9 +354,9 @@ def assert_bloch_exact(g, w, name=""):
     assert (est.value, est.anchor) == oracle_bloch(g, w), name
 
 
-def assert_kernel_exact(g, w, lam, anchors, name=""):
-    est = norms.bmoa_kernel_sup(g, w, lam, anchors=anchors)
-    assert (est.value, est.anchor) == oracle_kernel_sup(g, w, lam, anchors), name
+def assert_kernel_exact(g, w, anchors, name=""):
+    est = norms.bmoa_kernel_sup(g, w, anchors=anchors)
+    assert (est.value, est.anchor) == oracle_kernel_sup(g, w, anchors), name
 
 
 @pytest.mark.parametrize("weight", PRUNE_WEIGHTS)
@@ -368,12 +368,12 @@ def test_pruned_bloch_is_exact(weight):
 
 @pytest.mark.parametrize("weight", PRUNE_WEIGHTS)
 def test_pruned_kernel_sup_is_exact(weight):
-    # the default anchors at lambda = 2; the origin twice, exact and
-    # rounded copies of one radius and recurring radii at lambda = 1.5
+    # the default anchors; the origin twice, exact and rounded copies of
+    # one radius and recurring radii
     w = from_shorthand(weight)
     for name, g in pruning_symbols().items():
-        assert_kernel_exact(g, w, 2.0, norms._kernel_anchor_set(), name)
-        assert_kernel_exact(g, w, 1.5, hand_anchors(), name)
+        assert_kernel_exact(g, w, norms._kernel_anchor_set(), name)
+        assert_kernel_exact(g, w, hand_anchors(), name)
 
 
 def test_pruned_suprema_pick_first_tied_anchor():
@@ -383,19 +383,18 @@ def test_pruned_suprema_pick_first_tied_anchor():
     anchors = np.array([0.5, 0.25j, 0.75, -0.25, 0.25, -0.25j, 0.5j, 0.0])
     for i in range(len(anchors)):
         rotated = np.roll(anchors, -i)
-        for lam in (1.5, 2.0):
-            assert_kernel_exact(g, w, lam, rotated)
+        assert_kernel_exact(g, w, rotated)
 
 
 @given(coeffs=st.lists(st.complex_numbers(max_magnitude=1.0,
                                           allow_nan=False, allow_infinity=False),
                        min_size=1, max_size=11),
-       weight=st.sampled_from(PRUNE_WEIGHTS), lam=st.sampled_from((1.5, 2.0)))
+       weight=st.sampled_from(PRUNE_WEIGHTS))
 @settings(max_examples=8)
-def test_pruned_suprema_property(coeffs, weight, lam):
+def test_pruned_suprema_property(coeffs, weight):
     g, w = TaylorSeries.from_coeffs(coeffs), from_shorthand(weight)
     assert_bloch_exact(g, w)
-    assert_kernel_exact(g, w, lam, norms._kernel_anchor_set())
+    assert_kernel_exact(g, w, norms._kernel_anchor_set())
 
 
 def test_bloch_samples_few_rows(monkeypatch):
@@ -408,7 +407,7 @@ def test_bloch_samples_few_rows(monkeypatch):
 
     monkeypatch.setattr(norms, "_sample_circle", counted)
     norms.bloch_mu(parse_symbol("random:32:1"), from_shorthand("std:1"))
-    assert len(radial_nodes(DEFAULT_SPEC)[0]) == 2304
+    assert len(radial_nodes()[0]) == 2304
     assert sum(rows) <= 400
 
 
@@ -416,9 +415,9 @@ def test_kernel_sup_runs_few_ring_sweeps(monkeypatch):
     radii = []
     original = norms._KernelRings.coefficients
 
-    def counted(self, t, lam):
+    def counted(self, t):
         radii.append(t)
-        return original(self, t, lam)
+        return original(self, t)
 
     monkeypatch.setattr(norms._KernelRings, "coefficients", counted)
     norms.bmoa_kernel_sup(parse_symbol("random:8:1"), from_shorthand("exp:1:1"))

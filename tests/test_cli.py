@@ -85,6 +85,24 @@ class TestCommands:
         rep = json.loads(out)
         assert rep["verdicts"]["dhat"] == "evidence-against"
 
+    @pytest.mark.parametrize("depth, rows", [("1", 15), ("2", 22)])
+    def test_classify_shallow_depth_writes_no_warning(self, capsys, depth, rows):
+        # depth 1 has an empty mid-quarter window, whose mean numpy warned
+        # about; it still yields no decline, so every K keeps its evidence
+        argv = ["classify", "--weight", "std:1", "--depth", depth]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_cli(capsys, *argv)
+            assert main(argv + ["--format", "json"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert code == EXIT_OK and caught == [] and captured.err == ""
+        lines = out.splitlines()
+        assert len(lines) == rows
+        assert lines[1].startswith(
+            "classify-verdict,std:1,dhat=evidence-against;dcheck=evidence-for,")
+        rep = json.loads(captured.out)
+        assert all(rep["dcheck_K_evidence"].values())
+
     def test_frac_multipliers(self, capsys):
         code, out = run_cli(capsys, "frac", "--weight", "std:1",
                             "--symbol", "mono:2", "--op", "D")
@@ -237,6 +255,22 @@ class TestErrorExits:
         line = self.run_err(capsys, "equivalence", "--name", "besov",
                             "--p", "0")
         assert "p must be positive" in line
+
+    @pytest.mark.parametrize("argv", [
+        "norm --name besov --p nan", "norm --name besov --p inf",
+        "norm --name tent --p nan", "norm --name besov-classical --p nan",
+        "equivalence --name tent-hp --p nan", "volterra --p-list inf",
+        "norm --name bergman --alpha nan", "norm --name bergman --alpha inf",
+        "volterra --alpha nan", "volterra --alpha inf"])
+    def test_non_finite_exponent_refused(self, capsys, argv):
+        # each printed nan (or S_p = 1.0 at p = inf) with exit 0, or warned
+        # before its exit 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = self.run_err(capsys, *argv.split())
+        assert caught == []
+        if "--p" in argv:
+            assert "p must be positive" in line
 
     def test_classify_depth_below_one(self, capsys):
         # an empty dyadic grid reached numpy's reduction error

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from fracvolt import TaylorSeries, from_shorthand, norms
 from fracvolt.cli import parse_symbol
-from fracvolt.quad import DEFAULT_SPEC, radial_nodes
+from fracvolt.quad import radial_nodes
 
 PS = (0.5, 1.0, 2.0, 3.7)
 WEIGHT = from_shorthand("exp:1:1")    # mu_hat^p/(1-r)^2 integrable at every p
@@ -46,9 +46,9 @@ SPARSE = {
 }
 
 
-def oracle_disc_p_integral(coeffs, p, density, m, spec):
+def oracle_disc_p_integral(coeffs, p, density, m):
     """The full-grid p-mean: all m angles on every radial node."""
-    nodes, weights = radial_nodes(spec)
+    nodes, weights = radial_nodes()
     mean_p = np.empty(len(nodes))
     for sl in norms._row_blocks(len(nodes), m):
         samples = norms._sample_circle(coeffs, nodes[sl], m)
@@ -107,8 +107,8 @@ def test_stride_supports_match_full_grid(v, stride, terms, m, p):
     for k, re, im in terms:
         c[v + stride * k] += complex(re, im)
     density = lambda r: (1.0 - r ** 2) ** 0.5
-    value = norms._disc_p_integral(c, p, density, m, DEFAULT_SPEC)
-    oracle = oracle_disc_p_integral(c, p, density, m, DEFAULT_SPEC)
+    value = norms._disc_p_integral(c, p, density, m)
+    oracle = oracle_disc_p_integral(c, p, density, m)
     assert value == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
 
@@ -122,7 +122,7 @@ def test_monomial_samples_one_point_per_ring(monkeypatch):
 
     monkeypatch.setattr(norms, "_ring_square", counted)
     norms.besov_mu(TaylorSeries.monomial(16), from_shorthand("std:1"), 3.0)
-    assert len(radial_nodes(DEFAULT_SPEC)[0]) == 2304
+    assert len(radial_nodes()[0]) == 2304
     assert 0 < sum(samples) <= 2304
 
 
@@ -144,9 +144,9 @@ def test_extreme_coefficients_match_full_grid(scale, m, p):
     # |c|^2 under- or overflows here; the scaled transform must not
     for c in (np.array([0, 0, 1.23j]) * scale,
               _random_coeffs(12, 5, scale)):
-        value = norms._disc_p_integral(c, p, DENSITY, m, DEFAULT_SPEC)
+        value = norms._disc_p_integral(c, p, DENSITY, m)
         with np.errstate(over="ignore"):
-            oracle = oracle_disc_p_integral(c, p, DENSITY, m, DEFAULT_SPEC)
+            oracle = oracle_disc_p_integral(c, p, DENSITY, m)
         if p <= 1.0:    # |P|^p stays in range
             assert 0.0 < oracle < np.inf
         if oracle in (0.0, np.inf):
@@ -161,8 +161,8 @@ def test_aliased_full_support_matches_full_grid(m, p):
     # g = 1 and 2 deg >= m: lags beyond m/2 fold back onto the m angles
     for degree in (m // 2, m - 1, 3 * m + 5):
         c = _random_coeffs(degree, degree)
-        value = norms._disc_p_integral(c, p, DENSITY, m, DEFAULT_SPEC)
-        oracle = oracle_disc_p_integral(c, p, DENSITY, m, DEFAULT_SPEC)
+        value = norms._disc_p_integral(c, p, DENSITY, m)
+        oracle = oracle_disc_p_integral(c, p, DENSITY, m)
         assert value == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
 

@@ -1,8 +1,8 @@
 """The closed-form lambda = 2 kernel coefficients of the BMOA kernel
 supremum: khat_k(q) = (1/2pi) int cos(k psi) |1 - q e^(i psi)|^-3 d psi.
 
-Oracles: mpmath quadrature at 30 digits, and the ring FFTs that serve
-every other lambda.
+Oracles: mpmath quadrature at 30 digits, and a ring FFT of the sampled
+kernel (:func:`ring_fft_khat`).
 """
 
 import math
@@ -66,16 +66,35 @@ def test_agm_matches_mpmath():
             assert abs(E[i] / float(mp.ellipe(m)) - 1.0) < 4e-15
 
 
+def ring_fft_khat(q, d):
+    """khat_k(q) for k = 0..d per ring (rows) from the FFT of the kernel
+    sampled on 64 / (1 - q) angles per ring, a power of two between
+    max(256, 2d + 4) and 16384, in blocks of at most 2^17 samples."""
+    khat = np.empty((len(q), d + 1))
+    m_lo = max(256, 2 ** math.ceil(math.log2(2 * d + 4)))
+    m_per_ring = np.clip(64.0 / (1.0 - q), m_lo, 16384)
+    m_per_ring = (2 ** np.ceil(np.log2(m_per_ring))).astype(int)
+    for m in np.unique(m_per_ring):
+        sel = np.flatnonzero(m_per_ring == m)
+        psi = 2.0 * np.pi * np.arange(m) / m
+        for i in range(0, len(sel), max(1, 2 ** 17 // m)):
+            rows = sel[i:i + max(1, 2 ** 17 // m)]
+            c = q[rows][:, None]
+            K = ((1.0 - c * np.cos(psi)) ** 2 + (c * np.sin(psi)) ** 2) ** -1.5
+            khat[rows] = np.fft.rfft(K, axis=1)[:, :d + 1].real / m
+    return khat
+
+
 @pytest.mark.parametrize("weight", ("std:1", "std:2", "exp:1:1"))
 def test_khat_matches_fft_on_every_default_ring(weight):
     # the forward recurrence just above the 0.9 switch loses most: about
     # 1.8e-12 of khat_0 at k = 32 (the FFT agrees with mpmath there)
     rings = norms._KernelRings(parse_symbol("random:32:1"),
-                               from_shorthand(weight), norms.KERNEL_SPEC)
+                               from_shorthand(weight))
     for t in np.unique(np.abs(norms._kernel_anchor_set())):
         q = t * rings.nodes
         closed = norms._laplace_khat(q, rings.degree)
-        fft = rings.fft_khat(q, 2.0)
+        fft = ring_fft_khat(q, rings.degree)
         assert np.all(np.abs(closed - fft) <= 1e-11 * fft[:, :1]), t
 
 
@@ -90,22 +109,15 @@ def test_lambda_2_runs_no_ring_fft(monkeypatch):
     monkeypatch.setattr(np.fft, "rfft", counted)
     w, g = from_shorthand("std:1"), parse_symbol("random:24:1")
     norms.bmoa_kernel_sup(g, w)
-    norms.bmoa_kernel_values(g, w, 2.0, norms._kernel_anchor_set())
+    norms.bmoa_kernel_values(g, w, norms._kernel_anchor_set())
     assert calls == []
-    norms.bmoa_kernel_sup(g, w, 1.5)
-    assert calls
 
 
 def test_fft_path_refuses_anchors_beyond_its_resolution():
-    # the ring grids stop at 16384 samples, so for |a| > 1 - 2^-8 they
-    # miss the kernel peak (at 1 - 2^-14 the FFT value was 6.6% off)
+    # a ring FFT capped at 16384 samples misses the kernel peak for
+    # |a| > 1 - 2^-8 (at 1 - 2^-14 it was 6.6% off); the closed form serves
+    # every anchor up to the boundary
     w, g = from_shorthand("std:1"), parse_symbol("random:8:1")
-    far = np.array([0.5, (1.0 - 2.0 ** -10) * 1j])
-    with pytest.raises(ValueError):
-        norms.bmoa_kernel_values(g, w, 1.5, far)
-    with pytest.raises(ValueError):
-        norms.bmoa_kernel_sup(g, w, 1.5, anchors=far)
-    assert math.isfinite(norms.bmoa_kernel_sup(g, w, 1.5).value)
     near = np.array([1.0 - 2.0 ** -j for j in (10, 12, 14)])
-    vals = norms.bmoa_kernel_values(g, w, 2.0, near)
+    vals = norms.bmoa_kernel_values(g, w, near)
     assert np.all(np.isfinite(vals)) and np.all(vals > 0)

@@ -198,7 +198,7 @@ class TestBMOA:
                    random_polynomial(rng, 12)]
         for g in symbols:
             a = norms.bmoa_mu_sup(g, std1).value
-            b = norms.bmoa_kernel_sup(g, std1, 2.0).value
+            b = norms.bmoa_kernel_sup(g, std1).value
             assert b / a < 8.0 and a / b < 8.0
 
     def test_vanishing_profile_polynomial(self, std1, rng):
