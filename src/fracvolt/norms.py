@@ -10,11 +10,12 @@ trigonometric polynomial
 Angular integrals over full circles, cones |arg z - arg xi| < 1 - |z| and
 Carleson squares therefore collapse to closed windowed sums of the A_k, so
 the only quadrature error left is radial.  The Besov and Bergman p-means
-take the same A_k to |P|^2 on each ring's m angles with one real inverse
-FFT, and average (|P|^2)^(p/2).  Radial integrals run on the
-geometric Gauss-Legendre panels of :mod:`fracvolt.quad`; suprema over disc
-anchors are maxima over an explicit anchor set (lattice plus radial rays)
-and report their argmax anchor.
+sample P itself on each ring's m angles (half of them for a real series)
+by one real matrix product per block of rings, and average (|P|^2)^(p/2).
+Radial integrals run on the geometric Gauss-Legendre panels of
+:mod:`fracvolt.quad`; suprema over disc anchors are maxima over an
+explicit anchor set (lattice plus radial rays) and report their argmax
+anchor.
 
 Every rule is fixed: the reference grid of :mod:`fracvolt.quad`,
 TENT_XI_NODES boundary points for the tent norm, BLOCH_ANGLES angles per
@@ -52,10 +53,10 @@ KERNEL_LEVELS = (12, 20)
 TENT_XI_NODES = 512
 BLOCH_ANGLES = 2048
 
-# Elements (rows x angles) per block of the radius-by-angle loops: the
-# ring transforms of the p-means and the circle samples of bloch_mu.  A
-# real array of a block (the p-means' |P|^2 and its power) takes 1 MB, a
-# complex one (bloch_mu's samples) 2 MB.
+# Elements (rows x columns) per block of the radius-by-angle loops: the
+# ring samples of the p-means (Re P and Im P, two columns per angle) and
+# the circle samples of bloch_mu.  A real array of a block (the p-means'
+# Re P and Im P) takes 1 MB, a complex one (bloch_mu's samples) 2 MB.
 # With blocks of 8 MB or more the allocator handed the scratch back to the
 # system after each call and every Besov p-mean page-faulted about 6 MB
 # back in; blocks this size are reused from the heap, and the extra loop
@@ -129,25 +130,36 @@ def _sample_circle(coeffs: np.ndarray, radii: np.ndarray, m: int) -> np.ndarray:
     return np.abs(samples)
 
 
-def _ring_square(coeffs: np.ndarray, radii: np.ndarray, m: int) -> np.ndarray:
-    """|P(r e^(i theta))|^2 on m uniform angles, per radius, clamped at 0.
+def _circle_table(c: np.ndarray, m: int):
+    """(T, weights): T holds Re and Im of c_n e^(i n theta_t) side by side
+    (columns 2t and 2t + 1 of row n) on the angles theta_t = 2 pi t / m
+    that a ring's mean needs, and the weights of those angles in the
+    m-angle mean.
 
-    Built from the lags of :func:`angular_autocorr`: A_0 + 2 Re sum_k
-    A_k e^(ik theta) on the m angles is the unscaled inverse real FFT of
-    A (m irfft(A)).  When 2 deg >= m, lag k is first folded onto frequency
-    k mod m and its conjugate onto -k mod m, so the rule aliases as
-    sampling P itself would.
+    The phase of row n at angle t is root (n t) mod m, so a degree >= m
+    aliases onto the m angles as sampling P does.  When the coefficients
+    are real or purely imaginary, |P(r e^(-i theta))| = |P(r e^(i theta))|,
+    so only t = 0..m//2 are taken, with weights (1, 2, ..., 2, 1)/m (the
+    last 2/m for odd m); otherwise all m angles, each with weight 1/m.
     """
-    A = angular_autocorr(coeffs, radii)
-    d = A.shape[1] - 1
-    if 2 * d >= m:
-        k = np.arange(d + 1)
-        folded = np.zeros((len(radii), m), dtype=complex)
-        np.add.at(folded, (slice(None), k % m), A)
-        np.add.at(folded, (slice(None), -k[1:] % m), np.conj(A[:, 1:]))
-        A = folded[:, : m // 2 + 1]
-    sq = np.fft.irfft(A, n=m, axis=1, norm="forward")
-    return np.maximum(sq, 0.0, out=sq)
+    half = not np.any(c.imag) or not np.any(c.real)
+    cols = m // 2 + 1 if half else m
+    phase = np.outer(np.arange(len(c)), np.arange(cols))
+    phase %= m
+    table = np.exp(2j * np.pi / m * np.arange(m))[phase]
+    table *= c[:, None]
+    weights = np.full(cols, 1.0 / m)
+    if half:
+        weights[1:(m + 1) // 2] = 2.0 / m
+    return table.view(float), weights
+
+
+def _ring_samples(powers: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """|P|^2 at the table's angles, one row per row of the power matrix
+    [r^0 ... r^deg]: Re P and Im P by one real product, then Re^2 + Im^2."""
+    parts = powers @ table
+    np.square(parts, out=parts)
+    return parts[:, 0::2] + parts[:, 1::2]
 
 
 def _disc_p_integral(coeffs: np.ndarray, p: float, density, m: int) -> float:
@@ -163,16 +175,20 @@ def _disc_p_integral(coeffs: np.ndarray, p: float, density, m: int) -> float:
     (m/g)-point grid.  So the m-angle mean of |P|^p equals the (m/g)-angle
     mean of (r^v |Q|)^p exactly; only rounding differs.  A single term
     needs one sample per ring, as does the zero series (g = m).  When
-    g = 1, P itself is transformed on all m angles.
+    g = 1, P itself is sampled on all m angles.
 
-    Each ring's |P|^2 comes from :func:`_ring_square`, a block of rows at
-    a time, times r^(2v).  The coefficients are first scaled by 2^-e, with
-    e the binary exponent of max |c_n|, so that squaring neither
-    underflows nor overflows; the result is scaled back by 2^(ep).
-    Rounding: |P|^2 is a sum of terms of size up to A_0 = sum |c_n|^2
-    r^(2n), so each sample carries an absolute error of about eps A_0.
-    Near a zero of P that is a large relative error in |P|^p (negative
-    sums are clamped to 0), but the samples it affects carry a negligible
+    The samples of a block of rows are one real product of its power
+    matrix against :func:`_circle_table` (:func:`_ring_samples`), so no
+    lag, fold or inverse FFT is formed; for real (or purely imaginary)
+    coefficients only half the circle is.  |P|^2 is then scaled by
+    r^(2v).  The coefficients are first scaled by 2^-e, with e the binary
+    exponent of max |c_n|, so that squaring neither underflows nor
+    overflows; the result is scaled back by (2^e)^p (exp2(e p) would
+    round e p first, 2.4e-15 relative at e p = 36).
+    Rounding: Re P and Im P are sums of terms of size up to S = sum |c_n|
+    r^n, so each carries an absolute error of about eps S, and |P|^2 =
+    Re^2 + Im^2 is never negative.  Near a zero of P that is a large
+    relative error in |P|^p, but the samples it affects carry a negligible
     share of the mean.
     """
     c = np.array(coeffs, dtype=complex)
@@ -187,16 +203,19 @@ def _disc_p_integral(coeffs: np.ndarray, p: float, density, m: int) -> float:
         c, m = c[v::g], m // g
         with np.errstate(under="ignore"):
             radii, scale = nodes ** g, nodes ** (2 * v)
+    table, angle_weights = _circle_table(c, m)
+    with np.errstate(under="ignore"):
+        powers = _power_matrix(radii, len(c) - 1)
     mean_p = np.empty(len(nodes))
-    for sl in _row_blocks(len(nodes), m):
-        sq = _ring_square(c, radii[sl], m)
+    for sl in _row_blocks(len(nodes), table.shape[1]):
+        sq = _ring_samples(powers[sl], table)
         if scale is not None:
             sq *= scale[sl, None]
-        mean_p[sl] = np.mean(sq ** (p / 2.0), axis=1)
+        mean_p[sl] = sq ** (p / 2.0) @ angle_weights
     with np.errstate(over="ignore", divide="ignore", under="ignore"):
         dens = density(nodes)
         return float(np.sum(2.0 * weights * nodes * dens * mean_p)
-                     * np.exp2(e * p))
+                     * np.power(np.ldexp(1.0, e), p))
 
 
 def _lp_factor(w: RadialWeight):

@@ -265,22 +265,24 @@ def test_kernel_values_hand_anchors():
     assert est.anchor == oracle_sup(old, anchors)[1]
 
 
-def test_kernel_blocks_do_not_change_values(monkeypatch):
+def test_bloch_blocks_do_not_change_values(monkeypatch):
+    # a ring's circle samples do not depend on the other rings of its block
     w, g = from_shorthand("std:1"), parse_symbol("random:8:2")
-    anchors = norms._kernel_anchor_set()
-    whole = norms.bmoa_kernel_values(g, w, anchors)
+    whole = norms.bloch_mu(g, w)
     monkeypatch.setattr(norms, "BLOCK_ELEMENTS", 1)
-    one_row = norms.bmoa_kernel_values(g, w, anchors)
-    assert_masses_match(one_row, whole)
+    one_row = norms.bloch_mu(g, w)
+    assert (one_row.value, one_row.anchor) == (whole.value, whole.anchor)
 
 
 def test_block_scratch_stays_small():
-    # the Bloch circle samples run in row blocks of BLOCK_ELEMENTS, and the
-    # kernel sup takes its coefficients in closed form: well under 16 MB of
-    # arrays at once (the unblocked loops peaked at about 110 MB and 60 MB)
+    # the Bloch circle samples and the p-mean's ring samples run in row
+    # blocks of BLOCK_ELEMENTS, and the kernel sup takes its coefficients
+    # in closed form: well under 16 MB of arrays at once (the unblocked
+    # loops peaked at about 110 MB and 60 MB)
     w = from_shorthand("std:1")
     for run in (lambda: norms.bmoa_kernel_sup(parse_symbol("random:24:1"), w),
-                lambda: norms.bloch_mu(parse_symbol("random:32:1"), w)):
+                lambda: norms.bloch_mu(parse_symbol("random:32:1"), w),
+                lambda: norms.besov_mu(parse_symbol("random:255:1"), w, 2.6)):
         tracemalloc.start()
         try:
             run()

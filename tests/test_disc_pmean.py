@@ -1,10 +1,10 @@
-"""Disc p-means from the ring transform against the sampled full grid.
+"""Disc p-means from the ring samples against the sampled full grid.
 
-The oracle is the p-mean the ring transform and the period reduction
+The oracle is the p-mean the ring samples and the period reduction
 replaced: |P| sampled by an inverse FFT on all m angles of every radial
-node, whatever the support of P.  The fast path builds |P|^2 from the
-angular lags on each ring's true period instead, so every case agrees to
-rounding.
+node, whatever the support of P.  The fast path samples P by a real
+product with an angle table on each ring's true period instead, and on
+half of it for real series, so every case agrees to rounding.
 """
 
 import numpy as np
@@ -112,19 +112,24 @@ def test_stride_supports_match_full_grid(v, stride, terms, m, p):
     assert value == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
 
+def count_samples(monkeypatch):
+    """Per call of the per-block ring sampler: (rows, angles) sampled."""
+    counts = []
+    original = norms._ring_samples
+
+    def counted(powers, table):
+        counts.append((len(powers), table.shape[1] // 2))
+        return original(powers, table)
+
+    monkeypatch.setattr(norms, "_ring_samples", counted)
+    return counts
+
+
 def test_monomial_samples_one_point_per_ring(monkeypatch):
-    samples = []
-    original = norms._ring_square
-
-    def counted(coeffs, radii, m):
-        samples.append(len(radii) * m)
-        return original(coeffs, radii, m)
-
-    monkeypatch.setattr(norms, "_ring_square", counted)
+    counts = count_samples(monkeypatch)
     norms.besov_mu(TaylorSeries.monomial(16), from_shorthand("std:1"), 3.0)
     assert len(radial_nodes()[0]) == 2304
-    assert 0 < sum(samples) <= 2304
-
+    assert 0 < sum(rows * angles for rows, angles in counts) <= 2304
 
 
 DENSITY = lambda r: (1.0 - r ** 2) ** 0.5
@@ -155,6 +160,19 @@ def test_extreme_coefficients_match_full_grid(scale, m, p):
             assert value == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("p", (0.3, 2.6, 3.7))    # k p is not exact
+def test_binary_scaling_comes_back_exactly(p):
+    # c and 2^k c share their scaled coefficients, so the p-means differ
+    # only by the scale-back, which must not round k p (about 1e-14 here)
+    c = _random_coeffs(12, 6)
+    base = norms._disc_p_integral(c, p, DENSITY, 64)
+    for k in (17, 40, 101):
+        value = norms._disc_p_integral(np.ldexp(c.view(float), k).view(complex),
+                                       p, DENSITY, 64)
+        assert value / base == pytest.approx(np.power(np.ldexp(1.0, k), p),
+                                             rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("p", RING_PS)
 @pytest.mark.parametrize("m", (16, 64))
 def test_aliased_full_support_matches_full_grid(m, p):
@@ -166,11 +184,59 @@ def test_aliased_full_support_matches_full_grid(m, p):
         assert value == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
 
-def test_p_mean_makes_no_complex_ifft(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("np.fft.ifft called")
+HALF_CIRCLE = {
+    # (coefficients, m, reduced m)
+    "real-random:24": (_random_coeffs(24, 7).real, 1024, 1024),
+    "imaginary-random:24": (1j * _random_coeffs(24, 8).real, 1024, 1024),
+    "real-odd-m": (_random_coeffs(24, 9).real, 63, 63),
+    "real-z^5+z^305": (_poly({5: 1.0, 305: -0.3}).coeffs, 1224, 102),
+    "real-z^5+z^309-odd-reduced-m": (_poly({5: 1.0, 309: 0.3}).coeffs, 1224, 153),
+    "imaginary-z^5+z^309": (_poly({5: 2j, 309: -0.7j}).coeffs, 1224, 153),
+    "real-degree-3m+5": (_random_coeffs(3 * 64 + 5, 10).real, 64, 64),
+    "imaginary-degree-m": (1j * _random_coeffs(16, 11).real, 16, 16),
+    "real-degree-3m+5-odd-m": (_random_coeffs(3 * 21 + 5, 12).real, 21, 21),
+}
 
-    monkeypatch.setattr(np.fft, "ifft", refuse)
-    g = parse_symbol("random:16:2")
-    for call in DENSITIES.values():
-        assert np.isfinite(call(g, 2.6).value)
+
+@pytest.mark.parametrize("p", RING_PS)
+@pytest.mark.parametrize("case", sorted(HALF_CIRCLE))
+def test_real_series_take_half_the_circle(monkeypatch, case, p):
+    # |P(r e^(-i theta))| = |P(r e^(i theta))|: angles 0..m//2 only
+    c, m, reduced = HALF_CIRCLE[case]
+    counts = count_samples(monkeypatch)
+    value = norms._disc_p_integral(c, p, DENSITY, m)
+    assert {angles for _, angles in counts} == {reduced // 2 + 1}
+    assert sum(rows for rows, _ in counts) == len(radial_nodes()[0])
+    oracle = oracle_disc_p_integral(c, p, DENSITY, m)
+    assert value == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+
+def test_complex_series_take_the_whole_circle(monkeypatch):
+    counts = count_samples(monkeypatch)
+    norms._disc_p_integral(_random_coeffs(24, 7), 2.6, DENSITY, 1024)
+    assert {angles for _, angles in counts} == {1024}
+
+
+@pytest.mark.parametrize("c", (_random_coeffs(40, 3), _random_coeffs(40, 4).real),
+                         ids=("complex", "real"))
+def test_row_blocks_do_not_change_p_means(monkeypatch, c):
+    # BLAS may round a row differently in another block shape: 1e-15, not ==
+    whole = norms._disc_p_integral(c, 2.6, DENSITY, 1024)
+    monkeypatch.setattr(norms, "BLOCK_ELEMENTS", 1)
+    one_row = norms._disc_p_integral(c, 2.6, DENSITY, 1024)
+    assert one_row == pytest.approx(whole, rel=1e-15, abs=0.0)
+
+
+def test_p_mean_makes_no_complex_ifft(monkeypatch):
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return call
+
+    for name in ("ifft", "irfft"):
+        monkeypatch.setattr(np.fft, name, refuse(f"np.fft.{name}"))
+    monkeypatch.setattr(norms, "angular_autocorr", refuse("angular_autocorr"))
+    for symbol in ("random:16:2", "log:64"):    # the whole and the half circle
+        g = parse_symbol(symbol)
+        for call in DENSITIES.values():
+            assert np.isfinite(call(g, 2.6).value)
