@@ -1,22 +1,21 @@
-"""Recursive-descent parser/evaluator for custom radial weight formulas.
+"""Formulas in ``r`` for custom radial weights, read by Python's parser.
 
-Grammar (one variable, ``r``):
-
-    expr   := ('+'|'-')? term (('+'|'-') term)*
-    term   := factor (('*'|'/') factor)*
-    factor := base ('^' factor)?
-    base   := NUMBER | 'r' | FUNC '(' expr ')' | '(' expr ')'
-    FUNC   in {exp, log, sqrt}
-
-'^' associates to the right.  A leading sign is accepted so that formulas
-like ``exp(-1/(1-r))`` parse.  Evaluation is numpy-vectorised, and the AST
-supports symbolic differentiation so that a weight can be specified by its
-tail function, with the density recovered as -d/dr of the tail.
+A formula holds number literals, ``r``, unary ``+``/``-``, binary
+``+ - * /``, ``^`` for the power and one-argument ``exp``, ``log`` and
+``sqrt``, with Python's precedence: ``^`` is right-associative and binds
+tighter than a sign on its left (``-r^2`` is -(r^2)), and a sign may
+follow any operator, as in ``(1-r)^-0.5``.  ``**`` and hex literals are
+refused, and a formula nested too deeply raises :class:`ExprError`.  Trees
+are evaluated numpy-vectorised and differentiated symbolically, so that a
+weight can be given by its tail, with the density as -d/dr of the tail.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
+import warnings
 from typing import Union
 
 import numpy as np
@@ -28,109 +27,64 @@ class ExprError(ValueError):
     """Malformed formula or evaluation outside the weight's domain."""
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))")
-
-_FUNCS = ("exp", "log", "sqrt")
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ExprError(f"unexpected character at position {pos}: {text[pos:]!r}")
-        if m.group("num") is not None:
-            tokens.append(("num", float(m.group("num"))))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
-    tokens.append(("end", None))
-    return tokens
+_FUNCS = {"exp": np.exp, "log": np.log, "sqrt": np.sqrt}
+_BINARY = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div",
+           ast.Pow: "pow"}
+_ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+               "div": operator.truediv}
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
+def _tree(node: ast.AST, text: str) -> Node:
+    """The tuple tree of a parsed formula; ExprError on any other node."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return (_BINARY[type(node.op)], _tree(node.left, text),
+                _tree(node.right, text))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        operand = _tree(node.operand, text)
+        return ("neg", operand) if isinstance(node.op, ast.USub) else operand
+    if isinstance(node, ast.Name) and node.id == "r":
+        return ("var",)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCS and len(node.args) == 1
+            and not node.keywords):
+        return ("call", node.func.id, _tree(node.args[0], text))
+    source = text[node.col_offset:node.end_col_offset]
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        try:
+            return ("num", float(source))
+        except ValueError:
+            raise ExprError(f"unsupported number {source!r}") from None
+    raise ExprError(f"unsupported syntax {source!r}")
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.next()
-        if kind != "op" or val != op:
-            raise ExprError(f"expected {op!r}, got {val!r}")
-
-    def parse(self) -> Node:
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise ExprError(f"trailing input: {self.peek()[1]!r}")
-        return node
-
-    def expr(self) -> Node:
-        kind, val = self.peek()
-        if kind == "op" and val in "+-":
-            self.next()
-            node = self.term()
-            if val == "-":
-                node = ("neg", node)
-        else:
-            node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.next()
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def term(self) -> Node:
-        node = self.factor()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.next()
-            rhs = self.factor()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
-
-    def factor(self) -> Node:
-        node = self.base()
-        if self.peek() == ("op", "^"):
-            self.next()
-            exponent = self.factor()
-            node = ("pow", node, exponent)
-        return node
-
-    def base(self) -> Node:
-        kind, val = self.next()
-        if kind == "num":
-            return ("num", val)
-        if kind == "name":
-            if val == "r":
-                return ("var",)
-            if val in _FUNCS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return ("call", val, arg)
-            raise ExprError(f"unknown identifier {val!r}")
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExprError(f"unexpected token {val!r}")
+def _shallow(fn, *args):
+    """fn(*args), with a RecursionError on a deep formula as ExprError."""
+    try:
+        return fn(*args)
+    except RecursionError:
+        raise ExprError("formula nested too deeply") from None
 
 
 def parse(formula: str) -> Node:
-    return _Parser(_tokenize(formula)).parse()
+    # Unicode digits read as ASCII ones and integers may carry leading
+    # zeros, as float() allows; every other non-ASCII character is refused
+    text = re.sub(r"\s+", " ", formula).strip()
+    text = re.sub(r"\d", lambda m: str(int(m[0])), text)
+    text = re.sub(r"(?<![\w.])0+(?=\d)", "", text)
+    if not text.isascii():
+        raise ExprError("non-ASCII character in formula")
+    if "**" in text:
+        raise ExprError("write a power as '^', not '**'")
+    text = text.replace("^", "**")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            body = ast.parse(text, "<formula>", "eval").body
+    except SyntaxError as e:
+        raise ExprError(f"invalid formula: {e.msg}") from None
+    except (RecursionError, MemoryError):   # the parser's stack ran out
+        raise ExprError("formula nested too deeply") from None
+    return _shallow(_tree, body, text)
 
 
 def evaluate(node: Node, r: Union[float, np.ndarray]):
@@ -142,37 +96,26 @@ def evaluate(node: Node, r: Union[float, np.ndarray]):
         return np.asarray(r, dtype=float) if np.ndim(r) else float(r)
     if kind == "neg":
         return -evaluate(node[1], r)
-    if kind == "add":
-        return evaluate(node[1], r) + evaluate(node[2], r)
-    if kind == "sub":
-        return evaluate(node[1], r) - evaluate(node[2], r)
-    if kind == "mul":
-        return evaluate(node[1], r) * evaluate(node[2], r)
-    if kind == "div":
-        return evaluate(node[1], r) / evaluate(node[2], r)
+    if kind in _ARITHMETIC:
+        return _ARITHMETIC[kind](evaluate(node[1], r), evaluate(node[2], r))
     if kind == "pow":
         with np.errstate(invalid="ignore"):
             return evaluate(node[1], r) ** evaluate(node[2], r)
     if kind == "call":
         arg = evaluate(node[2], r)
-        fn = {"exp": np.exp, "log": np.log, "sqrt": np.sqrt}[node[1]]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return fn(arg)
+            return _FUNCS[node[1]](arg)
     raise ExprError(f"bad node {node!r}")
 
 
 def _is_const(node: Node) -> bool:
-    if node[0] == "num":
-        return True
-    if node[0] == "var":
-        return False
-    if node[0] in ("neg",):
-        return _is_const(node[1])
-    if node[0] in ("add", "sub", "mul", "div", "pow"):
-        return _is_const(node[1]) and _is_const(node[2])
-    if node[0] == "call":
-        return _is_const(node[2])
-    return False
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if node[0] == "var":
+            return False
+        stack.extend(arg for arg in node[1:] if type(arg) is tuple)
+    return True
 
 
 def derivative(node: Node) -> Node:
@@ -182,12 +125,8 @@ def derivative(node: Node) -> Node:
         return ("num", 0.0)
     if kind == "var":
         return ("num", 1.0)
-    if kind == "neg":
-        return ("neg", derivative(node[1]))
-    if kind == "add":
-        return ("add", derivative(node[1]), derivative(node[2]))
-    if kind == "sub":
-        return ("sub", derivative(node[1]), derivative(node[2]))
+    if kind in ("neg", "add", "sub"):
+        return (kind, *map(derivative, node[1:]))
     if kind == "mul":
         f, g = node[1], node[2]
         return ("add", ("mul", derivative(f), g), ("mul", f, derivative(g)))
@@ -221,15 +160,13 @@ def derivative(node: Node) -> Node:
 class Expression:
     """A parsed one-variable formula with evaluation and differentiation."""
 
-    def __init__(self, formula: str, ast: Node = None):
+    def __init__(self, formula: str, tree: Node = None):
         self.formula = formula
-        self.ast = parse(formula) if ast is None else ast
+        self.tree = parse(formula) if tree is None else tree
 
     def __call__(self, r):
-        return evaluate(self.ast, r)
+        return _shallow(evaluate, self.tree, r)
 
     def derivative(self) -> "Expression":
-        expr = Expression.__new__(Expression)
-        expr.formula = f"d/dr({self.formula})"
-        expr.ast = derivative(self.ast)
-        return expr
+        return Expression(f"d/dr({self.formula})",
+                          _shallow(derivative, self.tree))

@@ -118,6 +118,12 @@ def _sample_circle(coeffs: np.ndarray, radii: np.ndarray, m: int) -> np.ndarray:
 
     Only the coefficients (folded onto m frequencies) are stored; the
     inverse FFT pads them to m, so the samples are the only m-wide array.
+    Only :func:`bloch_mu` samples this way, for its anchor: on
+    ``norm --name bloch --weight std:1 --symbol mono:1`` the maximum is
+    an exact tie over the angles, the FFT's rounding picks
+    0.2109+0.4530j, and the matrix-product samples of
+    :func:`_ring_samples` would pick 0.4254+0.2621j, which the
+    benchmark's reference outputs refuse.
     """
     c = np.asarray(coeffs, dtype=complex)
     spectrum = np.zeros((len(radii), min(len(c), m)), dtype=complex)
@@ -162,9 +168,9 @@ def _ring_samples(powers: np.ndarray, table: np.ndarray) -> np.ndarray:
     return parts[:, 0::2] + parts[:, 1::2]
 
 
-def _disc_p_integral(coeffs: np.ndarray, p: float, density, m: int) -> float:
-    """int_D |P|^p density(|z|) dA: per-radius means of (|P|^2)^(p/2) on
-    m angles.
+def _ring_p_means(coeffs: np.ndarray, p: float, radii: np.ndarray, m: int):
+    """(means, scale): the m-angle means of |P|^p on each radius, divided
+    by scale = (2^e)^p.
 
     Each ring is sampled over its true angular period only.  If every
     exponent in P's support is v mod g, then P(z) = z^v Q(z^g), so
@@ -183,8 +189,8 @@ def _disc_p_integral(coeffs: np.ndarray, p: float, density, m: int) -> float:
     coefficients only half the circle is.  |P|^2 is then scaled by
     r^(2v).  The coefficients are first scaled by 2^-e, with e the binary
     exponent of max |c_n|, so that squaring neither underflows nor
-    overflows; the result is scaled back by (2^e)^p (exp2(e p) would
-    round e p first, 2.4e-15 relative at e p = 36).
+    overflows; the caller scales back by (2^e)^p (exp2(e p) would round
+    e p first, 2.4e-15 relative at e p = 36).
     Rounding: Re P and Im P are sums of terms of size up to S = sum |c_n|
     r^n, so each carries an absolute error of about eps S, and |P|^2 =
     Re^2 + Im^2 is never negative.  Near a zero of P that is a large
@@ -197,25 +203,32 @@ def _disc_p_integral(coeffs: np.ndarray, p: float, density, m: int) -> float:
     g = math.gcd(m, *(int(n) - v for n in support))
     e = int(np.frexp(np.max(np.abs(c)))[1]) if len(support) else 0
     c = np.ldexp(c.view(float), -e).view(complex)
-    nodes, weights = radial_nodes()
-    radii, scale = nodes, None
+    rows, shift = radii, None
     if g > 1:
         c, m = c[v::g], m // g
         with np.errstate(under="ignore"):
-            radii, scale = nodes ** g, nodes ** (2 * v)
+            rows, shift = radii ** g, radii ** (2 * v)
     table, angle_weights = _circle_table(c, m)
     with np.errstate(under="ignore"):
-        powers = _power_matrix(radii, len(c) - 1)
-    mean_p = np.empty(len(nodes))
-    for sl in _row_blocks(len(nodes), table.shape[1]):
+        powers = _power_matrix(rows, len(c) - 1)
+    mean_p = np.empty(len(radii))
+    for sl in _row_blocks(len(radii), table.shape[1]):
         sq = _ring_samples(powers[sl], table)
-        if scale is not None:
-            sq *= scale[sl, None]
+        if shift is not None:
+            sq *= shift[sl, None]
         mean_p[sl] = sq ** (p / 2.0) @ angle_weights
+    with np.errstate(over="ignore"):
+        return mean_p, np.power(np.ldexp(1.0, e), p)
+
+
+def _disc_p_integral(coeffs: np.ndarray, p: float, density, m: int) -> float:
+    """int_D |P|^p density(|z|) dA: per-radius means of |P|^p on m angles
+    (:func:`_ring_p_means`) against the radial rule."""
+    nodes, weights = radial_nodes()
+    mean_p, scale = _ring_p_means(coeffs, p, nodes, m)
     with np.errstate(over="ignore", divide="ignore", under="ignore"):
         dens = density(nodes)
-        return float(np.sum(2.0 * weights * nodes * dens * mean_p)
-                     * np.power(np.ldexp(1.0, e), p))
+        return float(np.sum(2.0 * weights * nodes * dens * mean_p) * scale)
 
 
 def _lp_factor(w: RadialWeight):
@@ -250,11 +263,11 @@ def _window_weights(h: np.ndarray, kmax: int) -> np.ndarray:
     return out
 
 
-def _phase_sum(G: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """G_0 + 2 Re sum_{k>=1} G_k e^(ik arg a) per anchor (row i of G
-    belongs to anchors[i]): a trigonometric polynomial with real G_0."""
+def _phase_sum(G: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """G_0 + 2 Re sum_{k>=1} G_k e^(ik phi) per angle (row i of G belongs
+    to angles[i]): a trigonometric polynomial with real G_0."""
     k = np.arange(1, G.shape[1])
-    phase = np.exp(1j * np.outer(np.angle(anchors), k))
+    phase = np.exp(1j * np.outer(angles, k))
     return G[:, 0].real + 2.0 * np.sum((G[:, 1:] * phase).real, axis=1)
 
 
@@ -320,7 +333,7 @@ class SquareMachine:
         flat = anchors.ravel()
         t, inverse = np.unique(np.abs(flat), return_inverse=True)
         G = _window_weights((1.0 - t) / 2.0, self.degree) * self._suffix_from(t)
-        out = _phase_sum(G[inverse], flat) / np.pi
+        out = _phase_sum(G[inverse], np.angle(flat)) / np.pi
         # S(0) is the whole disc, not a window of half-width 1/2
         out[flat == 0] = (1.0 / np.pi) * 2.0 * np.pi * self.panel_suffix[0][0].real
         return float(out[0]) if anchors.ndim == 0 else out.reshape(anchors.shape)
@@ -413,8 +426,7 @@ def tent_norm_power(f: TaylorSeries, w: RadialWeight, p: float) -> NormEstimate:
 
     m = int(max(TENT_XI_NODES, 2 ** math.ceil(math.log2(max(2, 2 * d + 2)))))
     phi = 2.0 * np.pi * np.arange(m) / m
-    inner = B[0].real + 2.0 * np.real(
-        np.exp(1j * np.outer(phi, np.arange(1, d + 1))) @ B[1:])
+    inner = _phase_sum(np.broadcast_to(B, (m, d + 1)), phi)
     powered = np.maximum(inner, 0.0) ** (p / 2.0)
     value = float(np.pi / m * np.sum(powered))
     err = abs(value - float(2.0 * np.pi / m * np.sum(powered[::2])))
@@ -438,8 +450,8 @@ def hardy_p_reference(f: TaylorSeries, p: float) -> NormEstimate:
     r0 = 1.0 - 2.0 ** -30
     d = f.degree
     m = angular_nodes_for_degree(d)
-    samples = _sample_circle(f.coeffs, np.array([r0]), m)[0]
-    value = float(np.mean(samples ** p) ** (1.0 / p))
+    mean_p, scale = _ring_p_means(f.coeffs, p, np.array([r0]), m)
+    value = float((mean_p[0] * scale) ** (1.0 / p))
     # err: not estimated (the circle mean at one radius near 1)
     return NormEstimate(value, math.nan, tag="hardy-p-reference",
                         truncation={"series": d, "angular": m})
@@ -616,19 +628,6 @@ class _KernelRings:
         return (1.0 - ts) ** 2.0 * 2.0 * (peak @ (self.base * self.A[:, 0].real))
 
 
-def bmoa_kernel_values(g: TaylorSeries, w: RadialWeight,
-                       anchors: np.ndarray) -> np.ndarray:
-    """int_D (1-|a|)^2 / |1 - conj(a) z|^3 d nu_g(z) per anchor a: the
-    kernel coefficients of every ring once per distinct |a|
-    (:class:`_KernelRings`), then one phase sum per anchor."""
-    rings = _KernelRings(g, w)
-    ts, inverse = np.unique(np.abs(anchors), return_inverse=True)
-    U = np.zeros((len(ts), rings.degree + 1), dtype=complex)
-    for j, t in enumerate(ts):
-        U[j] = rings.coefficients(t)
-    return _phase_sum(U[inverse], anchors)
-
-
 def bmoa_kernel_sup(g: TaylorSeries, w: RadialWeight,
                     anchors: Optional[Sequence[complex]] = None) -> NormEstimate:
     """sup_a int_D (1-|a|)^2 / |1 - conj(a) z|^3 d nu_g(z) over the anchors
@@ -640,13 +639,15 @@ def bmoa_kernel_sup(g: TaylorSeries, w: RadialWeight,
     in decreasing order of it, and a radius whose bound times
     1 + BOUND_SLACK is below the best value found so far gets no kernel
     coefficients: none of its anchors can reach the maximum.  The value
-    and the first-maximum anchor are those of :func:`bmoa_kernel_values`
-    over all anchors, bit for bit.
+    and the first-maximum anchor are those of the unpruned sweep (the
+    coefficients of every radius, then one phase sum over all anchors),
+    bit for bit.
     """
     anchors = np.asarray(_kernel_anchor_set() if anchors is None else anchors,
                          dtype=complex)
     rings = _KernelRings(g, w)
     ts, inverse = np.unique(np.abs(anchors), return_inverse=True)
+    angles = np.angle(anchors)
     bound = rings.bounds(ts)
     U = np.zeros((len(ts), rings.degree + 1), dtype=complex)
     done = np.zeros(len(ts), dtype=bool)
@@ -657,11 +658,11 @@ def bmoa_kernel_sup(g: TaylorSeries, w: RadialWeight,
         U[j] = rings.coefficients(ts[j])
         done[j] = True
         mine = inverse == j
-        vals = _phase_sum(U[inverse[mine]], anchors[mine])
+        vals = _phase_sum(U[inverse[mine]], angles[mine])
         best = max(best, np.max(vals, initial=-np.inf, where=~np.isnan(vals)))
-    # one phase sum over all anchors, as in bmoa_kernel_values, so the
+    # one phase sum over all anchors, as in the unpruned sweep, so the
     # values of the radii that ran match it bit for bit
-    values = _phase_sum(U[inverse], anchors)
+    values = _phase_sum(U[inverse], angles)
     values[~done[inverse]] = -np.inf
     best, best_a = _first_max(values, anchors)
     return NormEstimate(best, math.nan, tag="bmoa-kernel",

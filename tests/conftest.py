@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from fracvolt import ExponentialWeight, StandardWeight, TailExprWeight, TaylorSeries
+from fracvolt import (ExponentialWeight, StandardWeight, TailExprWeight,
+                      TaylorSeries, norms)
 
 # property tests draw the same examples on every run, with no time limit
 # per example and no example database written to disk
@@ -38,6 +39,19 @@ def random_polynomial(rng, degree, complex_coeffs=True):
         c = c + 1j * rng.standard_normal(degree + 1)
     c = c / np.linalg.norm(c)
     return TaylorSeries.from_coeffs(c)
+
+
+def bmoa_kernel_values(g, w, anchors):
+    """int_D (1-|a|)^2 / |1 - conj(a) z|^3 d nu_g(z) per anchor a, unpruned:
+    the kernel coefficients of every distinct |a| (norms._KernelRings),
+    then one phase sum over all anchors.  bmoa_kernel_sup must match it
+    bit for bit on the radii it does not prune."""
+    rings = norms._KernelRings(g, w)
+    ts, inverse = np.unique(np.abs(anchors), return_inverse=True)
+    U = np.zeros((len(ts), rings.degree + 1), dtype=complex)
+    for j, t in enumerate(ts):
+        U[j] = rings.coefficients(t)
+    return norms._phase_sum(U[inverse], np.angle(anchors))
 
 
 @pytest.fixture()

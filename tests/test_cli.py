@@ -309,6 +309,25 @@ class TestErrorExits:
     def test_negative_log_branch(self, capsys):
         self.run_err(capsys, "frac", "--symbol", "log:-3")
 
+    @pytest.mark.parametrize("weight", [
+        "expr:" + "(" * 300 + "r" + ")" * 300,
+        "expr:" + "+".join(["r"] * 2000),
+        "tailexpr:2-" + "*".join(["r"] * 600),
+        "expr:__import__('os')", "expr:r.real", "expr:(lambda: 1)()",
+        "expr:0x10+r", "expr:r**2"],
+        ids=["300-parentheses", "2000-term-sum", "600-factor-tail", "import",
+             "attribute", "lambda", "hex", "double-star"])
+    def test_hostile_formula(self, capsys, weight):
+        self.run_err(capsys, "moments", "--weight", weight)
+
+    @pytest.mark.parametrize("formula", ["+".join(["r"] * 900),
+                                         "*".join(["r"] * 600)],
+                             ids=["900-term-sum", "600-factor-product"])
+    def test_long_formula_accepted(self, capsys, formula):
+        code, out = run_cli(capsys, "moments", "--weight", "expr:" + formula,
+                            "--x", "1")
+        assert code == EXIT_OK and out.count("\n") == 2
+
     def test_non_integrable_expr_weight(self, capsys):
         line = self.run_err(capsys, "moments", "--weight", "expr:1/(1-r)")
         assert "integrable" in line

