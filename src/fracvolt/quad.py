@@ -13,6 +13,9 @@ DEFAULT_ANGULAR_NODES angles.  The only other radial grid is the kernel
 integral's reduced one, selected by its level counts in
 :func:`radial_nodes`.
 
+Moments split each index as x = x0 + d, the anchor x0 a multiple of 16:
+one row of exponentials per anchor and one row s^d per offset d < 16.
+
 Area measure convention: dA = dx dy / pi, so the disc has unit area and for a
 radial integrand F,  int_D F dA = 2 * int_0^1 F(r) r dr.
 
@@ -119,36 +122,38 @@ def radial_nodes(left_levels: int = LEFT_LEVELS,
     return nodes.ravel(), weights.ravel()
 
 
-# Moments are formed this many indices at a time: a (MOMENT_CHUNK, nodes)
-# block stays in cache, and no (count, nodes) array is ever allocated.
-MOMENT_CHUNK = 16
+# Anchor spacing of the moment kernels; the smallest reference node to the
+# power ANCHOR_STEP - 1 is about 2^-502, far above the least double.
+ANCHOR_STEP = 16
 
 # exp(t) rounds to exactly 0.0 for every t below this (2^-1075, half the
 # least subnormal, is exp(-745.13)).
 EXP_UNDERFLOW = -746.0
 
 
-def _exp_window(t: np.ndarray) -> np.ndarray:
-    """np.exp(t) for a block of rows, evaluated only on the columns between
-    the first and the last where some row is not below EXP_UNDERFLOW; the
-    rest are the exact zeros np.exp would give there."""
-    live = np.flatnonzero(~np.all(t < EXP_UNDERFLOW, axis=0))
-    out = np.zeros_like(t)
-    if len(live):
-        cols = slice(live[0], live[-1] + 1)
-        with np.errstate(under="ignore"):
-            out[:, cols] = np.exp(t[:, cols])
-    return out
-
-
-def _by_chunks(xs, rows: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """rows(x) for each block of MOMENT_CHUNK of the ``xs``, passed as a
-    column x, joined into one vector."""
+def _anchored(xs, ln: np.ndarray, anchor_row, scale=1.0) -> tuple:
+    """(shift, total) for each x = x0 + d in ``xs``: (shift, t) is
+    anchor_row(x0), and total = sum_j exp(t_j) s_j^d scale_j is one
+    ``np.sum`` over the anchor's live columns, from the first to the last
+    where t is not below EXP_UNDERFLOW (NaN counts); it depends on x alone.
+    """
     xs = np.asarray(xs, dtype=float)
-    out = np.empty(len(xs))
-    for i in range(0, len(xs), MOMENT_CHUNK):
-        out[i:i + MOMENT_CHUNK] = rows(xs[i:i + MOMENT_CHUNK, None])
-    return out
+    x0 = ANCHOR_STEP * np.floor(xs / ANCHOR_STEP)
+    with np.errstate(invalid="ignore", under="ignore"):
+        offsets, groups = {}, {}
+        d_at = np.array([offsets.setdefault(d, len(offsets))
+                         for d in (xs - x0).tolist()])
+        powers = np.exp(np.array(list(offsets))[:, None] * ln) * scale
+        for i, anchor in enumerate(x0.tolist()):
+            groups.setdefault(anchor, []).append(i)
+        shift, total = np.empty(len(xs)), np.empty(len(xs))
+        for anchor, at in groups.items():
+            at = np.array(at)
+            shift[at], t = anchor_row(anchor)
+            live = np.flatnonzero(~(t < EXP_UNDERFLOW))
+            cols = slice(live[0], live[-1] + 1) if len(live) else slice(0, 0)
+            total[at] = np.sum(np.exp(t[cols]) * powers[d_at[at], cols], axis=1)
+    return shift, total
 
 
 @lru_cache(maxsize=None)
@@ -262,15 +267,11 @@ class PanelFunction:
         return (self.anti_hi[idx] - F) * self.half[idx] + self.suffix[idx + 1]
 
     def moments(self, xs) -> np.ndarray:
-        """int_0^1 s^x f(s) ds on the cached grid, for each x in ``xs``.
-
-        Each row is summed as ``np.sum(exp(x log s) * (f w))`` would sum it
-        alone; the rows are formed MOMENT_CHUNK at a time.
-        """
-        ln = np.log(self.flat_nodes)
-        vals = self.flat_values * self.flat_weights
-        return _by_chunks(
-            xs, lambda x: np.sum(_exp_window(x * ln) * vals, axis=1))
+        """int_0^1 s^x f(s) ds on the cached grid, for each x in ``xs``:
+        sum_j s_j^x0 (s_j^d f_j w_j), by :func:`_anchored`."""
+        ln = _log_grid()[0]     # every PanelFunction is on the reference grid
+        return _anchored(xs, ln, lambda x0: (0.0, x0 * ln),
+                         self.flat_values * self.flat_weights)[1]
 
     def moment(self, x: float) -> float:
         """int_0^1 s^x f(s) ds on the cached grid."""
@@ -283,23 +284,20 @@ def log_moments(xs, log_density: np.ndarray) -> np.ndarray:
 
     Terms that are not finite are dropped; since x log s and log w are
     finite for every finite x, those are the columns where log f is not.
-    Each row is reduced as a lone 1-D log-sum-exp over the kept terms
-    would be, so the values do not depend on how ``xs`` is batched.
+    Each anchor row is shifted by its own maximum; a row with no finite
+    term (an infinite or NaN x, or no finite log f) gives -inf.
     """
     ln, lw = _log_grid()
     keep = np.isfinite(log_density)
     ln, ld, lw = ln[keep], log_density[keep], lw[keep]
-    if not len(ld):
-        return np.full(len(xs), -np.inf)
 
-    def rows(x):
-        expo = (x * ln + ld) + lw
-        top = np.max(expo, axis=1)
-        # an infinite or NaN x leaves no finite term in its row: -inf
-        with np.errstate(invalid="ignore"):
-            total = np.sum(_exp_window(expo - top[:, None]), axis=1)
-            return np.where(np.isfinite(top), top + np.log(total), -np.inf)
-    return _by_chunks(xs, rows)
+    def row(x0):
+        expo = (x0 * ln + ld) + lw
+        top = np.max(expo, initial=-np.inf)
+        return top, expo - top
+    top, total = _anchored(xs, ln, row)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(np.isfinite(top), top + np.log(total), -np.inf)
 
 
 def radial_diverges(values: np.ndarray) -> bool:

@@ -122,8 +122,8 @@ def singular_values(M: OperatorMatrix) -> SingularSpectrum:
     for s in range(u + 1):
         gram[s, : N - s] = np.sum(B[s:, : N - s] * np.conj(B[: u + 1 - s, s:]),
                                   axis=0)
-    # imported here: scipy.linalg adds about 65 ms and 5 MB to every command
-    # that loads this module, and only spectra need it
+    # imported here, as only spectra need it: scipy.linalg takes 0.27-0.29 s
+    # to import alone and 0.04-0.05 s once scipy.special is loaded (2 cores)
     from scipy.linalg import eigvals_banded
     ev = eigvals_banded(gram, lower=True, overwrite_a_band=True,
                         check_finite=False)

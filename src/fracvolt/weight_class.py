@@ -91,8 +91,7 @@ def classify_dhat(w: RadialWeight, depth: int = DEFAULT_DEPTH):
     lt = np.asarray(w.log_tail(r), dtype=float)
     tail_logratio = lt[:-1] - lt[1:]             # (1 + r_j)/2 = r_{j+1}
     xs = 2.0 ** np.arange(0.0, depth + 1.0)
-    lm = np.array([w.log_moment(x) for x in xs])
-    lm2 = np.array([w.log_moment(2.0 * x) for x in xs])
+    lm, lm2 = np.split(w.log_moments(np.concatenate([xs, 2.0 * xs])), 2)
     moment_logratio = lm - lm2
 
     plateau = _plateaus(tail_logratio) and _plateaus(moment_logratio)

@@ -43,7 +43,7 @@ import numpy as np
 from scipy import special as sps
 
 from .expr import Expression, ExprError
-from .quad import PanelFunction, log_moments, radial_diverges
+from .quad import PanelFunction, log_moments, radial_diverges, radial_nodes
 
 MAX_ITERATE_DEPTH = 4
 
@@ -125,13 +125,19 @@ class RadialWeight:
         return self._moment_cache[x]
 
     def log_moment(self, x: float) -> float:
-        m = self.moment(x)
-        return math.log(m) if m > 0 else -math.inf
+        return float(self.log_moments([x])[0])
+
+    def log_moments(self, xs) -> np.ndarray:
+        """log mu_x for each x in ``xs``, by one call of ``_moments``."""
+        ms = self._moments(np.asarray(xs, dtype=float)).tolist()
+        return np.array([math.log(m) if m > 0 else -math.inf for m in ms])
 
     def odd_moments(self, count: int) -> np.ndarray:
         """[mu_1, mu_3, ..., mu_{2(count-1)+1}], computed in one batch by the
         ``_moments`` hook; a longer request computes only the new indices.
-        Each value is bit-identical to ``moment(2n + 1)``."""
+        For exp, expr, tailexpr and derived weights each value depends on
+        its own index alone, so it is bit-identical to ``moment(2n + 1)``;
+        std: overrides this (see there)."""
         done = self._odd_cache
         if len(done) < count:
             new = self._moments(2.0 * np.arange(len(done), count) + 1.0)
@@ -230,16 +236,18 @@ class StandardWeight(RadialWeight):
             return self._log_total + np.log(self._tail_frac(r))
 
     def _moments(self, xs):
-        return np.array([math.exp(self.log_moment(x)) for x in xs])
+        return np.array([math.exp(v) for v in self.log_moments(xs).tolist()])
 
-    def log_moment(self, x: float) -> float:
+    def log_moments(self, xs) -> np.ndarray:
+        x = np.asarray(xs, dtype=float)
         return math.log(self.beta / 2.0) + sps.betaln((x + 1.0) / 2.0, self.beta)
 
     def odd_moments(self, count: int) -> np.ndarray:
         """mu_1 = 1/2 and mu_(2n+1) = mu_(2n-1) n / (n + beta), by one
         cumulative product: within 1e-13 relative of mpmath for n < 4096
         on the tested beta, where exp of a difference of gammaln values is
-        up to 1.2e-11 off."""
+        up to 1.2e-11 off.  So these are not ``moment(2n + 1)``, whose
+        betaln form is up to 5.7e-12 away from them."""
         if len(self._odd_cache) < count:
             n = np.arange(1.0, count)
             ratios = np.concatenate(([0.5], n / (n + self.beta)))
@@ -271,39 +279,34 @@ class ExponentialWeight(RadialWeight):
         super().__init__()
         self.c = float(c)
         self.gamma = float(gamma)
-        self._grid_log_density: Optional[np.ndarray] = None
+        self._grid_log_density = self._log_density(radial_nodes()[0])
 
     def _density(self, r):
-        u = 1.0 - r
+        # (1 - r)^(-gamma - 1) alone overflows near r = 1 for gamma > ~18.7
         with np.errstate(under="ignore"):
-            return self.c * self.gamma * u ** (-self.gamma - 1.0) \
-                * np.exp(-self.c * u ** -self.gamma)
+            return np.exp(self._log_density(r))
 
     def _log_density(self, r):
         u = 1.0 - np.asarray(r, dtype=float)
-        return (math.log(self.c * self.gamma)
-                - (self.gamma + 1.0) * np.log(u) - self.c * u ** -self.gamma)
+        with np.errstate(over="ignore"):
+            return (math.log(self.c * self.gamma)
+                    - (self.gamma + 1.0) * np.log(u) - self.c * u ** -self.gamma)
 
     @_on_radii
     def tail(self, r):
-        with np.errstate(under="ignore"):
+        with np.errstate(under="ignore", over="ignore"):
             return np.exp(-self.c * (1.0 - r) ** -self.gamma)
 
     @_on_radii
     def log_tail(self, r):
-        return -self.c * (1.0 - r) ** -self.gamma
+        with np.errstate(over="ignore"):
+            return -self.c * (1.0 - r) ** -self.gamma
 
-    def _log_moments(self, xs) -> np.ndarray:
-        if self._grid_log_density is None:
-            self._grid_log_density = self._log_density(
-                self.panel_function().flat_nodes)
+    def log_moments(self, xs) -> np.ndarray:
         return log_moments(xs, self._grid_log_density)
 
-    def log_moment(self, x: float) -> float:
-        return float(self._log_moments([x])[0])
-
     def _moments(self, xs):
-        return np.array([math.exp(v) for v in self._log_moments(xs).tolist()])
+        return np.array([math.exp(v) for v in self.log_moments(xs).tolist()])
 
     def label(self):
         return f"exp:{self.c:g}:{self.gamma:g}"
@@ -336,8 +339,8 @@ class ExprWeight(RadialWeight):
         with np.errstate(under="ignore"):
             return np.asarray(self.expr(r), dtype=float)
 
-    def log_moment(self, x: float) -> float:
-        return float(log_moments([x], self._grid_log_density)[0])
+    def log_moments(self, xs) -> np.ndarray:
+        return log_moments(xs, self._grid_log_density)
 
     def label(self):
         return f"expr:{self.formula}"

@@ -103,6 +103,22 @@ class TestCommands:
         rep = json.loads(captured.out)
         assert all(rep["dcheck_K_evidence"].values())
 
+    @pytest.mark.parametrize("weight", ["exp:1:20", "exp:1:40"])
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--x", "1,3,101"],
+        ["frac", "--symbol", "mono:3", "--op", "D"],
+        ["volterra", "--symbol", "mono:3", "--trunc", "64", "--p-list", "2"]],
+        ids=["moments", "frac", "volterra"])
+    def test_steep_exponential_weight_writes_no_warning(self, capsys, weight,
+                                                        argv):
+        # (1 - r)^(-gamma - 1) overflows near r = 1 once gamma exceeds ~18.7
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([argv[0], "--weight", weight, *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK and caught == [] and captured.err == ""
+        assert captured.out.count("\n") > 1
+
     def test_frac_multipliers(self, capsys):
         code, out = run_cli(capsys, "frac", "--weight", "std:1",
                             "--symbol", "mono:2", "--op", "D")

@@ -126,6 +126,27 @@ class TestExponentialFamily:
             np.testing.assert_allclose(math.exp(exp_weight.log_moment(x)),
                                        exp_weight.moment(x), rtol=1e-10)
 
+    @pytest.mark.parametrize("gamma", [20.0, 40.0])
+    def test_steep_moments_match_mpmath_in_u(self, gamma):
+        # (1 - r)^(-gamma - 1) alone overflows near r = 1 for these gamma;
+        # the mass sits at u = 1 - s near 1, and below u = 1/2 the density
+        # is under exp(-2^20).  The oracle is formed in u, where
+        # (1 - u)^x = exp(x log1p(-u)) loses nothing.
+        import mpmath as mp
+        w = ExponentialWeight(1.0, gamma)
+        with mp.workdps(20):
+            g = mp.mpf(gamma)
+            for x, rtol in ((1, 1e-13), (3, 1e-13), (101, 1e-9)):
+                ref = mp.quad(lambda u: mp.exp(x * mp.log1p(-u) + mp.log(g)
+                                               - (g + 1) * mp.log(u) - u ** -g),
+                              [0] + mp.linspace(0.5, 1, 129))
+                np.testing.assert_allclose(w.moment(x), float(ref), rtol=rtol)
+
+    def test_odd_moments_build_no_panel_function(self):
+        w = ExponentialWeight(1.0, 1.0)
+        w.odd_moments(20)
+        assert w._pf is None
+
 
 class TestExprWeights:
     def test_expr_matches_exponential(self, exp_weight):
@@ -431,15 +452,30 @@ def loop_log_of_moment(w, x):
 
 
 # exp(-1/(1-r)) underflows to 0 on the last panels, so its log density has
-# columns that the log-space batch drops
+# columns that the log-space batch drops; exp(-200 r) is massed near r = 0,
+# where its high moments take their leading terms from the anchor rows alone
 BATCH_WEIGHTS = {
     "exp:1:1": lambda: ExponentialWeight(1.0, 1.0),
     "exp:2:0.5": lambda: ExponentialWeight(2.0, 0.5),
     "expr:exp(-1/(1-r))": lambda: from_shorthand("expr:exp(-1/(1-r))"),
     "tailexpr:(1-r)^2*exp(-r)": lambda: from_shorthand("tailexpr:(1-r)^2*exp(-r)"),
     "exp:1:1|power_tail(2)": lambda: ExponentialWeight(1.0, 1.0).power_tail(2.0),
+    "expr:exp(-200*r)": lambda: from_shorthand("expr:exp(-200*r)"),
 }
 BATCH_MAX = 4096
+
+# The batch splits each index into an anchor and an offset, which the loop
+# does not, so the two agree to rounding, not bit for bit.
+LOOP_RTOL = 1e-13
+
+
+def assert_near_loop(got, want):
+    """Equal (NaN to NaN, for inf and 0 too) or within LOOP_RTOL relative."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    with np.errstate(invalid="ignore"):
+        ok = (got == want) | (np.isnan(got) & np.isnan(want)) \
+            | (np.abs(got - want) <= LOOP_RTOL * np.abs(want))
+    assert np.all(ok), (got[~ok], want[~ok])
 
 
 @pytest.fixture(scope="module")
@@ -459,15 +495,15 @@ class TestBatchedMoments:
     def test_odd_moments_equal_the_loop(self, loop_odd_moments, name, count):
         got = BATCH_WEIGHTS[name]().odd_moments(count)
         assert len(got) == count
-        assert np.array_equal(got, loop_odd_moments[name][:count])
+        assert_near_loop(got, loop_odd_moments[name][:count])
 
     @pytest.mark.parametrize("name", list(BATCH_WEIGHTS))
     def test_cache_growth_equals_the_loop(self, loop_odd_moments, name):
         w = BATCH_WEIGHTS[name]()
         short = w.odd_moments(10).copy()
         long = w.odd_moments(700)
-        assert np.array_equal(short, loop_odd_moments[name][:10])
-        assert np.array_equal(long, loop_odd_moments[name][:700])
+        assert_near_loop(short, loop_odd_moments[name][:10])
+        assert_near_loop(long, loop_odd_moments[name][:700])
         assert np.array_equal(w.odd_moments(10), short)
 
     @pytest.mark.parametrize("name", list(BATCH_WEIGHTS))
@@ -482,8 +518,7 @@ class TestBatchedMoments:
         # `moments --x` passes any float through, inf and nan included
         w = BATCH_WEIGHTS[name]()
         for x in (0.0, 1e300, math.inf, math.nan):
-            got, want = w.moment(x), loop_moment(w, x)
-            assert got == want or (math.isnan(got) and math.isnan(want))
+            assert_near_loop(w.moment(x), loop_moment(w, x))
 
     @pytest.mark.parametrize("name", list(BATCH_WEIGHTS))
     def test_log_moment_on_the_classify_ladder(self, name):
@@ -491,7 +526,72 @@ class TestBatchedMoments:
         w = BATCH_WEIGHTS[name]()
         xs = 2.0 ** np.arange(0.0, DEFAULT_DEPTH + 1.0)
         for x in np.concatenate([xs, 2.0 * xs]):
-            assert w.log_moment(x) == loop_log_of_moment(w, x)
+            assert_near_loop(w.log_moment(x), loop_log_of_moment(w, x))
+
+    @pytest.mark.parametrize("name", [*BATCH_WEIGHTS, "std:1.5"])
+    def test_log_moments_batch_is_the_scalar_log_moment(self, name):
+        # classify takes its moment ladder in one log_moments batch
+        make = BATCH_WEIGHTS.get(name, lambda: from_shorthand(name))
+        xs = 2.0 ** np.arange(0.0, 38.0)
+        batch = make().log_moments(np.concatenate([xs, 2.0 * xs]))
+        w = make()
+        assert batch.tolist() == [w.log_moment(x) for x in [*xs, *(2.0 * xs)]]
+
+    @pytest.mark.parametrize("count", [8, 9, 24, 25])
+    @pytest.mark.parametrize("name", list(BATCH_WEIGHTS))
+    def test_counts_across_anchor_edges(self, loop_odd_moments, name, count):
+        # 2n + 1 = 15, 17 and 47, 49 sit on either side of an anchor
+        got = BATCH_WEIGHTS[name]().odd_moments(count)
+        assert np.array_equal(got, BATCH_WEIGHTS[name]().odd_moments(64)[:count])
+        assert_near_loop(got, loop_odd_moments[name][:count])
+
+    @pytest.mark.parametrize("name", list(BATCH_WEIGHTS))
+    def test_offsets_and_extremes_in_one_batch(self, name):
+        # a fractional offset, an anchor of its own, and indices whose
+        # anchor rows have no live column: each entry is its scalar call
+        w = BATCH_WEIGHTS[name]()
+        xs = [0.0, 2.5, 1e300, math.inf, math.nan, 17.0, 2.5]
+        batch = w._moments(np.array(xs))
+        for x, got in zip(xs, batch):
+            scalar = BATCH_WEIGHTS[name]().moment(x)
+            assert got == scalar or (math.isnan(got) and math.isnan(scalar))
+            assert_near_loop(got, loop_moment(w, x))
+
+    def test_linear_scalar_moment_is_the_batch_entry(self):
+        pf = from_shorthand("expr:exp(-200*r)").panel_function()
+        xs = 2.0 * np.arange(40.0) + 1.0
+        batch = pf.moments(xs)
+        for n in (0, 7, 8, 15, 16, 39):
+            assert pf.moment(xs[n]) == batch[n]
+
+    def test_smallest_node_keeps_every_offset_power(self):
+        # an anchor row's leading term survives any offset s^d only while
+        # the smallest node to the largest offset stays far from underflow
+        from fracvolt.quad import ANCHOR_STEP, radial_nodes
+        assert np.min(radial_nodes()[0]) ** (ANCHOR_STEP - 1) >= 2.0 ** -960
+
+    @pytest.mark.parametrize("name", ["exp:1:1", "expr:exp(-1/(1-r))"])
+    def test_exponential_rows_per_anchor_not_per_index(self, name, monkeypatch):
+        from fracvolt import quad
+        w = BATCH_WEIGHTS[name]()
+        w.panel_function()
+        rows, entries = [], []
+
+        class CountingNumpy:
+            def __getattr__(self, attr):
+                return getattr(np, attr)
+
+            def exp(self, t, *args, **kwargs):
+                rows.append(1 if np.ndim(t) == 1 else len(t))
+                entries.append(np.size(t))
+                return np.exp(t, *args, **kwargs)
+
+        monkeypatch.setattr(quad, "np", CountingNumpy())
+        count = 768
+        w.odd_moments(count)
+        # one row per anchor (x0 = 0, 16, ..., 1520) and one per odd offset
+        assert sum(rows) == count // 8 + 8
+        assert sum(entries) <= (count // 8 + 8) * len(quad.radial_nodes()[0])
 
     def test_batch_never_holds_a_count_by_nodes_array(self):
         import tracemalloc
