@@ -26,10 +26,11 @@ from typing import Iterable, List, Optional
 import numpy as np
 
 from . import norms, volterra, weight_class
-from .quad import QuadratureError
+from .quad import QuadratureError, log_moments
 from .taylor import TaylorSeries, frac_R, frac_derivative, frac_integral
 from .volterra import OperatorError
-from .weights import RadialWeight, WeightError, from_shorthand
+from .weights import (ExponentialWeight, StandardWeight, WeightError,
+                      from_shorthand)
 
 CSV_COLUMNS = ("experiment", "weight", "symbol", "param", "lhs", "rhs",
                "ratio", "trunc", "err", "anchor")
@@ -176,19 +177,19 @@ EQUIVALENCES = {
 def cmd_moments(args) -> int:
     w = from_shorthand(args.weight)
     xs = [float(t) for t in args.x.split(",")]
-    rows = []
     pf = w.panel_function()
     panels = len(pf.panel_integrals)
-    # expr, tailexpr and derived weights take their moments from pf itself,
-    # so the cross-check compares a value with itself: err not estimated
-    independent = type(w)._moments is not RadialWeight._moments
-    for x in xs:
-        lhs = w.moment(x)
-        rhs = pf.moment(x)      # quadrature cross-check
-        rows.append(Row("moments", w.label(), "", x, lhs, rhs,
-                        lhs / rhs if rhs else "", panels,
-                        abs(lhs - rhs) if independent else math.nan))
-    emit(rows, args)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_values = np.log(pf.flat_values)
+    # the cross-check is the moment kernel on the panel values; expr,
+    # tailexpr and derived weights take their moments from those values
+    # too, so it compares a value with itself: err not estimated
+    independent = isinstance(w, (StandardWeight, ExponentialWeight))
+    lhss = [w.moment(x) for x in xs]      # refuses a negative or NaN x
+    rhss = [math.exp(v) for v in log_moments(xs, log_values).tolist()]
+    emit([Row("moments", w.label(), "", x, lhs, rhs, lhs / rhs if rhs else "",
+              panels, abs(lhs - rhs) if independent else math.nan)
+          for x, lhs, rhs in zip(xs, lhss, rhss)], args)
     return EXIT_OK
 
 
@@ -322,52 +323,48 @@ def build_parser() -> argparse.ArgumentParser:
         description="numerical experiments for the weight-induced fractional "
                     "calculus and its Volterra-type operator")
     sub = ap.add_subparsers(dest="command", required=True)
+    numeric = {"alpha": (float, -1.0), "p": (float, 2.0), "trunc": (int, 256),
+               "depth": (int, 36), "seed": (int, 0)}
 
-    def common(p):
+    def command(name, fn, help, *reads):
+        """A subcommand taking --weight, --out, --format and, of the
+        numeric options, only the ones in ``reads``; options are never
+        abbreviated, so a misspelt one is a usage error."""
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(fn=fn)
         p.add_argument("--weight", default="std:1", help="weight shorthand or JSON")
-        p.add_argument("--alpha", type=float, default=-1.0)
-        p.add_argument("--p", type=float, default=2.0)
-        p.add_argument("--trunc", type=int, default=256)
-        p.add_argument("--depth", type=int, default=36)
+        for option in reads:
+            kind, default = numeric[option]
+            p.add_argument(f"--{option}", type=kind, default=default)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=0)
+        return p
 
-    p = sub.add_parser("moments", help="moment table with quadrature cross-check")
-    common(p)
+    p = command("moments", cmd_moments, "moment table with quadrature cross-check")
     p.add_argument("--x", default="1,3,5,7", help="comma-separated indices")
-    p.set_defaults(fn=cmd_moments)
 
-    p = sub.add_parser("classify", help="doubling-class diagnostics")
-    common(p)
-    p.set_defaults(fn=cmd_classify)
+    command("classify", cmd_classify, "doubling-class diagnostics", "depth")
 
-    p = sub.add_parser("frac", help="apply a fractional operator to a series")
-    common(p)
+    p = command("frac", cmd_frac, "apply a fractional operator to a series")
     p.add_argument("--symbol", default="mono:1")
     p.add_argument("--op", choices=("D", "I", "R"), default="D")
     p.add_argument("--weight2", default=None)
-    p.set_defaults(fn=cmd_frac)
 
-    p = sub.add_parser("norm", help="compute one space norm")
-    common(p)
+    p = command("norm", cmd_norm, "compute one space norm", "alpha", "p")
     p.add_argument("--symbol", default="mono:1")
     p.add_argument("--name", default="hardy2-lp", choices=tuple(NORMS))
-    p.set_defaults(fn=cmd_norm)
 
-    p = sub.add_parser("volterra", help="spectrum and Schatten table")
-    common(p)
+    p = command("volterra", cmd_volterra, "spectrum and Schatten table",
+                "alpha", "trunc")
     p.add_argument("--symbol", default="mono:1")
     p.add_argument("--p-list", default="1,2")
     p.add_argument("--spectrum-head", type=int, default=16)
-    p.set_defaults(fn=cmd_volterra)
 
-    p = sub.add_parser("equivalence", help="two-sided norm comparison tables")
-    common(p)
+    p = command("equivalence", cmd_equivalence,
+                "two-sided norm comparison tables", "alpha", "p", "trunc", "seed")
     p.add_argument("--name", default="h2-lp",
                    choices=("h2-lp", *EQUIVALENCES))
     p.add_argument("--corpus", type=int, default=12)
-    p.set_defaults(fn=cmd_equivalence)
     return ap
 
 

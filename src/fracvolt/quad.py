@@ -9,12 +9,16 @@ node count exceeds |k|.
 
 There is one reference grid: LEFT_LEVELS and RIGHT_LEVELS dyadic levels
 with PANEL_ORDER nodes per panel (2304 nodes), and at least
-DEFAULT_ANGULAR_NODES angles.  The only other radial grid is the kernel
-integral's reduced one, selected by its level counts in
+DEFAULT_ANGULAR_NODES angles.  The other radial grids are the reference
+grid with every panel halved, on which the radial engine takes its values,
+and the kernel integral's reduced one, selected by its level counts in
 :func:`radial_nodes`.
 
-Moments split each index as x = x0 + d, the anchor x0 a multiple of 16:
-one row of exponentials per anchor and one row s^d per offset d < 16.
+One kernel, :func:`log_moments`, sums every power integral
+int_0^1 s^x f(s) ds: weight moments and the radial engine's
+int_0^1 r^q H(r) dr alike.  It works in log space from log f at the nodes,
+and splits each index as x = x0 + d, the anchor x0 a multiple of 16: one
+row of exponentials per anchor and one row s^d per offset d < 16.
 
 Area measure convention: dA = dx dy / pi, so the disc has unit area and for a
 radial integrand F,  int_D F dA = 2 * int_0^1 F(r) r dr.
@@ -122,8 +126,9 @@ def radial_nodes(left_levels: int = LEFT_LEVELS,
     return nodes.ravel(), weights.ravel()
 
 
-# Anchor spacing of the moment kernels; the smallest reference node to the
-# power ANCHOR_STEP - 1 is about 2^-502, far above the least double.
+# Anchor spacing of the moment kernel; the smallest node of the reference
+# grid to the power ANCHOR_STEP - 1 is about 2^-502, and of the halved grid
+# about 2^-517, far above the least double.
 ANCHOR_STEP = 16
 
 # exp(t) rounds to exactly 0.0 for every t below this (2^-1075, half the
@@ -131,35 +136,11 @@ ANCHOR_STEP = 16
 EXP_UNDERFLOW = -746.0
 
 
-def _anchored(xs, ln: np.ndarray, anchor_row, scale=1.0) -> tuple:
-    """(shift, total) for each x = x0 + d in ``xs``: (shift, t) is
-    anchor_row(x0), and total = sum_j exp(t_j) s_j^d scale_j is one
-    ``np.sum`` over the anchor's live columns, from the first to the last
-    where t is not below EXP_UNDERFLOW (NaN counts); it depends on x alone.
-    """
-    xs = np.asarray(xs, dtype=float)
-    x0 = ANCHOR_STEP * np.floor(xs / ANCHOR_STEP)
-    with np.errstate(invalid="ignore", under="ignore"):
-        offsets, groups = {}, {}
-        d_at = np.array([offsets.setdefault(d, len(offsets))
-                         for d in (xs - x0).tolist()])
-        powers = np.exp(np.array(list(offsets))[:, None] * ln) * scale
-        for i, anchor in enumerate(x0.tolist()):
-            groups.setdefault(anchor, []).append(i)
-        shift, total = np.empty(len(xs)), np.empty(len(xs))
-        for anchor, at in groups.items():
-            at = np.array(at)
-            shift[at], t = anchor_row(anchor)
-            live = np.flatnonzero(~(t < EXP_UNDERFLOW))
-            cols = slice(live[0], live[-1] + 1) if len(live) else slice(0, 0)
-            total[at] = np.sum(np.exp(t[cols]) * powers[d_at[at], cols], axis=1)
-    return shift, total
-
-
 @lru_cache(maxsize=None)
-def _log_grid():
-    """(log nodes, log weights) of the flattened reference grid."""
-    nodes, weights = radial_nodes()
+def _log_grid(halved: bool = False):
+    """(log nodes, log weights) of the flattened reference grid, or of the
+    grid with every panel halved."""
+    nodes, weights = _halved_grid() if halved else radial_nodes()
     return np.log(nodes), np.log(weights)
 
 
@@ -191,8 +172,8 @@ class PanelFunction:
     """A function on [0, 1) stored as per-panel Legendre expansions.
 
     Values are sampled at the Gauss nodes of every panel, which makes panel
-    integrals, suffix integrals int_r^1 and moments int_0^1 r^x f(r) dr all
-    spectral-accuracy operations on cached data.
+    integrals and suffix integrals int_r^1 spectral-accuracy operations on
+    cached data; moments of the values are :func:`log_moments` of their log.
     """
 
     def __init__(self, edges, nodes, weights, values):
@@ -266,38 +247,52 @@ class PanelFunction:
         F, idx = self._walk(r, self.anti)
         return (self.anti_hi[idx] - F) * self.half[idx] + self.suffix[idx + 1]
 
-    def moments(self, xs) -> np.ndarray:
-        """int_0^1 s^x f(s) ds on the cached grid, for each x in ``xs``:
-        sum_j s_j^x0 (s_j^d f_j w_j), by :func:`_anchored`."""
-        ln = _log_grid()[0]     # every PanelFunction is on the reference grid
-        return _anchored(xs, ln, lambda x0: (0.0, x0 * ln),
-                         self.flat_values * self.flat_weights)[1]
 
-    def moment(self, x: float) -> float:
-        """int_0^1 s^x f(s) ds on the cached grid."""
-        return float(self.moments([x])[0])
+def log_moments(xs, log_density: np.ndarray, halved: bool = False) -> np.ndarray:
+    """log int_0^1 s^x f(s) ds for each x in ``xs``, by log-sum-exp from
+    ``log_density`` = log f at the nodes of the reference grid, or of the
+    halved grid.  Every power integral of the package is summed here.
 
+    Each x splits as x0 + d, the anchor x0 a multiple of ANCHOR_STEP.  An
+    anchor's exponent row (x0 log s + log f) + log w is shifted by its own
+    maximum ``top``; the value is top + log of one ``np.sum`` of
+    exp(row - top) s^d over the row's live columns, from the first to the
+    last whose shifted exponent is not below EXP_UNDERFLOW.  So each value
+    depends on x alone, not on the batch.
 
-def log_moments(xs, log_density: np.ndarray) -> np.ndarray:
-    """log int_0^1 s^x f(s) ds for each x in ``xs``, by log-sum-exp on the
-    reference grid from ``log_density`` = log f at its nodes.
-
-    Terms that are not finite are dropped; since x log s and log w are
-    finite for every finite x, those are the columns where log f is not.
-    Each anchor row is shifted by its own maximum; a row with no finite
-    term (an infinite or NaN x, or no finite log f) gives -inf.
+    Columns where log f is not finite (f <= 0 included) are dropped; x log s
+    and log w are finite for every finite x.  A row with no finite maximum
+    (an infinite or NaN x, or no finite log f) gives -inf.
     """
-    ln, lw = _log_grid()
+    ln, lw = _log_grid(halved)
     keep = np.isfinite(log_density)
-    ln, ld, lw = ln[keep], log_density[keep], lw[keep]
-
-    def row(x0):
-        expo = (x0 * ln + ld) + lw
-        top = np.max(expo, initial=-np.inf)
-        return top, expo - top
-    top, total = _anchored(xs, ln, row)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(np.isfinite(top), top + np.log(total), -np.inf)
+    ld = log_density
+    if not keep.all():
+        ln, ld, lw = ln[keep], ld[keep], lw[keep]
+    xs = np.asarray(xs, dtype=float)
+    x0 = ANCHOR_STEP * np.floor(xs / ANCHOR_STEP)
+    out = np.full(len(xs), -np.inf)
+    with np.errstate(invalid="ignore", under="ignore"):
+        offsets, groups = {}, {}
+        d_at = np.array([offsets.setdefault(d, len(offsets))
+                         for d in (xs - x0).tolist()], dtype=int)
+        powers = np.exp(np.array(list(offsets))[:, None] * ln)
+        for i, anchor in enumerate(x0.tolist()):
+            groups.setdefault(anchor, []).append(i)
+        for anchor, at in groups.items():
+            t = anchor * ln
+            t += ld
+            t += lw
+            top = np.max(t, initial=-np.inf)
+            if not np.isfinite(top):
+                continue
+            t -= top            # no NaN: every term and top are finite
+            live = t >= EXP_UNDERFLOW
+            cols = slice(live.argmax(), len(t) - live[::-1].argmax())
+            rows = powers[d_at[at], cols]
+            rows *= np.exp(t[cols])
+            out[at] = top + np.log(np.sum(rows, axis=1))
+    return out
 
 
 def radial_diverges(values: np.ndarray) -> bool:
@@ -314,24 +309,23 @@ def radial_diverges(values: np.ndarray) -> bool:
 
 
 def radial_integrals(H: Callable[[np.ndarray], np.ndarray], powers):
-    """(values, errs, diverged): int_0^1 r^q H(r) dr for each q in ``powers``.
+    """(values, errs, diverged): int_0^1 r^q H(r) dr for each q in ``powers``,
+    for H >= 0, by :func:`log_moments` of log H.
 
     Values come from halved panels, the error indicator from the difference
     against the unhalved pass, and divergence from :func:`radial_diverges` or
-    a non-finite value.  A divergent integral comes back as +inf with the
-    flag set rather than raised, because several of the quantities downstream
-    hinge on divergence as a first-class outcome.
+    an H that is not finite on either grid.  A divergent integral comes back
+    as +inf with the flag set rather than raised, because several of the
+    quantities downstream hinge on divergence as a first-class outcome.
     """
-    nodes, weights = radial_nodes()
-    fnodes, fweights = _halved_grid()
-    h = H(nodes)
-    hf = H(fnodes)
-    powers = np.asarray(powers, dtype=float)
-    with np.errstate(under="ignore"):
-        coarse = np.array([float(np.sum(weights * h * nodes ** q)) for q in powers])
-        fine = np.array([float(np.sum(fweights * hf * fnodes ** q)) for q in powers])
-    if radial_diverges(h) or not np.all(np.isfinite(fine)):
+    h = H(radial_nodes()[0])
+    hf = H(_halved_grid()[0])
+    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(hf))) \
+            or radial_diverges(h):
         return np.full(len(powers), np.inf), np.full(len(powers), np.inf), True
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coarse = np.exp(log_moments(powers, np.log(h)))
+        fine = np.exp(log_moments(powers, np.log(hf), halved=True))
     return fine, np.abs(fine - coarse), False
 
 

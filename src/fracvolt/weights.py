@@ -80,6 +80,8 @@ class RadialWeight:
 
     def __init__(self):
         self._pf: Optional[PanelFunction] = None
+        # log mu at the reference nodes: the moment kernel's input
+        self._grid_log_density: Optional[np.ndarray] = None
         self._moment_cache: dict = {}
         self._odd_cache = np.empty(0)
 
@@ -112,29 +114,32 @@ class RadialWeight:
             return np.log(np.asarray(self.tail(r), dtype=float))
 
     # -- moments ---------------------------------------------------------
+    def log_moments(self, xs) -> np.ndarray:
+        """log mu_x for each x in ``xs``; the one moment hook.  The moment
+        kernel :func:`fracvolt.quad.log_moments` on log mu at the reference
+        nodes, taken from the panel values once per weight; where those are
+        zero or negative (a clipped or rounded density) the column drops."""
+        if self._grid_log_density is None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                self._grid_log_density = np.log(
+                    self.panel_function().flat_values)
+        return log_moments(xs, self._grid_log_density)
+
     def _moments(self, xs: np.ndarray) -> np.ndarray:
-        """int_0^1 s^x mu(s) ds for each x in ``xs``; the one moment hook."""
-        return self.panel_function().moments(xs)
+        """mu_x = exp(log mu_x) for each x in ``xs``."""
+        return np.array([math.exp(v) for v in self.log_moments(xs).tolist()])
 
     def moment(self, x) -> float:
         x = float(x)
-        if x < 0:
-            raise WeightError("moment index must be nonnegative")
+        if not x >= 0:
+            raise WeightError(f"moment index must be nonnegative, not {x!r}")
         if x not in self._moment_cache:
             self._moment_cache[x] = float(self._moments(np.array([x]))[0])
         return self._moment_cache[x]
 
-    def log_moment(self, x: float) -> float:
-        return float(self.log_moments([x])[0])
-
-    def log_moments(self, xs) -> np.ndarray:
-        """log mu_x for each x in ``xs``, by one call of ``_moments``."""
-        ms = self._moments(np.asarray(xs, dtype=float)).tolist()
-        return np.array([math.log(m) if m > 0 else -math.inf for m in ms])
-
     def odd_moments(self, count: int) -> np.ndarray:
         """[mu_1, mu_3, ..., mu_{2(count-1)+1}], computed in one batch by the
-        ``_moments`` hook; a longer request computes only the new indices.
+        ``log_moments`` hook; a longer request computes only the new indices.
         For exp, expr, tailexpr and derived weights each value depends on
         its own index alone, so it is bit-identical to ``moment(2n + 1)``;
         std: overrides this (see there)."""
@@ -235,9 +240,6 @@ class StandardWeight(RadialWeight):
         with np.errstate(divide="ignore"):
             return self._log_total + np.log(self._tail_frac(r))
 
-    def _moments(self, xs):
-        return np.array([math.exp(v) for v in self.log_moments(xs).tolist()])
-
     def log_moments(self, xs) -> np.ndarray:
         x = np.asarray(xs, dtype=float)
         return math.log(self.beta / 2.0) + sps.betaln((x + 1.0) / 2.0, self.beta)
@@ -302,12 +304,6 @@ class ExponentialWeight(RadialWeight):
         with np.errstate(over="ignore"):
             return -self.c * (1.0 - r) ** -self.gamma
 
-    def log_moments(self, xs) -> np.ndarray:
-        return log_moments(xs, self._grid_log_density)
-
-    def _moments(self, xs):
-        return np.array([math.exp(v) for v in self.log_moments(xs).tolist()])
-
     def label(self):
         return f"exp:{self.c:g}:{self.gamma:g}"
 
@@ -332,15 +328,10 @@ class ExprWeight(RadialWeight):
             raise WeightError("formula is negative or invalid on the probe grid")
         if radial_diverges(self.panel_function().flat_values):
             raise WeightError("formula is not integrable up to r = 1")
-        with np.errstate(divide="ignore"):
-            self._grid_log_density = np.log(self.panel_function().flat_values)
 
     def _density(self, r):
         with np.errstate(under="ignore"):
             return np.asarray(self.expr(r), dtype=float)
-
-    def log_moments(self, xs) -> np.ndarray:
-        return log_moments(xs, self._grid_log_density)
 
     def label(self):
         return f"expr:{self.formula}"

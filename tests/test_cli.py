@@ -348,6 +348,19 @@ class TestErrorExits:
         line = self.run_err(capsys, "moments", "--weight", "expr:1/(1-r)")
         assert "integrable" in line
 
+    @pytest.mark.parametrize("weight", [
+        "std:2", "exp:1:1", "expr:(1-r)^2", "tailexpr:(1-r)^3",
+        '{"kind":"derived","op":"power_tail","param":2,'
+        '"base":{"kind":"standard","beta":2}}'])
+    def test_nan_moment_index_refused(self, capsys, weight):
+        # each family printed a row of nan or 0.0 with exit 0
+        line = self.run_err(capsys, "moments", "--weight", weight,
+                            "--x", "nan,1")
+        assert "nonnegative" in line
+        code, out = run_cli(capsys, "moments", "--weight", weight, "--x", "inf")
+        assert code == EXIT_OK
+        assert out.strip().split("\n")[1].split(",")[4] == "0.0"
+
     def test_h2lp_all_ratios_divergent(self, capsys):
         # mu_hat^2/(1-r) ~ 1/((1-r) sqrt(log)) is not integrable: every
         # ratio is infinite, so there is no summary row and the exit is 2
@@ -418,6 +431,28 @@ class TestUsageErrors:
         assert [run(argv) for argv in argvs] == fresh
         info = cli.build_parser.cache_info()
         assert (info.misses, info.hits) == (1, len(argvs) - 1)
+
+    # (command, numeric option it does not read)
+    UNREAD = [(command, option)
+              for command, options in (
+                  ("moments", ("alpha", "p", "trunc", "depth", "seed")),
+                  ("classify", ("alpha", "p", "trunc", "seed")),
+                  ("frac", ("alpha", "p", "trunc", "depth", "seed")),
+                  ("norm", ("trunc", "depth", "seed")),
+                  ("volterra", ("p", "depth", "seed")),
+                  ("equivalence", ("depth",)))
+              for option in options]
+
+    @pytest.mark.parametrize("command,option", UNREAD)
+    def test_unread_option_is_a_usage_error(self, capsys, command, option):
+        # each was accepted and silently ignored
+        err = self.run_usage(capsys, command, f"--{option}", "1")
+        assert f"unrecognized arguments: --{option}" in err
+
+    def test_options_are_not_abbreviated(self, capsys):
+        # volterra has no --p, and --p must not be read as --p-list
+        self.run_usage(capsys, "volterra", "--p", "2")
+        self.run_usage(capsys, "equivalence", "--corp", "2")
 
     def test_norm_choices_are_the_norm_table(self):
         assert set(cli.NORMS) == {

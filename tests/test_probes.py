@@ -1,5 +1,6 @@
 """Every span that perfbench/tracing.py installs must find its target, and
-its count hooks must read the shapes they model.
+its count hooks must read the shapes they model; every argv that the
+benchmark sends must parse.
 
 The tracer replaces each probed function in the module namespaces that
 bind it, and each probed method in its class's own ``__dict__``.  A
@@ -34,6 +35,25 @@ def load(name):
 tracing = load("tracing")
 workloads = load("workloads")
 PROBES = tracing.PROBES
+
+
+def test_every_benchmark_argv_parses():
+    # the warm-up and the passes of seeds 1-3 of every workload; parsed
+    # with the CLI's parser, none of them run
+    from fracvolt import cli
+    parser = cli.build_parser()
+    for workload in workloads.WORKLOADS:
+        for seed in (1, 2, 3):
+            plan = workloads.Plan(workload, seed)
+            argvs = list(plan.warmup)
+            for k in range(plan.passes(workloads.REFERENCE_SECONDS)):
+                argvs += plan.timed_pass(k)
+            for argv in argvs:
+                with redirect_stderr(io.StringIO()) as err:
+                    try:
+                        parser.parse_args(argv)
+                    except SystemExit:
+                        pytest.fail(f"{argv}: {err.getvalue()}")
 
 
 def test_probe_table_is_not_empty():

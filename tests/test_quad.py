@@ -1,15 +1,32 @@
 import numpy as np
+import pytest
 from numpy.polynomial import legendre as npleg
 
 from fracvolt.quad import (GRID_TOP, PanelFunction, _halved_grid,
-                           looks_divergent, panel_edges, radial_diverges,
-                           radial_integrals, radial_nodes)
+                           log_moments, looks_divergent, panel_edges,
+                           radial_diverges, radial_integrals, radial_nodes)
 
 
 def integrate(f):
     """(value, err, diverged) of int_0^1 f(r) dr from the radial engine."""
     vals, errs, diverged = radial_integrals(f, [0.0])
     return vals[0], errs[0], diverged
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("halved", [False, True])
+def test_non_finite_integrand_on_either_grid_diverges(bad, halved):
+    # the kernel drops non-finite columns, so the engine must flag them
+    nodes = _halved_grid()[0] if halved else radial_nodes()[0]
+    mark = nodes[len(nodes) // 3]
+
+    def H(r):
+        return np.where(r == mark, bad, 1.0 + r)
+
+    vals, errs, diverged = radial_integrals(H, [1, 3])
+    assert diverged
+    assert vals.tolist() == [np.inf] * 2 and errs.tolist() == [np.inf] * 2
+    assert not radial_integrals(lambda r: 1.0 + r, [1, 3])[2]
 
 
 class TestIntegrateRadial:
@@ -128,9 +145,11 @@ class TestPanelFunction:
         np.testing.assert_allclose(pf.evaluate(r), np.cos(r), atol=1e-12)
 
     def test_moment(self):
+        # moments of the panel values come from the one moment kernel
         pf = PanelFunction.from_callable(lambda r: np.ones_like(r))
-        np.testing.assert_allclose(pf.moment(3.0), 0.25, rtol=1e-12)
-        np.testing.assert_allclose(pf.moment(201.0), 1.0 / 202.0, rtol=1e-11)
+        got = np.exp(log_moments([3.0, 201.0], np.log(pf.flat_values)))
+        np.testing.assert_allclose(got[0], 0.25, rtol=1e-12)
+        np.testing.assert_allclose(got[1], 1.0 / 202.0, rtol=1e-11)
 
 
 def test_panel_edges_monotone():

@@ -10,7 +10,7 @@ from scipy import integrate as si
 from fracvolt import (ExponentialWeight, ExprWeight, StandardWeight,
                       TailExprWeight, WeightError, from_descriptor,
                       from_shorthand)
-from fracvolt.weights import DERIVED_OPS
+from fracvolt.weights import DERIVED_OPS, RadialWeight
 
 
 def std_moment_oracle(beta: float, x: float) -> float:
@@ -123,7 +123,7 @@ class TestExponentialFamily:
 
     def test_log_moment_matches_plain(self, exp_weight):
         for x in (1.0, 8.0, 64.0):
-            np.testing.assert_allclose(math.exp(exp_weight.log_moment(x)),
+            np.testing.assert_allclose(math.exp(exp_weight.log_moments([x])[0]),
                                        exp_weight.moment(x), rtol=1e-10)
 
     @pytest.mark.parametrize("gamma", [20.0, 40.0])
@@ -515,9 +515,9 @@ class TestBatchedMoments:
 
     @pytest.mark.parametrize("name", list(BATCH_WEIGHTS))
     def test_extreme_indices_match_the_loop(self, name):
-        # `moments --x` passes any float through, inf and nan included
+        # `moments --x` passes any nonnegative float through, inf included
         w = BATCH_WEIGHTS[name]()
-        for x in (0.0, 1e300, math.inf, math.nan):
+        for x in (0.0, 1e300, math.inf):
             assert_near_loop(w.moment(x), loop_moment(w, x))
 
     @pytest.mark.parametrize("name", list(BATCH_WEIGHTS))
@@ -526,7 +526,7 @@ class TestBatchedMoments:
         w = BATCH_WEIGHTS[name]()
         xs = 2.0 ** np.arange(0.0, DEFAULT_DEPTH + 1.0)
         for x in np.concatenate([xs, 2.0 * xs]):
-            assert_near_loop(w.log_moment(x), loop_log_of_moment(w, x))
+            assert_near_loop(w.log_moments([x])[0], loop_log_of_moment(w, x))
 
     @pytest.mark.parametrize("name", [*BATCH_WEIGHTS, "std:1.5"])
     def test_log_moments_batch_is_the_scalar_log_moment(self, name):
@@ -535,7 +535,8 @@ class TestBatchedMoments:
         xs = 2.0 ** np.arange(0.0, 38.0)
         batch = make().log_moments(np.concatenate([xs, 2.0 * xs]))
         w = make()
-        assert batch.tolist() == [w.log_moment(x) for x in [*xs, *(2.0 * xs)]]
+        assert batch.tolist() == [w.log_moments([x])[0]
+                                  for x in [*xs, *(2.0 * xs)]]
 
     @pytest.mark.parametrize("count", [8, 9, 24, 25])
     @pytest.mark.parametrize("name", list(BATCH_WEIGHTS))
@@ -550,25 +551,44 @@ class TestBatchedMoments:
         # a fractional offset, an anchor of its own, and indices whose
         # anchor rows have no live column: each entry is its scalar call
         w = BATCH_WEIGHTS[name]()
-        xs = [0.0, 2.5, 1e300, math.inf, math.nan, 17.0, 2.5]
+        xs = [0.0, 2.5, 1e300, math.inf, 17.0, 2.5]
         batch = w._moments(np.array(xs))
         for x, got in zip(xs, batch):
-            scalar = BATCH_WEIGHTS[name]().moment(x)
-            assert got == scalar or (math.isnan(got) and math.isnan(scalar))
+            assert got == BATCH_WEIGHTS[name]().moment(x)
             assert_near_loop(got, loop_moment(w, x))
-
-    def test_linear_scalar_moment_is_the_batch_entry(self):
-        pf = from_shorthand("expr:exp(-200*r)").panel_function()
-        xs = 2.0 * np.arange(40.0) + 1.0
-        batch = pf.moments(xs)
-        for n in (0, 7, 8, 15, 16, 39):
-            assert pf.moment(xs[n]) == batch[n]
 
     def test_smallest_node_keeps_every_offset_power(self):
         # an anchor row's leading term survives any offset s^d only while
-        # the smallest node to the largest offset stays far from underflow
-        from fracvolt.quad import ANCHOR_STEP, radial_nodes
-        assert np.min(radial_nodes()[0]) ** (ANCHOR_STEP - 1) >= 2.0 ** -960
+        # the smallest node to the largest offset stays far from underflow,
+        # on the reference grid and on the radial engine's halved one
+        from fracvolt.quad import ANCHOR_STEP, _halved_grid, radial_nodes
+        for nodes in (radial_nodes()[0], _halved_grid()[0]):
+            assert np.min(nodes) ** (ANCHOR_STEP - 1) >= 2.0 ** -960
+
+    @pytest.mark.parametrize("name", list(BATCH_WEIGHTS))
+    def test_the_kernel_is_the_only_route(self, name, monkeypatch):
+        # a kernel that answers log 1 for every index: every moment of the
+        # weight, and every radial integral, must be 1
+        from fracvolt import quad, weights
+        from fracvolt.quad import PanelFunction, radial_integrals
+        calls = []
+
+        def kernel(xs, log_density, halved=False):
+            calls.append(halved)
+            return np.zeros(len(xs))
+
+        monkeypatch.setattr(quad, "log_moments", kernel)
+        monkeypatch.setattr(weights, "log_moments", kernel)
+        w = BATCH_WEIGHTS[name]()
+        assert w.odd_moments(40).tolist() == [1.0] * 40
+        assert w.moment(7.5) == 1.0
+        assert w.log_moments([1.0, 64.0]).tolist() == [0.0] * 2
+        assert len(calls) == 3
+        vals, errs, diverged = radial_integrals(lambda r: 1.0 + r, [1, 3])
+        assert vals.tolist() == [1.0] * 2 and errs.tolist() == [0.0] * 2
+        assert not diverged and calls[3:] == [False, True]
+        assert not hasattr(PanelFunction, "moments")
+        assert type(w)._moments is RadialWeight._moments
 
     @pytest.mark.parametrize("name", ["exp:1:1", "expr:exp(-1/(1-r))"])
     def test_exponential_rows_per_anchor_not_per_index(self, name, monkeypatch):
