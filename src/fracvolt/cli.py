@@ -26,7 +26,7 @@ from typing import Iterable, List, Optional
 import numpy as np
 
 from . import norms, volterra, weight_class
-from .quad import QuadratureError, log_moments
+from .quad import QuadratureError, _halved_grid, log_moments
 from .taylor import TaylorSeries, frac_R, frac_derivative, frac_integral
 from .volterra import OperatorError
 from .weights import (ExponentialWeight, StandardWeight, WeightError,
@@ -179,14 +179,19 @@ def cmd_moments(args) -> int:
     xs = [float(t) for t in args.x.split(",")]
     pf = w.panel_function()
     panels = len(pf.panel_integrals)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_values = np.log(pf.flat_values)
     # the cross-check is the moment kernel on the panel values; expr,
     # tailexpr and derived weights take their moments from those values
-    # too, so it compares a value with itself: err not estimated
+    # too, so it compares a value with itself: err not estimated.  exp
+    # moments sum the exact log density, which log(panel values) rounds
+    # back to, so exp is checked on the halved grid (quad.radial_integrals)
     independent = isinstance(w, (StandardWeight, ExponentialWeight))
     lhss = [w.moment(x) for x in xs]      # refuses a negative or NaN x
-    rhss = [math.exp(v) for v in log_moments(xs, log_values).tolist()]
+    if isinstance(w, ExponentialWeight):
+        logs = log_moments(xs, w._log_density(_halved_grid()[0]), halved=True)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = log_moments(xs, np.log(pf.flat_values))
+    rhss = [math.exp(v) for v in logs.tolist()]
     emit([Row("moments", w.label(), "", x, lhs, rhs, lhs / rhs if rhs else "",
               panels, abs(lhs - rhs) if independent else math.nan)
           for x, lhs, rhs in zip(xs, lhss, rhss)], args)

@@ -35,7 +35,6 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import special as sps
 
 from .geometry import build_lattice
 from .quad import (PANEL_ORDER, NormEstimate, angular_nodes_for_degree,
@@ -337,9 +336,6 @@ class SquareMachine:
         # S(0) is the whole disc, not a window of half-width 1/2
         out[flat == 0] = (1.0 / np.pi) * 2.0 * np.pi * self.panel_suffix[0][0].real
         return float(out[0]) if anchors.ndim == 0 else out.reshape(anchors.shape)
-
-    def disc_mass(self) -> float:
-        return self.square_mass(0.0)
 
 
 @lru_cache(maxsize=8)
@@ -791,9 +787,10 @@ def basis_norms(alpha: float, count: int) -> np.ndarray:
     (H^2)."""
     if alpha == -1:
         return np.ones(count)
+    from scipy.special import gammaln
     n = np.arange(count)
-    log_c2 = (math.lgamma(alpha + 2.0) + sps.gammaln(n + 1.0)
-              - sps.gammaln(n + alpha + 2.0))
+    log_c2 = (math.lgamma(alpha + 2.0) + gammaln(n + 1.0)
+              - gammaln(n + alpha + 2.0))
     return np.exp(0.5 * log_c2)
 
 

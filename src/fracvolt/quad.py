@@ -214,10 +214,6 @@ class PanelFunction:
         return self.nodes.ravel()
 
     @property
-    def flat_weights(self):
-        return self.weights.ravel()
-
-    @property
     def flat_values(self):
         return self.values.ravel()
 

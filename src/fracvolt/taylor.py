@@ -95,10 +95,6 @@ class TaylorSeries:
         return TaylorSeries.from_coeffs(
             np.concatenate([np.zeros(n, dtype=complex), self.coeffs]))
 
-    def to_json(self) -> str:
-        import json
-        return json.dumps([[c.real, c.imag] for c in self.coefficients])
-
     @classmethod
     def from_json(cls, text: str) -> "TaylorSeries":
         import json

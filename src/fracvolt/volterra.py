@@ -122,8 +122,8 @@ def singular_values(M: OperatorMatrix) -> SingularSpectrum:
     for s in range(u + 1):
         gram[s, : N - s] = np.sum(B[s:, : N - s] * np.conj(B[: u + 1 - s, s:]),
                                   axis=0)
-    # imported here, as only spectra need it: scipy.linalg takes 0.27-0.29 s
-    # to import alone and 0.04-0.05 s once scipy.special is loaded (2 cores)
+    # imported here, as only spectra need it: 0.16-0.26 s alone (2 cores),
+    # as a cold volterra at alpha = -1 pays, 0.04-0.06 s after scipy.special
     from scipy.linalg import eigvals_banded
     ev = eigvals_banded(gram, lower=True, overwrite_a_band=True,
                         check_finite=False)

@@ -40,7 +40,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy import special as sps
 
 from .expr import Expression, ExprError
 from .quad import PanelFunction, log_moments, radial_diverges, radial_nodes
@@ -217,8 +216,13 @@ class StandardWeight(RadialWeight):
             raise WeightError("standard weight needs a finite beta > 0")
         super().__init__()
         self.beta = float(beta)
-        self._log_total = (math.log(beta / 2.0)
-                           + sps.betaln(0.5, beta))
+
+    # scipy.special is imported by the calls that need it: it is the
+    # largest part of the package's import time
+    @functools.cached_property
+    def _log_total(self):
+        from scipy.special import betaln
+        return math.log(self.beta / 2.0) + betaln(0.5, self.beta)
 
     def _density(self, r):
         b = self.beta
@@ -228,8 +232,9 @@ class StandardWeight(RadialWeight):
     def _tail_frac(self, r: np.ndarray) -> np.ndarray:
         # I_w(beta, 1/2) at w = (1-r)(1+r), with 1-r formed first so the
         # deep-grid tail keeps full relative precision
+        from scipy.special import betainc
         u = 1.0 - r
-        return sps.betainc(self.beta, 0.5, u * (2.0 - u))
+        return betainc(self.beta, 0.5, u * (2.0 - u))
 
     @_on_radii
     def tail(self, r):
@@ -241,8 +246,9 @@ class StandardWeight(RadialWeight):
             return self._log_total + np.log(self._tail_frac(r))
 
     def log_moments(self, xs) -> np.ndarray:
+        from scipy.special import betaln
         x = np.asarray(xs, dtype=float)
-        return math.log(self.beta / 2.0) + sps.betaln((x + 1.0) / 2.0, self.beta)
+        return math.log(self.beta / 2.0) + betaln((x + 1.0) / 2.0, self.beta)
 
     def odd_moments(self, count: int) -> np.ndarray:
         """mu_1 = 1/2 and mu_(2n+1) = mu_(2n-1) n / (n + beta), by one

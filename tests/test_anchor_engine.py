@@ -218,7 +218,7 @@ def test_square_mass_scalar_and_array_agree():
     assert_masses_match(batch, single)
     assert machine.square_mass(anchors[:18].reshape(3, 6)).shape == (3, 6)
     assert machine.square_mass(np.array([], dtype=complex)).shape == (0,)
-    assert machine.disc_mass() == machine.square_mass(0.0) == batch[0]
+    assert machine.square_mass(0.0) == batch[0]
 
 
 def test_bmoa_sup_makes_two_autocorr_calls(monkeypatch):

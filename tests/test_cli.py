@@ -78,6 +78,26 @@ class TestCommands:
         _, out = run_cli(capsys, "moments", "--weight", "std:2", "--x", "3")
         assert float(out.strip().split("\n")[1].split(",")[8]) < 1e-12
 
+    @pytest.mark.parametrize("gamma", [20, 40])
+    def test_exp_moment_err_sees_the_peak_loss(self, capsys, gamma):
+        # the lhs under-resolves the steep density's peak at x = 101; the
+        # halved-grid rhs resolves it, so err is the lhs's own error.  The
+        # truth is the u = 1 - s quadrature of
+        # test_steep_moments_match_mpmath_in_u
+        import mpmath as mp
+        code, out = run_cli(capsys, "moments", "--weight", f"exp:1:{gamma}",
+                            "--x", "101")
+        assert code == EXIT_OK
+        row = out.strip().split("\n")[1].split(",")
+        with mp.workdps(20):
+            g = mp.mpf(gamma)
+            truth = float(mp.quad(
+                lambda u: mp.exp(101 * mp.log1p(-u) + mp.log(g)
+                                 - (g + 1) * mp.log(u) - u ** -g),
+                [0] + mp.linspace(0.5, 1, 129)))
+        miss = abs(float(row[4]) - truth)
+        assert miss > 0 and miss / 2 <= float(row[8]) <= 2 * miss
+
     def test_classify_json_verdicts(self, capsys):
         code, out = run_cli(capsys, "classify", "--weight", "exp:1:1",
                             "--format", "json")

@@ -421,7 +421,7 @@ def loop_log_moment(w, x, log_density):
     """log int_0^1 s^x mu(s) ds by one 1-D log-sum-exp over the finite terms,
     from log mu at the panel nodes."""
     pf = w.panel_function()
-    expo = x * np.log(pf.flat_nodes) + log_density + np.log(pf.flat_weights)
+    expo = x * np.log(pf.flat_nodes) + log_density + np.log(pf.weights.ravel())
     expo = expo[np.isfinite(expo)]
     if len(expo) == 0:
         return -math.inf
@@ -435,7 +435,7 @@ def loop_moment(w, x):
     pf = w.panel_function()
     if isinstance(w, ExponentialWeight):
         return math.exp(loop_log_moment(w, x, w._log_density(pf.flat_nodes)))
-    vals = pf.flat_values * pf.flat_weights
+    vals = pf.flat_values * pf.weights.ravel()
     with np.errstate(under="ignore"):
         return float(np.sum(np.exp(x * np.log(pf.flat_nodes)) * vals))
 
