@@ -26,7 +26,7 @@ from typing import Iterable, List, Optional
 import numpy as np
 
 from . import norms, volterra, weight_class
-from .quad import QuadratureError, _halved_grid, log_moments
+from .quad import QuadratureError, _halved_grid, log_moments, panel_edges
 from .taylor import TaylorSeries, frac_R, frac_derivative, frac_integral
 from .volterra import OperatorError
 from .weights import (ExponentialWeight, StandardWeight, WeightError,
@@ -177,8 +177,7 @@ EQUIVALENCES = {
 def cmd_moments(args) -> int:
     w = from_shorthand(args.weight)
     xs = [float(t) for t in args.x.split(",")]
-    pf = w.panel_function()
-    panels = len(pf.panel_integrals)
+    panels = len(panel_edges()) - 1
     # the cross-check is the moment kernel on the panel values; expr,
     # tailexpr and derived weights take their moments from those values
     # too, so it compares a value with itself: err not estimated.  exp
@@ -190,7 +189,7 @@ def cmd_moments(args) -> int:
         logs = log_moments(xs, w._log_density(_halved_grid()[0]), halved=True)
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
-            logs = log_moments(xs, np.log(pf.flat_values))
+            logs = log_moments(xs, np.log(w.panel_function().flat_values))
     rhss = [math.exp(v) for v in logs.tolist()]
     emit([Row("moments", w.label(), "", x, lhs, rhs, lhs / rhs if rhs else "",
               panels, abs(lhs - rhs) if independent else math.nan)

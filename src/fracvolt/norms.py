@@ -13,9 +13,10 @@ the only quadrature error left is radial.  The Besov and Bergman p-means
 sample P itself on each ring's m angles (half of them for a real series)
 by one real matrix product per block of rings, and average (|P|^2)^(p/2).
 Radial integrals run on the geometric Gauss-Legendre panels of
-:mod:`fracvolt.quad`; suprema over disc anchors are maxima over an
-explicit anchor set (lattice plus radial rays) and report their argmax
-anchor.
+:mod:`fracvolt.quad`; a Carleson square's are suffix integrals of one
+panel function with a column per lag A_k.  Suprema over disc anchors are
+maxima over an explicit anchor set (lattice plus radial rays) and report
+their argmax anchor.
 
 Every rule is fixed: the reference grid of :mod:`fracvolt.quad`,
 TENT_XI_NODES boundary points for the tent norm, BLOCH_ANGLES angles per
@@ -37,9 +38,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import build_lattice
-from .quad import (PANEL_ORDER, NormEstimate, angular_nodes_for_degree,
-                   gauss_rule, panel_edges, radial_diverges, radial_integrals,
-                   radial_nodes)
+from .quad import (NormEstimate, PanelFunction, angular_nodes_for_degree,
+                   radial_diverges, radial_integrals, radial_nodes)
 from .taylor import TaylorSeries, frac_derivative
 from .weights import RadialWeight, _power_tail
 
@@ -239,19 +239,6 @@ def _lp_factor(w: RadialWeight):
     return H
 
 
-def _orthogonal_sum(c: np.ndarray, H, tag: str, truncation: dict) -> NormEstimate:
-    """int_D |P|^2 H(|z|) dA for P with coefficients c, by orthogonality:
-    sum_n |c_n|^2 2 int_0^1 r^(2n+1) H(r) dr."""
-    vals, errs, diverged = radial_integrals(H, 2 * np.arange(len(c)) + 1)
-    if diverged:
-        return NormEstimate(np.inf, np.inf, tag=tag, diverged=True,
-                            truncation=truncation)
-    sq = np.abs(c) ** 2
-    return NormEstimate(float(np.sum(sq * 2.0 * vals)),
-                        float(np.sum(sq * 2.0 * errs)), tag=tag,
-                        truncation=truncation)
-
-
 def _window_weights(h: np.ndarray, kmax: int) -> np.ndarray:
     """Row i: int over |theta - phi| <= h_i of e^(ik(theta - phi)), that is
     2 h_i and 2 sin(k h_i)/k for k = 1..kmax."""
@@ -281,49 +268,26 @@ def _first_max(values: np.ndarray, anchors: np.ndarray):
 
 
 class SquareMachine:
-    """Carleson-square integrals of |P|^2 against a radial factor.
+    """Carleson-square integrals of |P|^2 against a radial factor H.
 
     ``P`` is the already-differentiated series whose square modulus is the
-    density; precomputing the angular autocorrelation matrix and per-panel
-    suffix sums makes nu(S(a)) for any anchor cost one partial panel.
+    density.  nu(S(a)) is a window sum over the lags k of the radial
+    integrals int_|a|^1 r H(r) A_k(r) dr, and those of every lag are the
+    suffix integrals of one :class:`~fracvolt.quad.PanelFunction` with a
+    column per lag, so an anchor's radial part is one suffix integral.
 
     Only the phase e^(ik arg a) depends on more than t = |a|, so a batch
-    of anchors is grouped by its exact radii: the partial panels of all
-    distinct radii share one ``angular_autocorr`` call, the windows are
-    formed once per radius, and each anchor then costs one phase sum.
+    of anchors is grouped by its exact radii: one suffix integral and one
+    set of windows per distinct radius, and each anchor then costs one
+    phase sum.
     """
 
     def __init__(self, P: TaylorSeries, radial_factor):
-        self.P = P
-        self.radial_factor = radial_factor
-        self.edges = panel_edges()
-        self.nodes, self.weights = radial_nodes()
-        self.H = radial_factor(self.nodes)
-        self.A = angular_autocorr(self.P.coeffs, self.nodes)
-        self.degree = self.P.degree
-        base = (self.weights * self.nodes * self.H)[:, None] * self.A
-        per_panel = base.reshape(-1, PANEL_ORDER, self.degree + 1).sum(axis=1)
-        self.panel_suffix = np.vstack([
-            np.cumsum(per_panel[::-1], axis=0)[::-1],
-            np.zeros((1, self.degree + 1))])
-
-    def _suffix_from(self, t: np.ndarray) -> np.ndarray:
-        """Row i: Q_k = int_{t_i}^1 r H(r) A_k(r) dr for all k."""
-        e = np.minimum(np.searchsorted(self.edges, t, side="right"),
-                       len(self.edges) - 1)
-        Q = self.panel_suffix[e]
-        # partial pieces [t, edges[e]], each with a fresh small rule
-        hi = self.edges[e]
-        part = hi > t
-        if np.any(part):
-            x, gw = gauss_rule(16)
-            half = 0.5 * (hi[part] - t[part])[:, None]
-            rr = t[part][:, None] + half * (x + 1.0)
-            Af = angular_autocorr(self.P.coeffs, rr.ravel())
-            Hf = self.radial_factor(rr.ravel()).reshape(rr.shape)
-            Q[part] += np.einsum("ij,ijk->ik", half * gw * rr * Hf,
-                                 Af.reshape(*rr.shape, -1))
-        return Q
+        nodes, _ = radial_nodes()
+        self.degree = P.degree
+        A = angular_autocorr(P.coeffs, nodes)
+        A *= (nodes * radial_factor(nodes))[:, None]
+        self.lags = PanelFunction.from_values(A)
 
     def square_mass(self, a):
         """nu(S(a)) for the measure |D(f)|^2 H(|z|) dA; ``a`` is one anchor
@@ -331,10 +295,11 @@ class SquareMachine:
         anchors = np.asarray(a, dtype=complex)
         flat = anchors.ravel()
         t, inverse = np.unique(np.abs(flat), return_inverse=True)
-        G = _window_weights((1.0 - t) / 2.0, self.degree) * self._suffix_from(t)
+        G = _window_weights((1.0 - t) / 2.0, self.degree) \
+            * self.lags.suffix_integral(t)
         out = _phase_sum(G[inverse], np.angle(flat)) / np.pi
         # S(0) is the whole disc, not a window of half-width 1/2
-        out[flat == 0] = (1.0 / np.pi) * 2.0 * np.pi * self.panel_suffix[0][0].real
+        out[flat == 0] = 2.0 * self.lags.suffix[0][0].real
         return float(out[0]) if anchors.ndim == 0 else out.reshape(anchors.shape)
 
 
@@ -372,8 +337,16 @@ def hardy2_lp(f: TaylorSeries, w: RadialWeight) -> NormEstimate:
     Orthogonality collapses the angular integral:
     sum_n |f_n / mu_{2n+1}|^2 * 2 int_0^1 r^(2n+1) mu_hat(r)^2/(1-r) dr.
     """
-    return _orthogonal_sum(frac_derivative(f, w).coeffs, _lp_factor(w),
-                           "hardy2-lp", {"series": f.degree})
+    c = frac_derivative(f, w).coeffs
+    vals, errs, diverged = radial_integrals(_lp_factor(w),
+                                            2 * np.arange(len(c)) + 1)
+    if diverged:
+        return NormEstimate(np.inf, np.inf, tag="hardy2-lp", diverged=True,
+                            truncation={"series": f.degree})
+    sq = np.abs(c) ** 2
+    return NormEstimate(float(np.sum(sq * 2.0 * vals)),
+                        float(np.sum(sq * 2.0 * errs)), tag="hardy2-lp",
+                        truncation={"series": f.degree})
 
 
 def h2_monomial_ratios(w: RadialWeight, ns) -> np.ndarray:
@@ -739,16 +712,6 @@ def besov_mu(g: TaylorSeries, w: RadialWeight, p: float) -> NormEstimate:
                         truncation={"series": g.degree, "p": p, "angular": m})
 
 
-def besov_mu_series(g: TaylorSeries, w: RadialWeight) -> NormEstimate:
-    """p = 2 closed path by orthogonality (dual route to besov_mu)."""
-    def H(r):
-        with np.errstate(over="ignore", divide="ignore"):
-            return np.asarray(w.tail(r), dtype=float) ** 2 / (1.0 - r * r) ** 2
-
-    return _orthogonal_sum(frac_derivative(g, w).coeffs, H, "besov-mu-series",
-                           {"series": g.degree, "p": 2})
-
-
 def besov_classical(g: TaylorSeries, p: float) -> NormEstimate:
     """||g||^p in B_p: derivative order n_p = least n with n p > 1."""
     check_exponent(p)
@@ -793,7 +756,3 @@ def basis_norms(alpha: float, count: int) -> np.ndarray:
               - gammaln(n + alpha + 2.0))
     return np.exp(0.5 * log_c2)
 
-
-def bergman2_coeff(f: TaylorSeries, alpha: float) -> float:
-    """||f||^2 in A^2_alpha by orthogonality."""
-    return float(np.sum(np.abs(f.coeffs * basis_norms(alpha, f.degree + 1)) ** 2))

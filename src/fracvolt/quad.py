@@ -14,6 +14,11 @@ grid with every panel halved, on which the radial engine takes its values,
 and the kernel integral's reduced one, selected by its level counts in
 :func:`radial_nodes`.
 
+A :class:`PanelFunction` holds functions sampled at the reference nodes,
+one integrand per trailing index of its values, real or complex.  Its
+suffix integrals int_r^1 are the one engine of weight tails, derived
+weights and Carleson-square masses.
+
 One kernel, :func:`log_moments`, sums every power integral
 int_0^1 s^x f(s) ds: weight moments and the radial engine's
 int_0^1 r^q H(r) dr alike.  It works in log space from log f at the nodes,
@@ -23,8 +28,8 @@ row of exponentials per anchor and one row s^d per offset d < 16.
 Area measure convention: dA = dx dy / pi, so the disc has unit area and for a
 radial integrand F,  int_D F dA = 2 * int_0^1 F(r) r dr.
 
-All reductions run through ``np.sum`` (pairwise summation) in a fixed order,
-so results are bit-identical across runs regardless of upstream parallelism.
+Every reduction (``np.sum``'s pairwise summation or a matrix product) runs
+in a fixed order, so results are bit-identical from run to run.
 """
 
 from __future__ import annotations
@@ -145,10 +150,12 @@ def _log_grid(halved: bool = False):
 
 
 @lru_cache(maxsize=None)
-def _legendre_inverse_vandermonde(order: int):
+def _antiderivative_map(order: int) -> np.ndarray:
+    """(order + 1) x order: a panel's values at the Gauss nodes to the
+    Legendre coefficients of its interpolant's antiderivative in the local
+    variable (``legint`` of the inverse Legendre-Vandermonde matrix)."""
     x, _ = gauss_rule(order)
-    V = npleg.legvander(x, order - 1)
-    return np.linalg.inv(V)
+    return npleg.legint(np.linalg.inv(npleg.legvander(x, order - 1)))
 
 
 def looks_divergent(panel_contribs: np.ndarray) -> bool:
@@ -169,45 +176,43 @@ def looks_divergent(panel_contribs: np.ndarray) -> bool:
 
 
 class PanelFunction:
-    """A function on [0, 1) stored as per-panel Legendre expansions.
+    """Functions on [0, 1) sampled at the Gauss nodes of every panel of the
+    reference grid, one per trailing index of ``values``, real or complex.
 
-    Values are sampled at the Gauss nodes of every panel, which makes panel
-    integrals and suffix integrals int_r^1 spectral-accuracy operations on
-    cached data; moments of the values are :func:`log_moments` of their log.
+    Suffix integrals int_r^1 are the whole panels above r, summed once at
+    build, plus the part of r's own panel, from the Legendre antiderivative
+    of the panel's interpolant.  Antiderivatives are formed per call, for
+    the panels that hold a requested r only, by one real product with
+    :func:`_antiderivative_map`.  Moments of the values are
+    :func:`log_moments` of their log.
     """
 
-    def __init__(self, edges, nodes, weights, values):
-        self.edges = edges
-        self.nodes = nodes          # (panels, order)
-        self.weights = weights      # (panels, order)
-        self.values = values        # (panels, order)
-        order = nodes.shape[1]
-        inv = _legendre_inverse_vandermonde(order)
-        self.coeffs = values @ inv.T          # per-panel Legendre coefficients
-        # per-panel antiderivatives in the local variable, their values at the
-        # upper panel ends, and the local-to-global scale (hi - lo) / 2
-        self.anti = npleg.legint(self.coeffs, axis=1)
-        self.anti_hi = npleg.legval(1.0, self.anti.T)
-        self.half = 0.5 * (edges[1:] - edges[:-1])
-        self.panel_integrals = np.sum(weights * values, axis=1)
+    def __init__(self, values: np.ndarray):
+        self.edges, self.nodes, self.weights = _panel_grid()
+        self.values = values        # (panels, order, *trailing)
+        # real columns: one per trailing index, two (Re, Im) if complex
+        self._columns = values.reshape(*values.shape[:2], -1).view(float)
+        panel_integrals = (self.weights[:, None, :] @ self._columns)[:, 0]
         # suffix[p] = integral over panels p..end; suffix[P] = 0
-        self.suffix = np.concatenate(
-            [np.cumsum(self.panel_integrals[::-1])[::-1], [0.0]]
-        )
+        suffix = np.concatenate([np.cumsum(panel_integrals[::-1], axis=0)[::-1],
+                                 np.zeros((1, self._columns.shape[2]))])
+        self.suffix = suffix.view(values.dtype).reshape(-1, *values.shape[2:])
 
     @classmethod
     def from_callable(cls, f: Callable[[np.ndarray], np.ndarray]) -> "PanelFunction":
-        edges, nodes, weights = _panel_grid()
+        nodes = _panel_grid()[1]
         values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
         if not np.all(np.isfinite(values)):
             raise QuadratureError("non-finite values on the quadrature grid")
-        return cls(edges, nodes, weights, values)
+        return cls(values)
 
     @classmethod
     def from_values(cls, values_flat: np.ndarray) -> "PanelFunction":
-        edges, nodes, weights = _panel_grid()
-        values = np.asarray(values_flat, dtype=float).reshape(nodes.shape)
-        return cls(edges, nodes, weights, values)
+        """From values at the flattened nodes (first axis), real or complex,
+        with any trailing axes."""
+        values = np.asarray(values_flat)
+        values = np.ascontiguousarray(values, np.result_type(values, float))
+        return cls(values.reshape(_panel_grid()[1].shape + values.shape[1:]))
 
     @property
     def flat_nodes(self):
@@ -215,33 +220,37 @@ class PanelFunction:
 
     @property
     def flat_values(self):
-        return self.values.ravel()
+        return self.values.reshape(-1, *self.values.shape[2:])
 
     def _panel_index(self, r: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.edges, r, side="right") - 1
         return np.clip(idx, 0, len(self.edges) - 2)
 
-    def _walk(self, r, table: np.ndarray):
-        """Per-panel Legendre series ``table`` at r: (values, panel index).
+    def suffix_integral(self, r) -> np.ndarray:
+        """Vectorised int_r^1 f(s) ds: one row per r, then the trailing axes.
 
-        One ``legval`` call for all points, each carrying its own panel's
-        coefficient row (``tensor=False``): numpy's recurrence runs element
-        by element, so each value is bit-identical to a per-panel call.
+        The antiderivatives of the panels holding an r come from one real
+        product and are evaluated at every r in one vectorised call, each
+        point with its own panel's coefficients; P_n(1) = 1 gives their
+        values at the upper panel ends.  One real column is evaluated by
+        Clenshaw's recurrence (``legval``, ``tensor=False``); several share
+        one Legendre basis per point (``legvander``), whose recurrence runs
+        on the points alone rather than on every column.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
         idx = self._panel_index(r)
         lo, hi = self.edges[idx], self.edges[idx + 1]
         t = 2.0 * (r - lo) / (hi - lo) - 1.0
-        return npleg.legval(t, np.moveaxis(table[idx], -1, 0),
-                            tensor=False), idx
-
-    def evaluate(self, r) -> np.ndarray:
-        return self._walk(r, self.coeffs)[0]
-
-    def suffix_integral(self, r) -> np.ndarray:
-        """Vectorised int_r^1 f(s) ds."""
-        F, idx = self._walk(r, self.anti)
-        return (self.anti_hi[idx] - F) * self.half[idx] + self.suffix[idx + 1]
+        panels, at = np.unique(idx, return_inverse=True)
+        M = _antiderivative_map(self.nodes.shape[1])
+        anti = np.tensordot(M, self._columns[panels], axes=(1, 1))
+        coef = anti[:, at]
+        F = npleg.legval(t[:, None], coef, tensor=False) if coef.shape[2] == 1 \
+            else np.einsum("nj,jnc->nc", npleg.legvander(t, len(M) - 1), coef)
+        part = (np.sum(anti, axis=0)[at] - F) * (0.5 * (hi - lo))[:, None]
+        part[r >= self.edges[-1]] = 0.0     # nothing is left above the grid
+        part = part.view(self.values.dtype).reshape(self.suffix[idx].shape)
+        return part + self.suffix[idx + 1]
 
 
 def log_moments(xs, log_density: np.ndarray, halved: bool = False) -> np.ndarray:

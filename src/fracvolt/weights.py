@@ -22,10 +22,10 @@ Families
 
 Every weight's quadrature data lives on the one reference grid of
 :mod:`fracvolt.quad`; no weight carries a rule of its own.  Derived weights
-are materialised as per-panel Legendre expansions on that grid
+are materialised as their values at that grid's nodes
 (:class:`fracvolt.quad.PanelFunction`), so nested integrals reduce to suffix
-integrals of smooth data; log-type endpoint singularities are split off
-analytically before expansion.
+integrals of per-panel Legendre interpolants of smooth data; log-type
+endpoint singularities are split off analytically before interpolation.
 
 Weights are immutable after construction except for internal caches, which
 are idempotent (duplicate computation yields identical values), so concurrent
@@ -180,13 +180,6 @@ class RadialWeight:
 
     def iterate_star(self, n: int) -> "RadialWeight":
         return self.derive("iterate_star", n)
-
-    def power_tail(self, p: float) -> "DerivedWeight":
-        return self.derive("power_tail", p)
-
-    def times_power(self, eta: float) -> "DerivedWeight":
-        """Weight r -> mu(r) (1 - r)^eta."""
-        return self.derive("times_power", eta)
 
     # -- misc --------------------------------------------------------------
     def label(self) -> str:
@@ -468,6 +461,7 @@ def _power_tail(base, p):
 
 
 def _times_power(base, eta):
+    # the weight mu(r) (1 - r)^eta
     return lambda r: np.asarray(base.density(r), dtype=float) * (1.0 - r) ** eta
 
 

@@ -78,6 +78,28 @@ class TestCommands:
         _, out = run_cli(capsys, "moments", "--weight", "std:2", "--x", "3")
         assert float(out.strip().split("\n")[1].split(",")[8]) < 1e-12
 
+    def test_exp_moments_build_no_panel_function(self, capsys, monkeypatch):
+        # exp: moments read no panel values, so the request builds none;
+        # its trunc column is still the reference grid's panel count
+        from fracvolt.quad import PanelFunction
+        argv = ("moments", "--weight", "exp:1.3:0.8", "--x", "57,57,29,9")
+        panels = PanelFunction.from_callable(np.ones_like).values.shape[0]
+        builds = []
+        original = PanelFunction.from_callable.__func__
+
+        def counted(cls, f):
+            builds.append(f)
+            return original(cls, f)
+
+        monkeypatch.setattr(PanelFunction, "from_callable", classmethod(counted))
+        code, out = run_cli(capsys, *argv)
+        assert code == EXIT_OK and builds == []
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [row[7] for row in rows] == [str(panels)] * 4
+        # the spy sees builds where the rhs reads panel values
+        run_cli(capsys, "moments", "--weight", "expr:(1-r)^2", "--x", "1")
+        assert len(builds) == 1
+
     @pytest.mark.parametrize("gamma", [20, 40])
     def test_exp_moment_err_sees_the_peak_loss(self, capsys, gamma):
         # the lhs under-resolves the steep density's peak at x = 101; the

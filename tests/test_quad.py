@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
@@ -79,28 +81,32 @@ class TestMonitor:
                                             1.0 / (1.0 - r), 0.0))
 
 
-def per_panel_loop(pf, r, kind):
-    """Reference walk: one Legendre evaluation per panel, antiderivative
-    rebuilt on every call."""
+def per_panel_loop(pf, r):
+    """Reference suffix integrals of a scalar panel function: one panel at
+    a time, its Legendre antiderivative rebuilt from ``pf.values`` by a
+    linear solve, and the whole panels above summed here."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     out = np.empty_like(r)
-    idx = pf._panel_index(r)
+    edges = pf.edges
+    idx = np.clip(np.searchsorted(edges, r, side="right") - 1, 0, len(edges) - 2)
+    x, _ = npleg.leggauss(pf.values.shape[1])
+    V = npleg.legvander(x, len(x) - 1)
     for p in np.unique(idx):
         sel = idx == p
-        lo, hi = pf.edges[p], pf.edges[p + 1]
-        half = 0.5 * (hi - lo)
+        lo, hi = edges[p], edges[p + 1]
         t = 2.0 * (r[sel] - lo) / (hi - lo) - 1.0
-        if kind == "evaluate":
-            out[sel] = npleg.legval(t, pf.coeffs[p])
-            continue
-        anti = npleg.legint(pf.coeffs[p])
-        part = (npleg.legval(1.0, anti) - npleg.legval(t, anti)) * half
-        out[sel] = part + pf.suffix[p + 1]
+        anti = npleg.legint(np.linalg.solve(V, pf.values[p]))
+        part = (npleg.legval(1.0, anti) - npleg.legval(t, anti)) * 0.5 * (hi - lo)
+        out[sel] = part + np.sum(pf.weights[p + 1:] * pf.values[p + 1:])
     return out
 
 
 class TestPanelFunction:
     def test_walk_matches_per_panel_loop(self):
+        # the engine forms the antiderivatives by one product with a cached
+        # map and the oracle by a solve per panel, so they agree to
+        # rounding, not bit for bit: relative, with an absolute floor at
+        # the scale of the largest suffix integral
         rng = np.random.default_rng(7)
         with np.errstate(divide="ignore"):
             pf = PanelFunction.from_callable(
@@ -108,14 +114,16 @@ class TestPanelFunction:
         grid, _ = radial_nodes()
         halved, _ = _halved_grid(24, 48, 32)
         edges = panel_edges()
+        floor = 1e-14 * np.max(np.abs(per_panel_loop(pf, grid)))
         for r in (rng.random(3000), grid, halved, edges,
                   np.array([GRID_TOP, 1.0 - 2.0 ** -53])):
-            np.testing.assert_array_equal(pf.evaluate(r),
-                                          per_panel_loop(pf, r, "evaluate"))
-            np.testing.assert_array_equal(pf.suffix_integral(r),
-                                          per_panel_loop(pf, r, "suffix"))
+            np.testing.assert_allclose(pf.suffix_integral(r),
+                                       per_panel_loop(pf, r), rtol=1e-14,
+                                       atol=floor)
 
     def test_walk_makes_one_legval_call(self, monkeypatch):
+        # one vectorised evaluation of the antiderivatives, whatever the
+        # number of panels the points fall in
         pf = PanelFunction.from_callable(lambda r: np.exp(-r))
         grid, _ = radial_nodes()
         calls = []
@@ -128,10 +136,38 @@ class TestPanelFunction:
         monkeypatch.setattr(npleg, "legval", counted)
         for r in (np.array([0.3]), grid[:64], grid):
             assert len(np.unique(pf._panel_index(r))) in (1, 2, 72)
-            for method in (pf.evaluate, pf.suffix_integral):
-                calls.clear()
-                method(r)
-                assert len(calls) == 1
+            calls.clear()
+            pf.suffix_integral(r)
+            assert len(calls) == 1
+
+    def test_columns_share_one_basis_evaluation(self, monkeypatch):
+        # several columns take one Legendre basis for all points, and no
+        # recurrence per column
+        nodes, _ = radial_nodes()
+        pf = PanelFunction.from_values(np.stack([np.exp(-nodes), nodes], 1))
+        calls = []
+        for name in ("legval", "legvander"):
+            original = getattr(npleg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(npleg, name, counted)
+        for r in (np.array([0.3]), nodes[:64], nodes):
+            calls.clear()
+            assert pf.suffix_integral(r).shape == (len(r), 2)
+            assert calls == ["legvander"]
+
+    def test_nothing_is_left_above_the_grid_top(self):
+        # 1 - 2^-53 is a radius above GRID_TOP; the last panel's polynomial
+        # must not be extrapolated there (it gave a negative tail)
+        nodes, _ = radial_nodes()
+        r = np.array([GRID_TOP, 1.0 - 2.0 ** -53])
+        for values in (np.ones_like(nodes), np.sqrt(1.0 - nodes),
+                       np.stack([nodes, 1j * nodes], 1)):
+            got = PanelFunction.from_values(values).suffix_integral(r)
+            assert np.all(got == 0.0)
 
     def test_suffix_matches_antiderivative(self):
         pf = PanelFunction.from_callable(lambda r: 3.0 * r * r)
@@ -139,10 +175,36 @@ class TestPanelFunction:
         np.testing.assert_allclose(pf.suffix_integral(r), GRID_TOP ** 3 - r ** 3,
                                    rtol=1e-12, atol=1e-14)
 
-    def test_evaluate_reproduces_smooth_function(self):
-        pf = PanelFunction.from_callable(np.cos)
-        r = np.linspace(0.0, 0.9999, 777)
-        np.testing.assert_allclose(pf.evaluate(r), np.cos(r), atol=1e-12)
+    def test_complex_columns_match_scalar_functions(self):
+        rng = np.random.default_rng(11)
+        nodes, _ = radial_nodes()
+        K = 9
+        freq = rng.normal(size=K) + 1j * rng.normal(size=K)
+        values = np.exp(np.outer(nodes, freq)) * (1.0 - nodes)[:, None]
+        pf = PanelFunction.from_values(values)
+        assert pf.suffix.shape == (73, K)
+        r = np.concatenate([rng.random(500), panel_edges(), [GRID_TOP]])
+        got = pf.suffix_integral(r)
+        assert got.shape == (len(r), K) and got.dtype == complex
+        for k in range(K):
+            for part in (np.real, np.imag):
+                want = PanelFunction.from_values(part(values[:, k])).suffix_integral(r)
+                np.testing.assert_allclose(part(got[:, k]), want, rtol=0,
+                                           atol=1e-14 * np.max(np.abs(want)))
+
+    def test_power_columns_integrate_exactly(self):
+        # a panel's 32 nodes interpolate r^j, j <= 31, exactly; the truths
+        # are exact rationals of the float radii
+        rng = np.random.default_rng(5)
+        nodes, _ = radial_nodes()
+        J = 32
+        pf = PanelFunction.from_values(np.stack([nodes ** j for j in range(J)], 1))
+        t = np.concatenate([rng.random(100), panel_edges(), [GRID_TOP]])
+        top = Fraction(GRID_TOP)
+        truth = np.array([[float((top ** (j + 1) - Fraction(x) ** (j + 1)) / (j + 1))
+                           for j in range(J)] for x in t.tolist()])
+        np.testing.assert_allclose(pf.suffix_integral(t), truth, rtol=1e-14,
+                                   atol=1e-15)
 
     def test_moment(self):
         # moments of the panel values come from the one moment kernel

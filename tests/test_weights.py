@@ -327,12 +327,12 @@ class TestDerivedWeights:
 
     def test_power_tail_weight(self, std1):
         # tail^2/(1-r)^2 = 1 for beta = 1
-        pt = std1.power_tail(2.0)
+        pt = std1.derive("power_tail", 2.0)
         r = np.array([0.1, 0.5, 0.9])
         np.testing.assert_allclose(pt.density(r), 1.0, rtol=1e-12)
 
     def test_times_power(self, std1):
-        tw = std1.times_power(2.0)
+        tw = std1.derive("times_power", 2.0)
         r = np.array([0.25, 0.75])
         np.testing.assert_allclose(tw.density(r), (1.0 - r) ** 2, rtol=1e-13)
 
@@ -353,8 +353,8 @@ class TestDerivedOpTable:
         assert std1.mu_plus().label() == "std:1|mu_plus"
         assert std1.iterate_V(2).label() == "std:1|iterate_V|iterate_V"
         assert std1.iterate_star(0) is std1
-        assert std1.power_tail(2).label() == "std:1|power_tail(2)"
-        assert std1.times_power(0.75).label() == "std:1|times_power(0.75)"
+        assert std1.derive("power_tail", 2).label() == "std:1|power_tail(2)"
+        assert std1.derive("times_power", 0.75).label() == "std:1|times_power(0.75)"
 
     def test_descriptor_iterate_param_is_a_depth(self):
         w = from_descriptor({"kind": "derived", "op": "iterate_star",
@@ -459,7 +459,7 @@ BATCH_WEIGHTS = {
     "exp:2:0.5": lambda: ExponentialWeight(2.0, 0.5),
     "expr:exp(-1/(1-r))": lambda: from_shorthand("expr:exp(-1/(1-r))"),
     "tailexpr:(1-r)^2*exp(-r)": lambda: from_shorthand("tailexpr:(1-r)^2*exp(-r)"),
-    "exp:1:1|power_tail(2)": lambda: ExponentialWeight(1.0, 1.0).power_tail(2.0),
+    "exp:1:1|power_tail(2)": lambda: ExponentialWeight(1.0, 1.0).derive("power_tail", 2.0),
     "expr:exp(-200*r)": lambda: from_shorthand("expr:exp(-200*r)"),
 }
 BATCH_MAX = 4096
