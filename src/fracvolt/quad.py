@@ -227,17 +227,19 @@ class PanelFunction:
         return np.clip(idx, 0, len(self.edges) - 2)
 
     def suffix_integral(self, r) -> np.ndarray:
-        """Vectorised int_r^1 f(s) ds: one row per r, then the trailing axes.
+        """Vectorised int_r^1 f(s) ds: r's axes, then the trailing axes.
 
         The antiderivatives of the panels holding an r come from one real
         product and are evaluated at every r in one vectorised call, each
         point with its own panel's coefficients; P_n(1) = 1 gives their
-        values at the upper panel ends.  One real column is evaluated by
-        Clenshaw's recurrence (``legval``, ``tensor=False``); several share
-        one Legendre basis per point (``legvander``), whose recurrence runs
-        on the points alone rather than on every column.
+        values at the upper panel ends.  One real column (a weight tail) is
+        evaluated by Clenshaw's recurrence (``legval``, ``tensor=False``);
+        several share one Legendre basis per point (``legvander``), whose
+        recurrence runs on the points alone rather than on every column.
+        Each is the faster of the two where it is used.
         """
-        r = np.atleast_1d(np.asarray(r, dtype=float))
+        shape = np.shape(r)
+        r = np.asarray(r, dtype=float).ravel()
         idx = self._panel_index(r)
         lo, hi = self.edges[idx], self.edges[idx + 1]
         t = 2.0 * (r - lo) / (hi - lo) - 1.0
@@ -249,8 +251,8 @@ class PanelFunction:
             else np.einsum("nj,jnc->nc", npleg.legvander(t, len(M) - 1), coef)
         part = (np.sum(anti, axis=0)[at] - F) * (0.5 * (hi - lo))[:, None]
         part[r >= self.edges[-1]] = 0.0     # nothing is left above the grid
-        part = part.view(self.values.dtype).reshape(self.suffix[idx].shape)
-        return part + self.suffix[idx + 1]
+        part = part.view(self.values.dtype).reshape(-1, *self.suffix.shape[1:])
+        return (part + self.suffix[idx + 1]).reshape(shape + self.suffix.shape[1:])
 
 
 def log_moments(xs, log_density: np.ndarray, halved: bool = False) -> np.ndarray:

@@ -442,13 +442,14 @@ def _iterate_star(base, _):
     s = prev.flat_nodes
     with np.errstate(divide="ignore", invalid="ignore"):
         slog = np.where(s > 0, s * np.log(s), 0.0)
-    aux_log = PanelFunction.from_values(slog * prev.flat_values)
-    aux_lin = PanelFunction.from_values(s * prev.flat_values)
+    aux = PanelFunction.from_values(
+        np.stack([slog, s], 1) * prev.flat_values[:, None])
 
     def dens(r):
         if np.any(r <= 0.0):
             raise WeightError("star iterate undefined at r = 0")
-        return aux_log.suffix_integral(r) - np.log(r) * aux_lin.suffix_integral(r)
+        both = aux.suffix_integral(r)
+        return both[..., 0] - np.log(r) * both[..., 1]
     return dens
 
 

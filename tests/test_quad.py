@@ -159,6 +159,18 @@ class TestPanelFunction:
             assert pf.suffix_integral(r).shape == (len(r), 2)
             assert calls == ["legvander"]
 
+    def test_radii_keep_their_shape(self):
+        rng = np.random.default_rng(3)
+        nodes, _ = radial_nodes()
+        r = rng.random((4, 5))
+        for values in (np.exp(-nodes), np.stack([nodes, 1j * nodes], 1)):
+            pf = PanelFunction.from_values(values)
+            got = pf.suffix_integral(r)
+            assert got.shape == r.shape + values.shape[1:]
+            np.testing.assert_array_equal(
+                got, pf.suffix_integral(r.ravel()).reshape(got.shape))
+            assert pf.suffix_integral(0.3).shape == values.shape[1:]
+
     def test_nothing_is_left_above_the_grid_top(self):
         # 1 - 2^-53 is a radius above GRID_TOP; the last panel's polynomial
         # must not be extrapolated there (it gave a negative tail)

@@ -284,6 +284,15 @@ class TestDerivedWeights:
         np.testing.assert_allclose(w1.density(np.array([0.5]))[0],
                                    math.log(2.0) / 2.0 - 3.0 / 16.0, rtol=1e-12)
 
+    def test_panel_weights_take_radii_of_any_shape(self, std1):
+        # tails and derived densities from suffix integrals keep r's shape
+        r = np.linspace(0.05, 0.95, 12).reshape(3, 4)
+        for w in (std1.iterate_star(1), std1.iterate_V(1), std1.mu_plus()):
+            for method in (w.density, w.tail):
+                got = method(r)
+                assert got.shape == r.shape
+                np.testing.assert_array_equal(got.ravel(), method(r.ravel()))
+
     def test_star_growth_band(self, std1):
         # W1(r)/(1-r)^2 bounded above and below on [1/2, 0.999]
         w1 = std1.iterate_star(1)
