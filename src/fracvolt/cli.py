@@ -17,6 +17,7 @@ identical arguments and seed produce byte-identical output.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -55,12 +56,8 @@ class Row(dict):
 
 
 def _fmt(x) -> str:
-    if isinstance(x, np.floating):
-        x = float(x)
-    elif isinstance(x, np.complexfloating):
-        x = complex(x)
-    elif isinstance(x, np.integer):
-        x = int(x)
+    if isinstance(x, np.generic):
+        x = x.item()
     if isinstance(x, float):
         return repr(x)
     if isinstance(x, complex):
@@ -201,7 +198,7 @@ def cmd_classify(args) -> int:
     w = from_shorthand(args.weight)
     report = weight_class.classify(w, depth=args.depth)
     if args.format == "json":
-        emit([], args, json.dumps(report.to_dict(), indent=1) + "\n")
+        emit([], args, json.dumps(dataclasses.asdict(report), indent=1) + "\n")
         return EXIT_OK
     rows = [Row("classify-verdict", w.label(),
                 f"dhat={report.verdicts['dhat']};dcheck={report.verdicts['dcheck']}",
@@ -253,7 +250,7 @@ def cmd_volterra(args) -> int:
     g = parse_symbol(args.symbol)
     spectra = volterra.truncation_spectra(w, g, args.alpha, args.trunc)
     rows = []
-    for i, sigma in enumerate(spectra[0].values[: args.spectrum_head]):
+    for i, sigma in enumerate(spectra[0][: args.spectrum_head]):
         rows.append(Row("volterra-spectrum", w.label(), args.symbol, i, sigma,
                         "", "", args.trunc))
     code = EXIT_OK
@@ -280,8 +277,9 @@ def cmd_equivalence(args) -> int:
             raise ValueError("--trunc must be nonnegative")
         ns = list(range(0, args.trunc + 1, max(1, args.trunc // 100)))
         ratios = norms.h2_monomial_ratios(w, ns).tolist()
+        mus = w.odd_moments(ns[-1] + 1).tolist()
         for n, ratio in zip(ns, ratios):
-            mu = w.moment(2 * n + 1)
+            mu = mus[n]
             rows.append(Row("equiv-h2-lp", w.label(), f"mono:{n}", n,
                             ratio * mu * mu, mu * mu, ratio, args.trunc))
         finite = [r for r in ratios if np.isfinite(r)]

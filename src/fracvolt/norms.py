@@ -356,7 +356,7 @@ def h2_monomial_ratios(w: RadialWeight, ns) -> np.ndarray:
     vals, _, diverged = radial_integrals(_lp_factor(w), 2 * ns + 1)
     if diverged:
         return np.full(len(ns), np.inf)
-    mus = np.array([w.moment(2 * int(n) + 1) for n in ns])
+    mus = w.odd_moments(int(ns.max(initial=-1)) + 1)[ns]
     return vals / mus ** 2
 
 
@@ -377,20 +377,20 @@ def tent_norm_power(f: TaylorSeries, w: RadialWeight, p: float) -> NormEstimate:
     check_exponent(p)
     P = frac_derivative(f, w)
     nodes, weights = radial_nodes()
-
-    def H(r):
-        with np.errstate(over="ignore", divide="ignore"):
-            return (np.asarray(w.tail(r), dtype=float) / (1.0 - r)) ** 2
+    tail = np.asarray(w.tail(nodes), dtype=float)
+    with np.errstate(over="ignore", divide="ignore"):
+        lp = tail ** 2 / (1.0 - nodes)
+        H = (tail / (1.0 - nodes)) ** 2
 
     # integrability of the cone-integrated density mu_hat^2/(1-r)
-    if radial_diverges(_lp_factor(w)(nodes)):
+    if radial_diverges(lp):
         return NormEstimate(np.inf, np.inf, tag="tent-power", diverged=True,
                             truncation={"series": f.degree, "p": p})
 
     A = angular_autocorr(P.coeffs, nodes)
     d = P.degree
     win = _window_weights(1.0 - nodes, d)
-    base = (weights * nodes * H(nodes))[:, None]
+    base = (weights * nodes * H)[:, None]
     B = np.sum(base * win * A, axis=0) / np.pi
 
     m = int(max(TENT_XI_NODES, 2 ** math.ceil(math.log2(max(2, 2 * d + 2)))))
@@ -607,10 +607,11 @@ def bmoa_kernel_sup(g: TaylorSeries, w: RadialWeight,
     :meth:`_KernelRings.bounds` is formed for every t first, the radii run
     in decreasing order of it, and a radius whose bound times
     1 + BOUND_SLACK is below the best value found so far gets no kernel
-    coefficients: none of its anchors can reach the maximum.  The value
-    and the first-maximum anchor are those of the unpruned sweep (the
-    coefficients of every radius, then one phase sum over all anchors),
-    bit for bit.
+    coefficients: none of its anchors can reach the maximum, so they read
+    -inf.  A row of the phase sum does not depend on the other rows, so
+    the value and the first-maximum anchor are those of the unpruned
+    sweep (the coefficients of every radius, then one phase sum over all
+    anchors), bit for bit.
     """
     anchors = np.asarray(_kernel_anchor_set() if anchors is None else anchors,
                          dtype=complex)
@@ -618,21 +619,17 @@ def bmoa_kernel_sup(g: TaylorSeries, w: RadialWeight,
     ts, inverse = np.unique(np.abs(anchors), return_inverse=True)
     angles = np.angle(anchors)
     bound = rings.bounds(ts)
-    U = np.zeros((len(ts), rings.degree + 1), dtype=complex)
-    done = np.zeros(len(ts), dtype=bool)
+    values = np.full(len(anchors), -np.inf)
     best = -np.inf
     for j in np.argsort(-bound, kind="stable"):
         if bound[j] * (1.0 + BOUND_SLACK) < best:
             continue
-        U[j] = rings.coefficients(ts[j])
-        done[j] = True
         mine = inverse == j
-        vals = _phase_sum(U[inverse[mine]], angles[mine])
+        u = rings.coefficients(ts[j])
+        vals = _phase_sum(np.broadcast_to(u, (np.sum(mine), len(u))),
+                          angles[mine])
+        values[mine] = vals
         best = max(best, np.max(vals, initial=-np.inf, where=~np.isnan(vals)))
-    # one phase sum over all anchors, as in the unpruned sweep, so the
-    # values of the radii that ran match it bit for bit
-    values = _phase_sum(U[inverse], angles)
-    values[~done[inverse]] = -np.inf
     best, best_a = _first_max(values, anchors)
     return NormEstimate(best, math.nan, tag="bmoa-kernel",
                         truncation={"series": g.degree, "lambda": 2.0,

@@ -23,10 +23,12 @@ about eps * sigma_max^2 / sigma, which is rounding level at the top of the
 spectrum and at most about sqrt(eps) * sigma_max (absolute) for tiny sigma.
 The tests keep a dense SVD as the independent oracle.
 
-Every Schatten number is reported at its truncation with an N/2-vs-N
-convergence stamp; non-decaying truncation growth is the first-class
-signal for the cut-off regime where only g = 0 is admissible.  A request
-for several exponents shares the two spectra (`truncation_spectra`).
+A spectrum is the decreasing float array of singular values, and a Schatten
+norm a float.  `schatten_with_monitor` reports one at its truncation with
+an N/2-vs-N convergence stamp; non-decaying truncation growth is the
+first-class signal for the cut-off regime where only g = 0 is admissible.
+A request for several exponents shares the two spectra
+(`truncation_spectra`).
 """
 
 from __future__ import annotations
@@ -73,20 +75,6 @@ class OperatorMatrix:
         return A
 
 
-@dataclass
-class SingularSpectrum:
-    values: np.ndarray
-    truncation: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if np.any(v < -1e-12):
-            raise OperatorError("singular values must be nonnegative")
-        if np.any(np.diff(v) > 1e-12):
-            raise OperatorError("singular values must be non-increasing")
-        self.values = np.maximum(v, 0.0)
-
-
 def volterra_matrix(w: RadialWeight, g: TaylorSeries, alpha: float,
                     N: int = DEFAULT_TRUNCATION) -> OperatorMatrix:
     """N x N truncation of the operator with symbol g on A^2_alpha (band)."""
@@ -104,15 +92,15 @@ def volterra_matrix(w: RadialWeight, g: TaylorSeries, alpha: float,
     return OperatorMatrix(band, alpha)
 
 
-def singular_values(M: OperatorMatrix) -> SingularSpectrum:
-    """Singular values of a lower-triangular band, from the eigenvalues of
-    its banded Gram matrix."""
+def singular_values(M: OperatorMatrix) -> np.ndarray:
+    """Singular values of a lower-triangular band, in decreasing order, from
+    the eigenvalues of its banded Gram matrix."""
     N = M.dimension
     # D[j] is the j-th subdiagonal; C order keeps the Gram sums' rounding
     D = np.ascontiguousarray(M.entries.T)
     nonzero = np.flatnonzero(D.any(axis=1))
     if len(nonzero) == 0:
-        return SingularSpectrum(np.zeros(N), N)
+        return np.zeros(N)
     # only subdiagonals lo..hi meet in M^H M, so its bandwidth is hi - lo
     # (a monomial symbol gives a diagonal Gram matrix)
     B = D[nonzero[0]: nonzero[-1] + 1]
@@ -127,17 +115,14 @@ def singular_values(M: OperatorMatrix) -> SingularSpectrum:
     from scipy.linalg import eigvals_banded
     ev = eigvals_banded(gram, lower=True, overwrite_a_band=True,
                         check_finite=False)
-    vals = np.sort(np.sqrt(np.maximum(ev, 0.0)))[::-1]
-    return SingularSpectrum(vals, N)
+    # a C-contiguous copy: sums over the reversed view round differently
+    return np.sort(np.sqrt(np.maximum(ev, 0.0)))[::-1].copy()
 
 
-def schatten_norm(spectrum: SingularSpectrum, p: float) -> NormEstimate:
-    """(sum lambda^p)^(1/p) at the spectrum's truncation."""
+def schatten_norm(sigma: np.ndarray, p: float) -> float:
+    """(sum sigma^p)^(1/p) of the singular values ``sigma``."""
     check_exponent(p)
-    value = float(np.sum(spectrum.values ** p) ** (1.0 / p))
-    # no error is estimated at a single truncation
-    return NormEstimate(value, math.nan, tag="schatten",
-                        truncation={"N": spectrum.truncation, "p": p})
+    return float(np.sum(sigma ** p) ** (1.0 / p))
 
 
 def truncation_spectra(w: RadialWeight, g: TaylorSeries, alpha: float,
@@ -163,8 +148,8 @@ def schatten_with_monitor(w: RadialWeight, g: TaylorSeries, alpha: float,
     """
     full, half = spectra if spectra is not None else \
         truncation_spectra(w, g, alpha, N)
-    val_full = schatten_norm(full, p).value
-    val_half = schatten_norm(half, p).value
+    val_full = schatten_norm(full, p)
+    val_half = schatten_norm(half, p)
     ratio = val_full / val_half if val_half > 0 else 1.0
     return NormEstimate(val_full, abs(val_full - val_half), tag="schatten",
                         truncation={"N": N, "p": p, "alpha": alpha,
@@ -175,8 +160,5 @@ def schatten_with_monitor(w: RadialWeight, g: TaylorSeries, alpha: float,
 def schatten_truncation_profile(w: RadialWeight, g: TaylorSeries, alpha: float,
                                 p: float, Ns: Sequence[int]) -> list:
     """Schatten norms along a truncation ladder (divergence witness)."""
-    out = []
-    for N in Ns:
-        M = volterra_matrix(w, g, alpha, int(N))
-        out.append(schatten_norm(singular_values(M), p).value)
-    return out
+    return [schatten_norm(singular_values(volterra_matrix(w, g, alpha, int(N))), p)
+            for N in Ns]

@@ -38,36 +38,30 @@ EVIDENCE_AGAINST = "evidence-against"
 
 @dataclass
 class WeightClassReport:
+    """The report, its fields in the order of its JSON keys."""
     label: str
     depth: int
-    dhat_tail_profile: list          # (r, log ratio tail(r)/tail((1+r)/2))
     dhat_sup: float
+    beta_estimate: float
+    verdicts: dict
+    dhat_tail_profile: list          # (r, log ratio tail(r)/tail((1+r)/2))
     moment_profile: list             # (x, log ratio mu_x / mu_{2x})
     dcheck_profiles: dict            # K -> list of (r, log ratio)
     dcheck_K_evidence: dict          # K -> bool
-    beta_estimate: float
-    verdicts: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "depth": self.depth,
-            "dhat_sup": self.dhat_sup,
-            "beta_estimate": self.beta_estimate,
-            "verdicts": self.verdicts,
-            "dhat_tail_profile": [[r, lr] for r, lr in self.dhat_tail_profile],
-            "moment_profile": [[x, lr] for x, lr in self.moment_profile],
-            "dcheck_profiles": {str(K): [[r, lr] for r, lr in prof]
-                                for K, prof in self.dcheck_profiles.items()},
-            "dcheck_K_evidence": {str(K): bool(v)
-                                  for K, v in self.dcheck_K_evidence.items()},
-            "notes": self.notes,
-        }
 
 
 def _dyadic_radii(depth: int) -> np.ndarray:
     return 1.0 - 2.0 ** -np.arange(0.0, depth + 1.0)
+
+
+def _log_ratio(lt: np.ndarray, lt_deeper: np.ndarray) -> np.ndarray:
+    """log(tail / deeper tail) from the log tails.  Where both underflow the
+    ratio is at least 1 (the tail is non-increasing) and too large for a
+    double, so it reads +inf, not -inf - (-inf) = nan."""
+    with np.errstate(invalid="ignore"):
+        return np.where((lt == -np.inf) & (lt_deeper == -np.inf), np.inf,
+                        lt - lt_deeper)
 
 
 def _plateaus(log_ratios: np.ndarray) -> bool:
@@ -89,7 +83,7 @@ def classify_dhat(w: RadialWeight, depth: int = DEFAULT_DEPTH):
         raise ValueError("depth is capped at 40 (double precision resolution)")
     r = _dyadic_radii(depth)
     lt = np.asarray(w.log_tail(r), dtype=float)
-    tail_logratio = lt[:-1] - lt[1:]             # (1 + r_j)/2 = r_{j+1}
+    tail_logratio = _log_ratio(lt[:-1], lt[1:])  # (1 + r_j)/2 = r_{j+1}
     xs = 2.0 ** np.arange(0.0, depth + 1.0)
     lm, lm2 = np.split(w.log_moments(np.concatenate([xs, 2.0 * xs])), 2)
     moment_logratio = lm - lm2
@@ -118,7 +112,7 @@ def classify_dcheck(w: RadialWeight, K_grid: Sequence[float] = DEFAULT_K_GRID,
     for K in K_grid:
         rK = 1.0 - (1.0 - r) / K
         ltK = np.asarray(w.log_tail(rK), dtype=float)
-        logratio = lt - ltK                      # >= 0: tail is non-increasing
+        logratio = _log_ratio(lt, ltK)           # >= 0: tail is non-increasing
         profiles[K] = list(zip(r, logratio))
         q = max(1, (depth + 1) // 4)
         last = logratio[-q:]

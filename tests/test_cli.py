@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracvolt import cli, volterra
+import exact_std
+from fracvolt import cli, from_shorthand, volterra, weight_class
 from fracvolt.cli import (CSV_COLUMNS, EXIT_DIVERGENCE, EXIT_INVARIANT,
                           EXIT_OK, default_corpus, main, parse_symbol)
 from fracvolt.quad import QuadratureError
@@ -145,6 +146,53 @@ class TestCommands:
         rep = json.loads(captured.out)
         assert all(rep["dcheck_K_evidence"].values())
 
+    @pytest.mark.parametrize("weight", ["std:2", "exp:1:1",
+                                        "tailexpr:(1-r)^3", "exp:1:40"])
+    def test_classify_json_is_the_field_by_field_mapping(self, capsys, weight):
+        # the report's own JSON against the mapping the CLI once wrote by
+        # hand, key by key: tuples as lists and the float K keys as str(K)
+        def by_hand(rep):
+            return {
+                "label": rep.label,
+                "depth": rep.depth,
+                "dhat_sup": rep.dhat_sup,
+                "beta_estimate": rep.beta_estimate,
+                "verdicts": rep.verdicts,
+                "dhat_tail_profile": [[r, lr] for r, lr in rep.dhat_tail_profile],
+                "moment_profile": [[x, lr] for x, lr in rep.moment_profile],
+                "dcheck_profiles": {str(K): [[r, lr] for r, lr in prof]
+                                    for K, prof in rep.dcheck_profiles.items()},
+                "dcheck_K_evidence": {str(K): bool(v)
+                                      for K, v in rep.dcheck_K_evidence.items()},
+                "notes": rep.notes,
+            }
+
+        code, out = run_cli(capsys, "classify", "--weight", weight,
+                            "--format", "json")
+        rep = weight_class.classify(from_shorthand(weight))
+        assert code == EXIT_OK
+        assert out == json.dumps(by_hand(rep), indent=1) + "\n"
+
+    @pytest.mark.parametrize("weight", [
+        "exp:1:40",
+        '{"kind":"derived","op":"power_tail","param":1,'
+        '"base":{"kind":"exponential","c":1,"gamma":1}}'])
+    def test_classify_underflowing_tail_prints_no_nan(self, capsys, weight):
+        # the deep tails underflow to 0: a ratio of two zero tails reads
+        # +inf (printed at the exp(700) cap), not -inf - (-inf) = nan
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["classify", "--weight", weight])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK and caught == [] and captured.err == ""
+        rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+        verdict, profile = rows[0], rows[1:]
+        assert verdict[2] == "dhat=evidence-against;dcheck=evidence-for"
+        assert verdict[4] == "inf"
+        assert len(profile) == 36 + 6 * 37
+        # every ratio is at least 1, which no nan is
+        assert all(float(row[4]) >= 1.0 for row in profile)
+
     @pytest.mark.parametrize("weight", ["exp:1:20", "exp:1:40"])
     @pytest.mark.parametrize("argv", [
         ["moments", "--x", "1,3,101"],
@@ -196,6 +244,20 @@ class TestCommands:
             n = int(row[3])
             np.testing.assert_allclose(float(row[6]),
                                        (2.0 * n + 2) / (2.0 * n + 3), rtol=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_equivalence_h2lp_rhs_is_the_exact_moment_square(self, capsys, k):
+        # rhs = mu_(2n+1)^2 from the odd-moment table (the ratio recurrence),
+        # against the exact rational; the Beta-function moment was up to
+        # 4.5e-12 off at this truncation
+        code, out = run_cli(capsys, "equivalence", "--name", "h2-lp",
+                            "--weight", f"std:{k}", "--trunc", "2000")
+        assert code == EXIT_OK
+        rows = [l.split(",") for l in out.strip().split("\n")[1:-1]]
+        assert len(rows) == 101
+        for row in rows:
+            truth = float(exact_std.odd_moment(k, int(row[3])) ** 2)
+            assert abs(float(row[5]) - truth) <= 1e-13 * truth
 
     def test_equivalence_exponential_flagged(self, capsys):
         code, out = run_cli(capsys, "equivalence", "--name", "h2-lp",

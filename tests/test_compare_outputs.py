@@ -25,6 +25,8 @@ def test_tree_against_itself_on_the_warmup():
         code = tool.main([str(ROOT), str(ROOT), "warmup"])
     assert code == 0
     assert "12 of 12 outputs byte-identical" in out.getvalue()
+    lines = tool.src_lines(ROOT)
+    assert f"src/fracvolt/*.py lines: {lines} -> {lines} (+0)" in out.getvalue()
 
 
 def test_moves_are_reported_and_judged():

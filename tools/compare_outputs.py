@@ -13,10 +13,11 @@ and only read.
 Each tree runs every argv in one fresh interpreter through
 ``fracvolt.cli.main``.  The report gives the byte-identical count; every
 argv whose exit code, stderr, row count or text columns differ; every
-anchor that moved; and the largest relative move per (experiment, column)
-over the value columns and ``err``.  The exit status is 1 when anything
-but a value moved, or a value column (not ``err``) moved by more than
-RTOL, else 0.
+anchor that moved; the largest relative move per (experiment, column)
+over the value columns and ``err``; and the net line count, the lines of
+``src/fracvolt/*.py`` in each tree and their difference.  The exit status
+is 1 when anything but a value moved, or a value column (not ``err``)
+moved by more than RTOL, else 0.
 """
 
 from __future__ import annotations
@@ -85,6 +86,12 @@ def plan_argvs(workloads, names) -> list:
                 for argv in plan.timed_pass(k):
                     add(argv)
     return out
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of ``src/fracvolt/*.py``, counted as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src" / "fracvolt").glob("*.py"))
 
 
 def run_tree(tree: Path, argvs: list) -> list:
@@ -164,6 +171,9 @@ def main(argv=None) -> int:
     checks = load(args.new, "checks")
     old, new = run_tree(args.old, argvs), run_tree(args.new, argvs)
     lines, failed = compare(checks, argvs, old, new)
+    before, after = src_lines(args.old), src_lines(args.new)
+    lines.append(f"src/fracvolt/*.py lines: {before} -> {after} "
+                 f"({after - before:+d})")
     print("\n".join(lines))
     return 1 if failed else 0
 
