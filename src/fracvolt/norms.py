@@ -14,9 +14,9 @@ sample P itself on each ring's m angles (half of them for a real series)
 by one real matrix product per block of rings, and average (|P|^2)^(p/2).
 Radial integrals run on the geometric Gauss-Legendre panels of
 :mod:`fracvolt.quad`; a Carleson square's are suffix integrals of one
-panel function with a column per lag A_k.  Suprema over disc anchors are
-maxima over an explicit anchor set (lattice plus radial rays) and report
-their argmax anchor.
+panel function with a column per live lag A_k.  Suprema over disc anchors
+are maxima over an explicit anchor set (lattice plus radial rays) and
+report their argmax anchor.
 
 Every rule is fixed: the reference grid of :mod:`fracvolt.quad`,
 TENT_XI_NODES boundary points for the tent norm, BLOCH_ANGLES angles per
@@ -32,6 +32,7 @@ weighted disc integral exactly (Fubini), with no hidden constant.
 from __future__ import annotations
 
 import math
+import mmap
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -68,6 +69,12 @@ BLOCK_ELEMENTS = 2 ** 17
 # terms, so their rounding stays many orders below this.
 BOUND_SLACK = 1e-9
 
+# Elements (rings x (degree + 1)) of one _laplace_khat call of the kernel
+# sup, 2 MB of float64: a std:1 kernel sup at degree 24 runs its 17
+# second-wave radii in two calls.  One 3.5 MB call raised the suprema
+# workload's peak RSS by 2.5 MB; two calls cost about 10% of that request.
+KHAT_ELEMENTS = 2 ** 18
+
 
 # ---------------------------------------------------------------------------
 # shared machinery
@@ -79,37 +86,54 @@ def check_exponent(p: float) -> None:
         raise ValueError(f"p must be positive and finite, got {p!r}")
 
 
-def _row_blocks(n_rows: int, row_len: int):
-    """Slices of at most max(1, BLOCK_ELEMENTS // row_len) rows."""
-    step = max(1, BLOCK_ELEMENTS // row_len)
+def _row_blocks(n_rows: int, row_len: int, elements: int = BLOCK_ELEMENTS):
+    """Slices of at most max(1, elements // row_len) rows."""
+    step = max(1, elements // row_len)
     for i in range(0, n_rows, step):
         yield slice(i, min(i + step, n_rows))
 
 
 def _power_matrix(radii: np.ndarray, jmax: int) -> np.ndarray:
-    """P[i, j] = radii_i^j for j = 0..jmax (cumulative products)."""
-    out = np.empty((len(radii), jmax + 1))
-    out[:, 0] = 1.0
+    """P[i, j] = radii_i^j for j = 0..jmax (cumulative products), built
+    along contiguous rows of its transpose."""
+    out = np.empty((jmax + 1, len(radii)))
+    out[0] = 1.0
     for j in range(1, jmax + 1):
-        np.multiply(out[:, j - 1], radii, out=out[:, j])
-    return out
+        np.multiply(out[j - 1], radii, out=out[j])
+    return out.T
 
 
-def angular_autocorr(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """A[i, k] = sum_m c_{m+k} conj(c_m) radii_i^(2m+k), k = 0..deg.
+def _live_lags(coeffs: np.ndarray) -> np.ndarray:
+    """The lags k = n - m >= 0 of the nonzero pairs c_n conj(c_m), in
+    increasing order, from the autocorrelation of the support; 0 always,
+    so the zero series has one lag."""
+    live = (np.asarray(coeffs) != 0).astype(int)
+    pairs = np.correlate(live, live, "full")[len(live) - 1:]
+    pairs[0] = 1
+    return np.flatnonzero(pairs)
+
+
+def angular_autocorr(coeffs: np.ndarray, radii: np.ndarray,
+                     lags: Optional[np.ndarray] = None) -> np.ndarray:
+    """A[i, j] = sum_m c_{m+k} conj(c_m) radii_i^(2m+k) for the lags
+    k = lags[j] (default k = 0..deg).
 
     One real product of the power matrix against the real and imaginary
     parts of the lag products, column k holding c_{m+k} conj(c_m) in row
     k + 2m (the pair n = m + k >= m lands in row n + m, column n - m).
+    Fewer than deg + 1 lags take their columns only; all of them take the
+    whole matrix, as the default does.
     """
     c = np.asarray(coeffs, dtype=complex)
     d = len(c) - 1
     n, m = np.tril_indices(d + 1)
     W = np.zeros((2 * d + 1, d + 1), dtype=complex)
     W[n + m, n - m] = c[n] * np.conj(c[m])
+    if lags is not None and len(lags) <= d:
+        W = W[:, lags]
     with np.errstate(under="ignore"):
         R = _power_matrix(radii, 2 * d) @ np.hstack([W.real, W.imag])
-    return R[:, : d + 1] + 1j * R[:, d + 1:]
+    return R[:, : W.shape[1]] + 1j * R[:, W.shape[1]:]
 
 
 def _sample_circle(coeffs: np.ndarray, radii: np.ndarray, m: int) -> np.ndarray:
@@ -239,21 +263,27 @@ def _lp_factor(w: RadialWeight):
     return H
 
 
-def _window_weights(h: np.ndarray, kmax: int) -> np.ndarray:
-    """Row i: int over |theta - phi| <= h_i of e^(ik(theta - phi)), that is
-    2 h_i and 2 sin(k h_i)/k for k = 1..kmax."""
-    k = np.arange(1, kmax + 1)
-    out = np.empty((len(h), kmax + 1))
+def _window_weights(h: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """Row i: int over |theta - phi| <= h_i of e^(ik(theta - phi)) for the
+    lags k, 0 first: 2 h_i, then 2 sin(k h_i)/k."""
+    k = lags[1:]
+    out = np.empty((len(h), len(lags)))
     out[:, 0] = 2.0 * h
     out[:, 1:] = 2.0 * np.sin(np.outer(h, k)) / k
     return out
 
 
-def _phase_sum(G: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """G_0 + 2 Re sum_{k>=1} G_k e^(ik phi) per angle (row i of G belongs
-    to angles[i]): a trigonometric polynomial with real G_0."""
-    k = np.arange(1, G.shape[1])
-    phase = np.exp(1j * np.outer(angles, k))
+def _phase_sum(G: np.ndarray, angles: np.ndarray, lags=None,
+               phase=None) -> np.ndarray:
+    """G_0 + 2 Re sum_j G_j e^(i k_j phi) per angle (row i of G belongs
+    to angles[i]): a trigonometric polynomial with real G_0, over the lags
+    k_j = lags[j] (default j; lags[0] = 0).  ``phase``, when given, holds
+    e^(ik phi) for k = 1..max lag per angle (:func:`_default_phases`)."""
+    k = np.arange(1, G.shape[1]) if lags is None else lags[1:]
+    if phase is None:
+        phase = np.exp(1j * np.outer(angles, k))
+    elif len(k) < phase.shape[1]:
+        phase = phase[:, k - 1]
     return G[:, 0].real + 2.0 * np.sum((G[:, 1:] * phase).real, axis=1)
 
 
@@ -276,6 +306,10 @@ class SquareMachine:
     suffix integrals of one :class:`~fracvolt.quad.PanelFunction` with a
     column per lag, so an anchor's radial part is one suffix integral.
 
+    Only the live lags are carried (:func:`_live_lags`): a lag k enters
+    only if some c_(m+k) conj(c_m) is nonzero, so a monomial has the one
+    lag 0 and a full-support series every lag 0..deg.
+
     Only the phase e^(ik arg a) depends on more than t = |a|, so a batch
     of anchors is grouped by its exact radii: one suffix integral and one
     set of windows per distinct radius, and each anchor then costs one
@@ -284,20 +318,22 @@ class SquareMachine:
 
     def __init__(self, P: TaylorSeries, radial_factor):
         nodes, _ = radial_nodes()
-        self.degree = P.degree
-        A = angular_autocorr(P.coeffs, nodes)
+        self.k = _live_lags(P.coeffs)
+        A = angular_autocorr(P.coeffs, nodes, self.k)
         A *= (nodes * radial_factor(nodes))[:, None]
         self.lags = PanelFunction.from_values(A)
 
-    def square_mass(self, a):
+    def square_mass(self, a, phase=None):
         """nu(S(a)) for the measure |D(f)|^2 H(|z|) dA; ``a`` is one anchor
-        (a float is returned) or an array of them."""
+        (a float is returned) or an array of them.  ``phase`` is the table
+        e^(ik arg a), k = 1.., of the flattened anchors when the caller
+        holds one (:func:`_default_phases`)."""
         anchors = np.asarray(a, dtype=complex)
         flat = anchors.ravel()
         t, inverse = np.unique(np.abs(flat), return_inverse=True)
-        G = _window_weights((1.0 - t) / 2.0, self.degree) \
+        G = _window_weights((1.0 - t) / 2.0, self.k) \
             * self.lags.suffix_integral(t)
-        out = _phase_sum(G[inverse], np.angle(flat)) / np.pi
+        out = _phase_sum(G[inverse], np.angle(flat), self.k, phase) / np.pi
         # S(0) is the whole disc, not a window of half-width 1/2
         out[flat == 0] = 2.0 * self.lags.suffix[0][0].real
         return float(out[0]) if anchors.ndim == 0 else out.reshape(anchors.shape)
@@ -318,6 +354,32 @@ def default_anchors(depth: int = 12, lattice_r: float = 0.7, seed: int = 0,
     rays = 1.0 - 2.0 ** -np.arange(1.0, depth + 1)
     return np.concatenate([np.array([0.0 + 0.0j]), rays.astype(complex),
                            _cached_lattice_points(lattice_r, seed, max_radius)])
+
+
+_DEFAULT_PHASES = None
+
+
+def _default_phases(kmax: int) -> np.ndarray:
+    """e^(ik arg a) for k = 1..kmax (columns) over ``default_anchors()``
+    (rows).  The set is a constant of the rule, so its table is built once
+    per process, rebuilt wider when a larger kmax comes, and sliced; each
+    entry is the one :func:`_phase_sum` would form.
+
+    The table (0.6 MB at kmax = 64) lives in its own anonymous mapping: on
+    the heap, a long-lived array sits above the freed scratch of the
+    request that built it and keeps the allocator from trimming that
+    scratch, which raised the suprema workload's peak RSS by 2 MB."""
+    global _DEFAULT_PHASES
+    if _DEFAULT_PHASES is None or _DEFAULT_PHASES.shape[1] < kmax:
+        angles = np.angle(default_anchors())
+        shape = (len(angles), kmax)
+        table = np.frombuffer(mmap.mmap(-1, max(16 * shape[0] * kmax, 1)),
+                              dtype=complex, count=shape[0] * kmax)
+        _DEFAULT_PHASES = table.reshape(shape)
+        np.exp(1j * np.outer(angles, np.arange(1, kmax + 1)),
+               out=_DEFAULT_PHASES)
+        _DEFAULT_PHASES.flags.writeable = False
+    return _DEFAULT_PHASES[:, :kmax]
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +451,7 @@ def tent_norm_power(f: TaylorSeries, w: RadialWeight, p: float) -> NormEstimate:
 
     A = angular_autocorr(P.coeffs, nodes)
     d = P.degree
-    win = _window_weights(1.0 - nodes, d)
+    win = _window_weights(1.0 - nodes, np.arange(d + 1))
     base = (weights * nodes * H)[:, None]
     B = np.sum(base * win * A, axis=0) / np.pi
 
@@ -432,10 +494,12 @@ def hardy_p_reference(f: TaylorSeries, p: float) -> NormEstimate:
 
 def _square_sup(machine: SquareMachine, anchors, tag: str,
                 degree: int) -> NormEstimate:
-    anchors = np.asarray(default_anchors() if anchors is None else anchors,
-                         dtype=complex)
+    phase = None
+    if anchors is None:
+        anchors, phase = default_anchors(), _default_phases(machine.k[-1])
+    anchors = np.asarray(anchors, dtype=complex)
     best, best_a = _first_max(
-        machine.square_mass(anchors) / (1.0 - np.abs(anchors)), anchors)
+        machine.square_mass(anchors, phase) / (1.0 - np.abs(anchors)), anchors)
     return NormEstimate(best, math.nan, tag=tag,
                         truncation={"series": degree, "anchors": len(anchors)},
                         anchor=best_a)
@@ -475,18 +539,24 @@ def _kernel_anchor_set(depth: int = 8) -> np.ndarray:
 def _elliptic_ke(q: np.ndarray):
     """Complete elliptic integrals K(q) and E(q) of modulus q (0 <= q < 1)
     by the arithmetic-geometric mean: K = pi / (2 AGM(1, sqrt(1 - q^2))),
-    E = K (1 - sum_n 2^(n-1) c_n^2) with c_0 = q, c_(n+1) = (a_n - b_n)/2."""
+    E = K (1 - sum_n 2^(n-1) c_n^2) with c_0 = q, c_(n+1) = (a_n - b_n)/2.
+
+    Each row stops on its own test c_n <= 2^-53 a_n, so its K and E do not
+    depend on the other rows of the call."""
     a = np.ones_like(q)
     b = np.sqrt((1.0 - q) * (1.0 + q))
-    c, scale = q, 0.5
-    s = scale * c * c
+    scale = 0.5
+    s = scale * q * q
+    live = np.flatnonzero(q > 2.0 ** -53 * a)
     for _ in range(64):
-        if not np.any(c > 2.0 ** -53 * a):
+        if len(live) == 0:
             break
-        c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        al, bl = a[live], b[live]
+        c = 0.5 * (al - bl)
+        a[live], b[live] = 0.5 * (al + bl), np.sqrt(al * bl)
         scale *= 2.0
-        s += scale * c * c
+        s[live] += scale * c * c
+        live = live[c > 2.0 ** -53 * a[live]]
     K = np.pi / (2.0 * a)
     return K, K * (1.0 - s)
 
@@ -509,48 +579,77 @@ def _laplace_khat(q: np.ndarray, d: int) -> np.ndarray:
       s-raising of the s = 1/2 pair (2/pi) K and (2/pi) (K - E) / q;
     * q <= switch: Miller's backward ratios
       r_k = (k+s-1) q / (k (1+q^2) - (k-s+1) q r_(k+1)), started from
-      r = 0 at n = d + ceil(20 / -ln switch) (190 steps above d at the
-      0.9 switch, so switch^(2(n-d)) < e^-40), and
-      khat_k = khat_0 r_1 ... r_k.  This form has no 1/q, so q = 0 is
-      exact (khat = 1, 0, 0, ...).
+      r = 0 at each row's own n = d + ceil(20 / -ln q), so that
+      q^(2(n-d)) <= e^-40 (Gautschi, SIAM Review 9, 1967); at most
+      d + ceil(20 / -ln switch), 190 steps above d at the 0.9 switch, and
+      none for q = 0 (khat = 1, 0, 0, ...).  Then
+      khat_k = khat_0 r_1 ... r_k.
 
     The switch is 0.9 up to degree 32 and 0.9^(32/d) above: the forward
     recurrence amplifies rounding like q^-k, which this keeps below
     0.9^-32 (at a fixed 0.9, degree 128 lost 1e-9 and degree 512 every
     digit).  A switch below 0.9 loses digits on the forward side (1.7e-11
     at 0.8, 1.3e-8 at 0.7).
+
+    Every step of a row reads only that row, so a row's khat is the same
+    bit for bit in any batch.  The work runs in order of decreasing q
+    (:func:`_khat_columns`); input already in that order is not copied.
     """
     q = np.asarray(q, dtype=float)
+    if not np.any(q[1:] > q[:-1]):
+        return _khat_columns(q, d).T
+    order = np.argsort(-q, kind="stable")
+    out = np.empty((len(q), d + 1))
+    out[order] = _khat_columns(q[order], d).T
+    return out
+
+
+def _khat_columns(q: np.ndarray, d: int) -> np.ndarray:
+    """khat_k(q_i) in row k, column i, for q in decreasing order: one
+    (d + 1) x len(q) array.  The forward columns come first, and the
+    backward columns still running at step k are a prefix of the rest, so
+    every step reads and writes contiguous row slices."""
     s = 1.5
     K, E = _elliptic_ke(q)
     w = (1.0 - q) * (1.0 + q)
-    out = np.empty((len(q), d + 1))
-    out[:, 0] = (2.0 / np.pi) * (2.0 * E - w * K) / w ** 2
+    out = np.empty((d + 1, len(q)))
+    out[0] = (2.0 / np.pi) * (2.0 * E - w * K) / w ** 2
     if d == 0:
         return out
     switch = 0.9 ** min(1.0, 32.0 / d)
-    up = q > switch
-    if np.any(up):
-        qu, x = q[up], q[up] + 1.0 / q[up]
-        b = out[up]
-        b[:, 1] = (2.0 / np.pi) * ((1.0 + qu * qu) * E[up] - w[up] * K[up]) \
-            / (qu * w[up] ** 2)
+    n_up = int(np.sum(q > switch))
+    if n_up:
+        qu, wu, up = q[:n_up], w[:n_up], out[:, :n_up]
+        x = qu + 1.0 / qu
+        up[1] = (2.0 / np.pi) * ((1.0 + qu * qu) * E[:n_up] - wu * K[:n_up]) \
+            / (qu * wu ** 2)
         for k in range(1, d):
-            b[:, k + 1] = (k * x * b[:, k] - (k + s - 1.0) * b[:, k - 1]) \
+            up[k + 1] = (k * x * up[k] - (k + s - 1.0) * up[k - 1]) \
                 / (k - s + 1.0)
-        out[up] = b
-    down = ~up
-    if np.any(down):
-        qd = q[down]
-        qq = 1.0 + qd * qd
-        r = np.zeros(len(qd))
-        ratios = np.empty((len(qd), d + 1))
-        ratios[:, 0] = out[down, 0]
-        for k in range(d + math.ceil(20.0 / -math.log(switch)), 0, -1):
-            r = (k + s - 1.0) * qd / (k * qq - (k - s + 1.0) * qd * r)
-            if k <= d:
-                ratios[:, k] = r
-        out[down] = np.cumprod(ratios, axis=1)
+    qd, down = q[n_up:], out[:, n_up:]
+    qq = 1.0 + qd * qd
+    with np.errstate(divide="ignore"):
+        start = d + np.ceil(20.0 / -np.log(qd))
+    start = np.where(qd > 0.0, np.minimum(
+        start, d + math.ceil(20.0 / -math.log(switch))), 0).astype(int)
+    down[1:, np.count_nonzero(start):] = 0.0        # q = 0: no step
+    # the columns running at step k, start >= k, are a prefix
+    steps = np.arange(start.max(initial=0), 0, -1)
+    live = np.searchsorted(-start, -steps, side="right")
+    # r_k overwrites r_(k+1) in r above d and lands in row k from d down;
+    # every ufunc writes into a preallocated slice (positional out)
+    r, num, den = np.zeros(len(qd)), np.empty(len(qd)), np.empty(len(qd))
+    mul = np.multiply
+    for k, n in zip(steps.tolist(), live.tolist()):
+        qn, nn, dn = qd[:n], num[:n], den[:n]
+        mul(mul(k - s + 1.0, qn, dn), r[:n] if k >= d else down[k + 1, :n], dn)
+        np.subtract(mul(k, qq[:n], nn), dn, dn)
+        np.divide(mul(k + s - 1.0, qn, nn), dn,
+                  r[:n] if k > d else down[k, :n])
+    # khat_k = khat_(k-1) r_k row by row: np.cumprod(axis=0) gives the same
+    # products but walks the columns, 8 times slower at 33 x 20000
+    for k in range(1, d + 1):
+        mul(down[k - 1], down[k], down[k])
     return out
 
 
@@ -574,12 +673,30 @@ class _KernelRings:
         self.A = angular_autocorr(P.coeffs, self.nodes)
         self.degree = P.degree
 
-    def coefficients(self, t: float) -> np.ndarray:
-        """u_k(t) = (1-t)^2 2 sum_rings base khat_k(t r) A_k(r)."""
-        khat = _laplace_khat(t * self.nodes, self.degree)
-        u = np.sum((self.base[:, None] * khat) * self.A, axis=0)
-        u *= (1.0 - t) ** 2.0 * 2.0
-        return u
+    def coefficients(self, t) -> np.ndarray:
+        """u_k(t) = (1-t)^2 2 sum_rings base khat_k(t r) A_k(r): one row for
+        a scalar t, a row per radius for an array of them.
+
+        The khat of every ring of every radius come from one
+        :func:`_laplace_khat` call per block of KHAT_ELEMENTS numbers, on
+        all the q = t r of the block in decreasing order, and each radius
+        gathers its own rings back in ring order, so a radius's row is the
+        same bit for bit in any batch of radii."""
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        rings = len(self.nodes)
+        U = np.empty((len(ts), self.degree + 1), dtype=complex)
+        for block in _row_blocks(len(ts), rings * (self.degree + 1),
+                                 KHAT_ELEMENTS):
+            q = np.outer(ts[block], self.nodes).ravel()
+            order = np.argsort(-q, kind="stable")
+            where = np.empty_like(order)
+            where[order] = np.arange(len(q))
+            khat = _laplace_khat(q[order], self.degree)
+            for j, tj in enumerate(ts[block]):
+                kj = khat[where[j * rings:(j + 1) * rings]]
+                U[block.start + j] = np.sum((self.base[:, None] * kj) * self.A,
+                                            axis=0) * ((1.0 - tj) ** 2.0 * 2.0)
+        return U[0] if np.ndim(t) == 0 else U
 
     def bounds(self, ts: np.ndarray) -> np.ndarray:
         """Per radius t, an upper bound of the kernel integral at every
@@ -602,16 +719,17 @@ def bmoa_kernel_sup(g: TaylorSeries, w: RadialWeight,
     """sup_a int_D (1-|a|)^2 / |1 - conj(a) z|^3 d nu_g(z) over the anchors
     (default ``_kernel_anchor_set()``): the kernel test at lambda = 2.
 
-    Branch and bound over the distinct radii t = |a|: the bound
-    (1-t)^2 2 sum_rings base A_0(r) (1 - t r)^-3 of
-    :meth:`_KernelRings.bounds` is formed for every t first, the radii run
-    in decreasing order of it, and a radius whose bound times
-    1 + BOUND_SLACK is below the best value found so far gets no kernel
-    coefficients: none of its anchors can reach the maximum, so they read
-    -inf.  A row of the phase sum does not depend on the other rows, so
-    the value and the first-maximum anchor are those of the unpruned
-    sweep (the coefficients of every radius, then one phase sum over all
-    anchors), bit for bit.
+    Branch and bound over the distinct radii t = |a| in two waves.  The
+    bound (1-t)^2 2 sum_rings base A_0(r) (1 - t r)^-3 of
+    :meth:`_KernelRings.bounds` is formed for every t first.  Wave 1 takes
+    the kernel coefficients of the radius of largest bound alone; wave 2
+    those of every other radius whose bound times 1 + BOUND_SLACK is not
+    below the best value of wave 1, in one :meth:`_KernelRings.coefficients`
+    call.  A skipped radius cannot reach the maximum, so its anchors read
+    -inf.  A radius's coefficients and an anchor's phase sum do not depend
+    on the rest of their batch, so the value and the first-maximum anchor
+    are those of the unpruned sweep (the coefficients of every radius, then
+    one phase sum over all anchors), bit for bit.
     """
     anchors = np.asarray(_kernel_anchor_set() if anchors is None else anchors,
                          dtype=complex)
@@ -620,14 +738,16 @@ def bmoa_kernel_sup(g: TaylorSeries, w: RadialWeight,
     angles = np.angle(anchors)
     bound = rings.bounds(ts)
     values = np.full(len(anchors), -np.inf)
+    U = np.empty((len(ts), rings.degree + 1), dtype=complex)
     best = -np.inf
-    for j in np.argsort(-bound, kind="stable"):
-        if bound[j] * (1.0 + BOUND_SLACK) < best:
+    top = np.argsort(-bound, kind="stable")[:1]
+    for wave in (top, np.setdiff1d(np.arange(len(ts)), top)):
+        wave = wave[~(bound[wave] * (1.0 + BOUND_SLACK) < best)]
+        if len(wave) == 0:
             continue
-        mine = inverse == j
-        u = rings.coefficients(ts[j])
-        vals = _phase_sum(np.broadcast_to(u, (np.sum(mine), len(u))),
-                          angles[mine])
+        U[wave] = rings.coefficients(ts[wave])
+        mine = np.isin(inverse, wave)
+        vals = _phase_sum(U[inverse[mine]], angles[mine])
         values[mine] = vals
         best = max(best, np.max(vals, initial=-np.inf, where=~np.isnan(vals)))
     best, best_a = _first_max(values, anchors)

@@ -105,9 +105,13 @@ class TaylorSeries:
 
 
 def frac_derivative(f: TaylorSeries, w: RadialWeight) -> TaylorSeries:
-    """Coefficient n -> f_n / mu_{2n+1}."""
+    """Coefficient n -> f_n / mu_{2n+1}.  A moment that underflowed to 0
+    (steep exp: weights) gives a non-finite coefficient, which
+    :meth:`TaylorSeries.from_coeffs` refuses with no numpy warning first."""
     mus = w.odd_moments(f.degree + 1)
-    return TaylorSeries.from_coeffs(f.coeffs / mus)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        coeffs = f.coeffs / mus
+    return TaylorSeries.from_coeffs(coeffs)
 
 
 def frac_integral(f: TaylorSeries, w: RadialWeight) -> TaylorSeries:
@@ -117,10 +121,13 @@ def frac_integral(f: TaylorSeries, w: RadialWeight) -> TaylorSeries:
 
 
 def frac_R(f: TaylorSeries, w_num: RadialWeight, w_den: RadialWeight) -> TaylorSeries:
-    """Coefficient n -> (num_{2n+1} / den_{2n+1}) f_n."""
+    """Coefficient n -> (num_{2n+1} / den_{2n+1}) f_n; a non-finite one is
+    refused as by :func:`frac_derivative`."""
     num = w_num.odd_moments(f.degree + 1)
     den = w_den.odd_moments(f.degree + 1)
-    return TaylorSeries.from_coeffs(f.coeffs * num / den)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        coeffs = f.coeffs * num / den
+    return TaylorSeries.from_coeffs(coeffs)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ where c_n = ||z^n|| in the ambient space (c_n = 1 on H^2, the Gamma-ratio
 norming on A^2_alpha).
 
 Every truncation is stored as its band, entries[k, j] = M[k + j, k] (zero
-where k + j >= N), in O(N deg g) memory.  `OperatorMatrix.dense` expands a
-band for the tests.
+where k + j >= N), in O(N deg g) memory: real when every coefficient of g
+is, so that its Gram matrix goes to the real symmetric band solver.
+`OperatorMatrix.dense` expands a band for the tests.
 
 Singular values come from the banded Gram matrix M^H M, Hermitian with
 bandwidth deg g, whose diagonals are formed from those of M and passed to
@@ -85,7 +86,9 @@ def volterra_matrix(w: RadialWeight, g: TaylorSeries, alpha: float,
     mus = w.odd_moments(N)
     c = basis_norms(alpha, N)
     gh = g.coeffs
-    band = np.zeros((N, g.degree + 1), dtype=complex)
+    if not np.any(gh.imag):
+        gh = gh.real
+    band = np.zeros((N, g.degree + 1), dtype=gh.dtype)
     for j in range(g.degree + 1):       # a zero coefficient writes zeros
         m = np.arange(j, N)
         band[: N - j, j] = mus[m] * gh[j] / mus[j] * c[m] / c[m - j]
@@ -106,7 +109,7 @@ def singular_values(M: OperatorMatrix) -> np.ndarray:
     B = D[nonzero[0]: nonzero[-1] + 1]
     u = len(B) - 1
     # lower band storage: gram[s, i] = (M^H M)[i + s, i]
-    gram = np.zeros((u + 1, N), dtype=complex)
+    gram = np.zeros((u + 1, N), dtype=B.dtype)
     for s in range(u + 1):
         gram[s, : N - s] = np.sum(B[s:, : N - s] * np.conj(B[: u + 1 - s, s:]),
                                   axis=0)

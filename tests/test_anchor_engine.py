@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from fracvolt import TaylorSeries, frac_derivative, from_shorthand, norms
 from fracvolt.cli import parse_symbol
-from fracvolt.quad import PANEL_ORDER, gauss_rule, panel_edges, radial_nodes
+from fracvolt.quad import (PANEL_ORDER, PanelFunction, gauss_rule, panel_edges,
+                           radial_nodes)
 from conftest import bmoa_kernel_values
 
 WEIGHTS = ("std:1", "std:2", "exp:1:1")
@@ -225,9 +226,9 @@ def test_bmoa_sup_makes_one_autocorr_call(monkeypatch):
     calls = []
     original = norms.angular_autocorr
 
-    def counted(coeffs, radii):
+    def counted(coeffs, radii, *lags):
         calls.append(len(radii))
-        return original(coeffs, radii)
+        return original(coeffs, radii, *lags)
 
     monkeypatch.setattr(norms, "angular_autocorr", counted)
     g, w = parse_symbol("random:16:5"), from_shorthand("std:1")
@@ -419,10 +420,101 @@ def test_kernel_sup_runs_few_ring_sweeps(monkeypatch):
     original = norms._KernelRings.coefficients
 
     def counted(self, t):
-        radii.append(t)
+        radii.extend(np.atleast_1d(t))
         return original(self, t)
 
     monkeypatch.setattr(norms._KernelRings, "coefficients", counted)
     norms.bmoa_kernel_sup(parse_symbol("random:8:1"), from_shorthand("exp:1:1"))
     assert len(np.unique(np.abs(norms._kernel_anchor_set()))) == 18
     assert len(radii) <= 4
+
+
+# ---------------------------------------------------------------------------
+# live lags and the default anchors' phase table
+# ---------------------------------------------------------------------------
+
+class AllLagsMachine:
+    """The square machine with a column for every lag 0..deg, live or not."""
+
+    def __init__(self, P, H):
+        nodes, _ = radial_nodes()
+        self.k = np.arange(P.degree + 1)
+        A = norms.angular_autocorr(P.coeffs, nodes)
+        A *= (nodes * H(nodes))[:, None]
+        self.lags = PanelFunction.from_values(A)
+
+    def square_mass(self, anchors):
+        t, inverse = np.unique(np.abs(anchors), return_inverse=True)
+        G = norms._window_weights((1.0 - t) / 2.0, self.k) \
+            * self.lags.suffix_integral(t)
+        out = norms._phase_sum(G[inverse], np.angle(anchors)) / np.pi
+        out[anchors == 0] = 2.0 * self.lags.suffix[0][0].real
+        return out
+
+
+SPARSE = {"mono:1": TaylorSeries.monomial(1), "mono:32": TaylorSeries.monomial(32),
+          "z^2 + z^7": TaylorSeries.from_coeffs([0, 0, 1, 0, 0, 0, 0, 0.5j]),
+          "lacunary": TaylorSeries.from_coeffs(
+              np.bincount(2 ** np.arange(6), weights=2.0 ** (-np.arange(6) / 2))),
+          "zero": TaylorSeries.zero(), "log:64": parse_symbol("log:64")}
+
+
+@pytest.mark.parametrize("weight", ("std:1", "exp:1:1"))
+@pytest.mark.parametrize("name", list(SPARSE))
+def test_live_lags_match_every_lag(weight, name):
+    w = from_shorthand(weight)
+    P = frac_derivative(SPARSE[name], w)
+    machine = norms.SquareMachine(P, norms._lp_factor(w))
+    support = np.flatnonzero(P.coeffs)
+    live = {int(n - m) for n in support for m in support if n >= m} | {0}
+    assert machine.k.tolist() == sorted(live)
+    assert machine.lags.suffix.shape[1] == len(live)
+    anchors = np.concatenate([norms.default_anchors(), hand_anchors()])
+    old = AllLagsMachine(P, norms._lp_factor(w)).square_mass(anchors)
+    new = machine.square_mass(anchors)
+    np.testing.assert_allclose(new, old, rtol=1e-14, atol=1e-14 * np.max(np.abs(old)))
+
+
+def test_monomial_machine_has_one_lag():
+    w = from_shorthand("std:1")
+    for n in (0, 1, 8, 32):
+        machine = norms.SquareMachine(frac_derivative(TaylorSeries.monomial(n), w),
+                                      norms._lp_factor(w))
+        assert machine.k.tolist() == [0] and machine.lags.suffix.shape[1] == 1
+
+
+@pytest.mark.parametrize("symbol,classical", [
+    ("random:8:1", False), ("random:32:1", False), ("log:64", True)])
+def test_full_support_keeps_every_lag(symbol, classical):
+    # log:64 has no constant term, so the lag 64 of its fractional
+    # derivative is dead (see SPARSE); its derivative has full support
+    w, g = from_shorthand("std:1"), parse_symbol(symbol)
+    P = g.derivative() if classical else frac_derivative(g, w)
+    machine = norms.SquareMachine(P, norms._lp_factor(w))
+    assert machine.k.tolist() == list(range(P.degree + 1))
+    old = AllLagsMachine(P, norms._lp_factor(w)).square_mass(norms.default_anchors())
+    assert np.array_equal(machine.square_mass(norms.default_anchors()), old)
+
+
+def test_default_phase_table_is_built_once(monkeypatch):
+    monkeypatch.setattr(norms, "_DEFAULT_PHASES", None)
+    angles = np.angle(norms.default_anchors())
+    wide = norms._default_phases(40)
+    assert np.array_equal(wide, np.exp(1j * np.outer(angles, np.arange(1, 41))))
+    narrow = norms._default_phases(12)
+    assert np.shares_memory(wide, narrow) and narrow.shape == (len(angles), 12)
+    assert not narrow.flags.writeable
+    wider = norms._default_phases(64)
+    assert not np.shares_memory(wide, wider)
+    assert np.array_equal(wider[:, :40], wide)
+
+
+@pytest.mark.parametrize("symbol", ("mono:4", "random:12:2", "random:32:1", "log:64"))
+def test_square_sups_with_and_without_the_table_agree(symbol):
+    # the table's entries are those the phase sum forms for explicit anchors
+    w, g = from_shorthand("exp:1:1"), parse_symbol(symbol)
+    anchors = norms.default_anchors()
+    for sup in (lambda a: norms.bmoa_mu_sup(g, w, anchors=a),
+                lambda a: norms.bmoa_classical(g, anchors=a)):
+        table, explicit = sup(None), sup(anchors)
+        assert (table.value, table.anchor) == (explicit.value, explicit.anchor)

@@ -392,6 +392,20 @@ class TestErrorExits:
         if "--p" in argv:
             assert "p must be positive" in line
 
+    @pytest.mark.parametrize("argv", [
+        "frac --op D --weight exp:1:20 --symbol log:300",
+        "frac --op R --weight std:1 --weight2 exp:1:20 --symbol log:300"])
+    def test_underflowed_moments_refused_without_warning(self, capsys, argv):
+        # mu_{2n+1} is 0.0 from n = 206 on exp:1:20: the quotient is not
+        # finite, and numpy's divide, overflow and invalid warnings came
+        # before the one error line
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv.split())
+        err = capsys.readouterr().err
+        assert code == EXIT_INVARIANT and caught == []
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_classify_depth_below_one(self, capsys):
         # an empty dyadic grid reached numpy's reduction error
         for depth in ("0", "-1"):

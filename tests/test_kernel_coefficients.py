@@ -122,3 +122,173 @@ def test_fft_path_refuses_anchors_beyond_its_resolution():
     near = np.array([1.0 - 2.0 ** -j for j in (10, 12, 14)])
     vals = bmoa_kernel_values(g, w, near)
     assert np.all(np.isfinite(vals)) and np.all(vals > 0)
+
+
+# ---------------------------------------------------------------------------
+# the batched recurrence against the fixed-start routine it replaced
+# ---------------------------------------------------------------------------
+
+def oracle_elliptic_ke(q):
+    """The AGM run until every row of the batch has converged."""
+    a = np.ones_like(q)
+    b = np.sqrt((1.0 - q) * (1.0 + q))
+    c, scale = q, 0.5
+    s = scale * c * c
+    for _ in range(64):
+        if not np.any(c > 2.0 ** -53 * a):
+            break
+        c = 0.5 * (a - b)
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        scale *= 2.0
+        s += scale * c * c
+    K = np.pi / (2.0 * a)
+    return K, K * (1.0 - s)
+
+
+def oracle_khat(q, d):
+    """khat with a batch-wide AGM and every backward row started at
+    n = d + ceil(20 / -ln switch)."""
+    s = 1.5
+    K, E = oracle_elliptic_ke(q)
+    w = (1.0 - q) * (1.0 + q)
+    out = np.empty((len(q), d + 1))
+    out[:, 0] = (2.0 / np.pi) * (2.0 * E - w * K) / w ** 2
+    if d == 0:
+        return out
+    switch = 0.9 ** min(1.0, 32.0 / d)
+    up = q > switch
+    if np.any(up):
+        qu, x = q[up], q[up] + 1.0 / q[up]
+        b = out[up]
+        b[:, 1] = (2.0 / np.pi) * ((1.0 + qu * qu) * E[up] - w[up] * K[up]) \
+            / (qu * w[up] ** 2)
+        for k in range(1, d):
+            b[:, k + 1] = (k * x * b[:, k] - (k + s - 1.0) * b[:, k - 1]) \
+                / (k - s + 1.0)
+        out[up] = b
+    down = ~up
+    if np.any(down):
+        qd = q[down]
+        qq = 1.0 + qd * qd
+        r = np.zeros(len(qd))
+        ratios = np.empty((len(qd), d + 1))
+        ratios[:, 0] = out[down, 0]
+        for k in range(d + math.ceil(20.0 / -math.log(switch)), 0, -1):
+            r = (k + s - 1.0) * qd / (k * qq - (k - s + 1.0) * qd * r)
+            if k <= d:
+                ratios[:, k] = r
+        out[down] = np.cumprod(ratios, axis=1)
+    return out
+
+
+@pytest.mark.parametrize("d", (0, 1, 4, 24, 32, 64, 128))
+def test_khat_matches_fixed_start_routine(d):
+    q = np.concatenate([np.linspace(0.0, 0.999, 4001), QS])
+    new, old = norms._laplace_khat(q, d), oracle_khat(q, d)
+    assert np.all(np.abs(new - old) <= 1e-14 * old[:, :1])
+
+
+def special_qs():
+    switch = 0.9 ** (32.0 / 64)
+    return np.array([0.0, 0.0, 1e-300, 1e-8, 0.5, 0.9 - 1e-9, 0.9 + 1e-9,
+                     switch - 1e-9, switch + 1e-9, 0.99, 1.0 - 2.0 ** -14])
+
+
+@pytest.mark.parametrize("d", (0, 1, 24, 64))
+def test_khat_rows_do_not_depend_on_their_batch(d):
+    rng = np.random.default_rng(7)
+    q = np.concatenate([special_qs(), rng.uniform(0.0, 1.0 - 2.0 ** -14, 300)])
+    alone = np.vstack([norms._laplace_khat(q[i:i + 1], d) for i in range(len(q))])
+    batch = norms._laplace_khat(q, d)
+    assert np.array_equal(batch, alone)
+    perm = rng.permutation(len(q))
+    assert np.array_equal(norms._laplace_khat(q[perm], d), alone[perm])
+    twice = norms._laplace_khat(np.concatenate([q, q[::-1]]), d)
+    assert np.array_equal(twice, np.vstack([alone, alone[::-1]]))
+    ordered = np.sort(q)[::-1]
+    assert np.array_equal(norms._laplace_khat(ordered, d),
+                          alone[np.argsort(-q, kind="stable")])
+
+
+def test_elliptic_rows_do_not_depend_on_their_batch():
+    q = special_qs()
+    K, E = norms._elliptic_ke(q)
+    for i, qi in enumerate(q):
+        Ki, Ei = norms._elliptic_ke(np.array([qi]))
+        assert (K[i], E[i]) == (Ki[0], Ei[0])
+
+
+def test_agm_rows_stop_on_their_own(monkeypatch):
+    # each AGM step takes the square root over the rows still running: q = 0
+    # never runs, and q = 1/2 stops before q = 1 - 2^-40
+    sizes = []
+    sqrt = np.sqrt
+
+    def counted(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return sqrt(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sqrt", counted)
+    norms._elliptic_ke(np.array([0.0, 0.5, 1.0 - 2.0 ** -40]))
+    assert sizes[:2] == [3, 2] and sizes[-1] == 1
+    assert sizes[1:] == sorted(sizes[1:], reverse=True)
+
+
+def test_backward_rows_start_at_their_own_height(monkeypatch):
+    # each backward step divides once over the rows still running: a row
+    # of q = 0 takes no step, q = 1/2 takes d + ceil(20 / ln 2) = d + 29,
+    # and q = 0.9 the full d + 190
+    sizes = []
+    divide = np.divide
+
+    def counted(*args, **kwargs):
+        if len(args) == 3:      # the recurrence's divide into its output row
+            sizes.append(np.size(args[2]))
+        return divide(*args, **kwargs)
+
+    monkeypatch.setattr(np, "divide", counted)
+    d = 4
+    norms._laplace_khat(np.zeros(5), d)
+    assert sizes == []
+    norms._laplace_khat(np.array([0.5, 0.0, 0.0]), d)
+    assert sizes == [1] * (d + 29)
+    sizes.clear()
+    norms._laplace_khat(np.array([0.9, 0.5, 0.0]), d)
+    assert sizes == [1] * (190 - 29) + [2] * (d + 29)
+    monkeypatch.setattr(np, "divide", divide)
+    np.testing.assert_array_equal(norms._laplace_khat(np.array([0.0]), d),
+                                  [[1.0, 0.0, 0.0, 0.0, 0.0]])
+
+
+def test_kernel_sup_takes_one_khat_call_per_wave(monkeypatch):
+    calls = []
+    original = norms._laplace_khat
+
+    def counted(q, d):
+        calls.append(len(q))
+        return original(q, d)
+
+    monkeypatch.setattr(norms, "_laplace_khat", counted)
+    w, g = from_shorthand("std:1"), parse_symbol("random:24:1")
+    rings = norms._KernelRings(g, w)
+    radii = len(np.unique(np.abs(norms._kernel_anchor_set())))
+    monkeypatch.setattr(norms, "KHAT_ELEMENTS", 2 ** 40)
+    whole = norms.bmoa_kernel_sup(g, w)
+    # wave 1: the radius of largest bound; wave 2: every radius left
+    assert calls == [len(rings.nodes), (radii - 1) * len(rings.nodes)]
+    calls.clear()
+    monkeypatch.setattr(norms, "KHAT_ELEMENTS", 1)
+    one = norms.bmoa_kernel_sup(g, w)
+    assert calls == [len(rings.nodes)] * radii
+    assert (one.value, one.anchor) == (whole.value, whole.anchor)
+
+
+def test_kernel_coefficients_do_not_depend_on_their_batch():
+    w, g = from_shorthand("exp:1:1"), parse_symbol("random:12:3")
+    rings = norms._KernelRings(g, w)
+    ts = np.unique(np.abs(norms._kernel_anchor_set()))[::-1]
+    batch = rings.coefficients(ts)
+    assert batch.shape == (len(ts), g.degree + 1)
+    for j, t in enumerate(ts):
+        assert np.array_equal(rings.coefficients(t), batch[j])
+    assert np.array_equal(rings.coefficients(ts[::2]), batch[::2])

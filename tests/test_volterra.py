@@ -7,6 +7,7 @@ import pytest
 from fracvolt import TaylorSeries, from_shorthand
 from fracvolt import norms
 from fracvolt import volterra as vo
+from fracvolt.cli import parse_symbol
 from conftest import random_polynomial
 
 
@@ -109,6 +110,22 @@ class TestBand:
         # truncation_spectra's band slice is that same block
         half = vo.truncation_spectra(w, g, alpha, N)[1]
         assert np.array_equal(half, vo.singular_values(small))
+
+    @pytest.mark.parametrize("symbol", ["mono:3", "log:64", "real:12"])
+    def test_real_symbol_takes_real_band(self, std1, rng, symbol):
+        # a real band goes to the real symmetric band solver; its Gram
+        # eigenvalues are the complex path's to rounding (about eps sigma_max^2,
+        # which moves a tiny sigma by up to sqrt(eps) sigma_max)
+        g = parse_symbol(symbol) if symbol != "real:12" else \
+            TaylorSeries.from_coeffs(rng.standard_normal(13))
+        M = vo.volterra_matrix(std1, g, 0.0, 128)
+        assert M.entries.dtype == np.float64
+        as_complex = vo.OperatorMatrix(M.entries.astype(complex), M.alpha)
+        s_real, s_complex = vo.singular_values(M), vo.singular_values(as_complex)
+        np.testing.assert_allclose(s_real ** 2, s_complex ** 2, rtol=0,
+                                   atol=1e-13 * s_complex[0] ** 2)
+        twisted = vo.volterra_matrix(std1, g.scale(1j), 0.0, 128)
+        assert twisted.entries.dtype == np.complex128
 
     def test_memory_is_linear_in_truncation(self, std1, rng):
         N = 4096
