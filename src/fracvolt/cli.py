@@ -12,6 +12,13 @@ Output is a fixed-schema CSV (experiment, weight, symbol, param, lhs, rhs,
 ratio, trunc, err, anchor) or its JSON mirror.  Runs are reproducible:
 identical arguments and seed produce byte-identical output.  Exit codes:
 0 success, 2 divergence detected (informative), 3 invariant violation.
+
+An equivalence table is (rows, trend_exits) in EQUIVALENCES: rows(w, args)
+yields (symbol, param, trend degree, lhs, rhs, ratio cell, diverged).  A
+corpus ratio cell is lhs/rhs, empty if a side is infinite or the rhs is 0;
+h2-lp prints its LP form's own ratio, inf where it diverges.  The summary row
+spans the finite ratios.  A diverged row exits 2, as does a summary slope
+above TREND_SLOPE_LIMIT if trend_exits (schatten's verdict is its monitor).
 """
 
 from __future__ import annotations
@@ -108,17 +115,17 @@ def parse_symbol(text: str) -> TaylorSeries:
     raise ValueError(f"cannot parse symbol {text!r}")
 
 
-def default_corpus(size: int, seed: int, max_degree: int = 32) -> list:
+def default_corpus(size: int, seed: int) -> list:
     """(name, series) pairs: dyadic monomials, seeded random polys, log branch."""
     out = []
     deg = 1
-    while deg <= max_degree and len(out) < size - 1:
+    while deg <= 32 and len(out) < size - 1:
         out.append((f"mono:{deg}", TaylorSeries.monomial(deg)))
         deg *= 2
     rng = np.random.default_rng(seed)
     i = 0
     while len(out) < size - 1:
-        d = int(rng.integers(3, max_degree + 1))
+        d = int(rng.integers(3, 33))
         c = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
         c /= np.linalg.norm(c)
         out.append((f"random:{d}:{seed}:{i}", TaylorSeries.from_coeffs(c)))
@@ -153,17 +160,43 @@ NORMS = {
     "bergman": lambda g, w, a: norms.bergman_norm(g, a.alpha, a.p),
 }
 
-# Corpus equivalences: (estimate of the left side, value of the right side).
+
+def _corpus(sides):
+    """Rows over the default corpus; sides(g, w, args) -> (lhs estimate, rhs)."""
+    def rows(w, a):
+        if a.corpus < 1:
+            raise ValueError("--corpus must be at least 1")
+        for label, g in default_corpus(a.corpus, a.seed):
+            est, rhs = sides(g, w, a)
+            lhs = est.value
+            ratio = lhs / rhs if rhs and np.isfinite(lhs) and np.isfinite(rhs) else ""
+            yield label, g.degree, g.degree, lhs, rhs, ratio, est.diverged
+    return rows
+
+
+def _h2_lp(w, a):
+    """Monomial ladder n <= --trunc: |z^n|^2 in the LP form against mu_{2n+1}^2."""
+    if a.trunc < 0:
+        raise ValueError("--trunc must be nonnegative")
+    ns = list(range(0, a.trunc + 1, max(1, a.trunc // 100)))
+    ratios = norms.h2_monomial_ratios(w, ns).tolist()
+    for n, ratio, mu in zip(ns, ratios, w.odd_moments(ns[-1] + 1)[ns].tolist()):
+        yield (f"mono:{n}", n, n + 1, ratio * mu * mu, mu * mu, ratio,
+               not math.isfinite(ratio))
+
+
 EQUIVALENCES = {
-    "tent-hp": lambda g, w, a: (norms.tent_norm_power(g, w, a.p),
-                                norms.hardy_p_reference(g, a.p).value ** a.p),
-    "bmoa": lambda g, w, a: (norms.bmoa_mu_sup(g, w),
-                             norms.bmoa_classical(g).value),
-    "besov": lambda g, w, a: (norms.besov_mu(g, w, a.p),
-                              norms.besov_classical(g, a.p).value),
-    "schatten": lambda g, w, a: (
+    "h2-lp": (_h2_lp, True),
+    "tent-hp": (_corpus(lambda g, w, a: (
+        norms.tent_norm_power(g, w, a.p),
+        norms.hardy_p_reference(g, a.p).value ** a.p)), True),
+    "bmoa": (_corpus(lambda g, w, a: (norms.bmoa_mu_sup(g, w),
+                                      norms.bmoa_classical(g).value)), True),
+    "besov": (_corpus(lambda g, w, a: (
+        norms.besov_mu(g, w, a.p), norms.besov_classical(g, a.p).value)), True),
+    "schatten": (_corpus(lambda g, w, a: (
         volterra.schatten_with_monitor(w, g, a.alpha, a.p, a.trunc),
-        norms.besov_mu(g, w, a.p).value ** (1.0 / a.p)),
+        norms.besov_mu(g, w, a.p).value ** (1.0 / a.p))), False),
 }
 
 
@@ -268,48 +301,22 @@ def cmd_volterra(args) -> int:
 
 def cmd_equivalence(args) -> int:
     w = from_shorthand(args.weight)
-    name = args.name
-    rows: List[Row] = []
+    rows_of, trend_exits = EQUIVALENCES[args.name]
+    rows, degrees, ratios = [], [], []
     code = EXIT_OK
-
-    if name == "h2-lp":
-        if args.trunc < 0:
-            raise ValueError("--trunc must be nonnegative")
-        ns = list(range(0, args.trunc + 1, max(1, args.trunc // 100)))
-        ratios = norms.h2_monomial_ratios(w, ns).tolist()
-        mus = w.odd_moments(ns[-1] + 1).tolist()
-        for n, ratio in zip(ns, ratios):
-            mu = mus[n]
-            rows.append(Row("equiv-h2-lp", w.label(), f"mono:{n}", n,
-                            ratio * mu * mu, mu * mu, ratio, args.trunc))
-        finite = [r for r in ratios if np.isfinite(r)]
-        slope = _trend_slope([n + 1 for n in ns], ratios)
-        if finite:
-            rows.append(Row("equiv-h2-lp-summary", w.label(), "", "summary",
-                            min(finite), max(finite), slope, args.trunc))
-        if slope > TREND_SLOPE_LIMIT or len(finite) < len(ratios):
+    for label, param, degree, lhs, rhs, ratio, diverged in rows_of(w, args):
+        rows.append(Row(f"equiv-{args.name}", w.label(), label, param, lhs,
+                        rhs, ratio, args.trunc))
+        if diverged:
             code = EXIT_DIVERGENCE
-        emit(rows, args)
-        return code
-
-    degrees, ratios = [], []
-    for label, g in default_corpus(args.corpus, args.seed):
-        est, rhs = EQUIVALENCES[name](g, w, args)
-        lhs = est.value
-        ratio = lhs / rhs if (rhs and np.isfinite(lhs) and np.isfinite(rhs)) else ""
-        rows.append(Row(f"equiv-{name}", w.label(), label, g.degree, lhs, rhs,
-                        ratio, args.trunc))
-        if est.diverged:
-            code = EXIT_DIVERGENCE
-        if ratio != "":        # infinite sides are excluded from the spread
-            degrees.append(g.degree)
+        if ratio != "" and math.isfinite(ratio):
+            degrees.append(degree)
             ratios.append(ratio)
     if ratios:
         slope = _trend_slope(degrees, ratios)
-        rows.append(Row(f"equiv-{name}-summary", w.label(), "", "summary",
+        rows.append(Row(f"equiv-{args.name}-summary", w.label(), "", "summary",
                         min(ratios), max(ratios), slope, args.trunc))
-        # the Schatten verdict is its truncation monitor's
-        if name != "schatten" and slope > TREND_SLOPE_LIMIT:
+        if trend_exits and slope > TREND_SLOPE_LIMIT:
             code = EXIT_DIVERGENCE
     emit(rows, args)
     return code
@@ -364,8 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("equivalence", cmd_equivalence,
                 "two-sided norm comparison tables", "alpha", "p", "trunc", "seed")
-    p.add_argument("--name", default="h2-lp",
-                   choices=("h2-lp", *EQUIVALENCES))
+    p.add_argument("--name", default="h2-lp", choices=tuple(EQUIVALENCES))
     p.add_argument("--corpus", type=int, default=12)
     return ap
 

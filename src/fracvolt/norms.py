@@ -389,8 +389,7 @@ def _default_phases(kmax: int) -> np.ndarray:
 def hardy2_coeff(f: TaylorSeries) -> NormEstimate:
     """H^2 norm squared by Parseval: sum |f_n|^2."""
     val = float(np.sum(np.abs(f.coeffs) ** 2))
-    return NormEstimate(val, 0.0, tag="hardy2-coeff",
-                        truncation={"series": f.degree})
+    return NormEstimate(val, 0.0, truncation={"series": f.degree})
 
 
 def hardy2_lp(f: TaylorSeries, w: RadialWeight) -> NormEstimate:
@@ -403,11 +402,11 @@ def hardy2_lp(f: TaylorSeries, w: RadialWeight) -> NormEstimate:
     vals, errs, diverged = radial_integrals(_lp_factor(w),
                                             2 * np.arange(len(c)) + 1)
     if diverged:
-        return NormEstimate(np.inf, np.inf, tag="hardy2-lp", diverged=True,
+        return NormEstimate(np.inf, np.inf, diverged=True,
                             truncation={"series": f.degree})
     sq = np.abs(c) ** 2
     return NormEstimate(float(np.sum(sq * 2.0 * vals)),
-                        float(np.sum(sq * 2.0 * errs)), tag="hardy2-lp",
+                        float(np.sum(sq * 2.0 * errs)),
                         truncation={"series": f.degree})
 
 
@@ -446,7 +445,7 @@ def tent_norm_power(f: TaylorSeries, w: RadialWeight, p: float) -> NormEstimate:
 
     # integrability of the cone-integrated density mu_hat^2/(1-r)
     if radial_diverges(lp):
-        return NormEstimate(np.inf, np.inf, tag="tent-power", diverged=True,
+        return NormEstimate(np.inf, np.inf, diverged=True,
                             truncation={"series": f.degree, "p": p})
 
     A = angular_autocorr(P.coeffs, nodes)
@@ -461,13 +460,12 @@ def tent_norm_power(f: TaylorSeries, w: RadialWeight, p: float) -> NormEstimate:
     powered = np.maximum(inner, 0.0) ** (p / 2.0)
     value = float(np.pi / m * np.sum(powered))
     err = abs(value - float(2.0 * np.pi / m * np.sum(powered[::2])))
-    return NormEstimate(value, err, tag="tent-power",
+    return NormEstimate(value, err,
                         truncation={"series": f.degree, "xi": m, "p": p})
 
 
 def tent_norm(f: TaylorSeries, w: RadialWeight, p: float) -> NormEstimate:
     est = tent_norm_power(f, w, p)
-    est.tag = "tent"
     if not est.diverged:
         # the xi-rule gap on the root scale, on either side of the value
         lo, hi = max(est.value - est.err, 0.0), est.value + est.err
@@ -484,7 +482,7 @@ def hardy_p_reference(f: TaylorSeries, p: float) -> NormEstimate:
     mean_p, scale = _ring_p_means(f.coeffs, p, np.array([r0]), m)
     value = float((mean_p[0] * scale) ** (1.0 / p))
     # err: not estimated (the circle mean at one radius near 1)
-    return NormEstimate(value, math.nan, tag="hardy-p-reference",
+    return NormEstimate(value, math.nan,
                         truncation={"series": d, "angular": m})
 
 
@@ -492,15 +490,14 @@ def hardy_p_reference(f: TaylorSeries, p: float) -> NormEstimate:
 # BMOA-type quantities
 # ---------------------------------------------------------------------------
 
-def _square_sup(machine: SquareMachine, anchors, tag: str,
-                degree: int) -> NormEstimate:
+def _square_sup(machine: SquareMachine, anchors, degree: int) -> NormEstimate:
     phase = None
     if anchors is None:
         anchors, phase = default_anchors(), _default_phases(machine.k[-1])
     anchors = np.asarray(anchors, dtype=complex)
     best, best_a = _first_max(
         machine.square_mass(anchors, phase) / (1.0 - np.abs(anchors)), anchors)
-    return NormEstimate(best, math.nan, tag=tag,
+    return NormEstimate(best, math.nan,
                         truncation={"series": degree, "anchors": len(anchors)},
                         anchor=best_a)
 
@@ -509,7 +506,7 @@ def bmoa_mu_sup(g: TaylorSeries, w: RadialWeight,
                 anchors: Optional[Sequence[complex]] = None) -> NormEstimate:
     """sup_a nu_g(S(a)) / (1 - |a|),  d nu_g = |D(g)|^2 mu_hat^2/(1-|z|) dA."""
     machine = SquareMachine(frac_derivative(g, w), _lp_factor(w))
-    return _square_sup(machine, anchors, "bmoa-mu", g.degree)
+    return _square_sup(machine, anchors, g.degree)
 
 
 def bmoa_classical(g: TaylorSeries,
@@ -517,7 +514,7 @@ def bmoa_classical(g: TaylorSeries,
     """Classical BMOA seminorm squared:
     sup_a int_{S(a)} |g'|^2 (1-|z|^2) dA / (1-|a|)."""
     machine = SquareMachine(g.derivative(), lambda r: 1.0 - r * r)
-    return _square_sup(machine, anchors, "bmoa-classical", g.degree)
+    return _square_sup(machine, anchors, g.degree)
 
 
 def vanishing_profile(g: TaylorSeries, w: RadialWeight, depth: int = 12):
@@ -751,7 +748,7 @@ def bmoa_kernel_sup(g: TaylorSeries, w: RadialWeight,
         values[mine] = vals
         best = max(best, np.max(vals, initial=-np.inf, where=~np.isnan(vals)))
     best, best_a = _first_max(values, anchors)
-    return NormEstimate(best, math.nan, tag="bmoa-kernel",
+    return NormEstimate(best, math.nan,
                         truncation={"series": g.degree, "lambda": 2.0,
                                     "anchors": len(anchors)},
                         anchor=best_a)
@@ -793,7 +790,7 @@ def bloch_mu(g: TaylorSeries, w: RadialWeight) -> NormEstimate:
             best = float(vals.ravel()[j])
             ri, ai = divmod(j, m)
             best_z = nodes[rows[ri]] * np.exp(2j * np.pi * ai / m)
-    return NormEstimate(best, math.nan, tag="bloch-mu",
+    return NormEstimate(best, math.nan,
                         truncation={"series": g.degree, "angular": m},
                         anchor=complex(best_z))
 
@@ -817,7 +814,7 @@ def besov_mu(g: TaylorSeries, w: RadialWeight, p: float) -> NormEstimate:
     int_D |D(g)|^p mu_hat^p / (1-|z|^2)^2 dA."""
     check_exponent(p)
     if tail_weight_test(w, p) == "not-a-weight":
-        return NormEstimate(np.inf, np.inf, tag="besov-mu", diverged=True,
+        return NormEstimate(np.inf, np.inf, diverged=True,
                             truncation={"series": g.degree, "p": p})
     P = frac_derivative(g, w)
     m = angular_nodes_for_degree(g.degree)
@@ -825,7 +822,7 @@ def besov_mu(g: TaylorSeries, w: RadialWeight, p: float) -> NormEstimate:
         P.coeffs, p,
         lambda r: np.asarray(w.tail(r), dtype=float) ** p / (1.0 - r ** 2) ** 2,
         m)
-    return NormEstimate(value, math.nan, tag="besov-mu",
+    return NormEstimate(value, math.nan,
                         truncation={"series": g.degree, "p": p, "angular": m})
 
 
@@ -845,7 +842,7 @@ def besov_classical(g: TaylorSeries, p: float) -> NormEstimate:
     expo = n_p * p - 2.0
     value = head + _disc_p_integral(gk.coeffs, p,
                                     lambda r: (1.0 - r ** 2) ** expo, m)
-    return NormEstimate(value, math.nan, tag="besov-classical",
+    return NormEstimate(value, math.nan,
                         truncation={"series": g.degree, "p": p, "n_p": n_p})
 
 
@@ -857,7 +854,7 @@ def bergman_norm(f: TaylorSeries, alpha: float, p: float) -> NormEstimate:
     m = angular_nodes_for_degree(f.degree)
     value = _disc_p_integral(
         f.coeffs, p, lambda r: (alpha + 1.0) * (1.0 - r ** 2) ** alpha, m)
-    return NormEstimate(value, math.nan, tag="bergman",
+    return NormEstimate(value, math.nan,
                         truncation={"series": f.degree, "p": p, "alpha": alpha})
 
 

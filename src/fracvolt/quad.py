@@ -62,7 +62,6 @@ class NormEstimate:
 
     value: float
     err: float
-    tag: str = ""
     truncation: dict = field(default_factory=dict)
     diverged: bool = False
     anchor: Optional[complex] = None

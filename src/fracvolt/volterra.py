@@ -154,7 +154,7 @@ def schatten_with_monitor(w: RadialWeight, g: TaylorSeries, alpha: float,
     val_full = schatten_norm(full, p)
     val_half = schatten_norm(half, p)
     ratio = val_full / val_half if val_half > 0 else 1.0
-    return NormEstimate(val_full, abs(val_full - val_half), tag="schatten",
+    return NormEstimate(val_full, abs(val_full - val_half),
                         truncation={"N": N, "p": p, "alpha": alpha,
                                     "half_ratio": ratio},
                         diverged=bool(ratio > NO_PLATEAU_RATIO))

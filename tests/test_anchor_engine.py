@@ -298,7 +298,7 @@ def test_suprema_err_is_not_estimated(std1):
     g = TaylorSeries.monomial(2)
     for est in (norms.bmoa_mu_sup(g, std1), norms.bmoa_classical(g),
                 norms.bmoa_kernel_sup(g, std1), norms.bloch_mu(g, std1)):
-        assert math.isnan(est.err), est.tag
+        assert math.isnan(est.err), est
 
 
 def test_first_max_keeps_the_strict_scan_rules():

@@ -479,6 +479,13 @@ class TestErrorExits:
         assert code == EXIT_OK
         assert out.strip().split("\n")[1].split(",")[4] == "0.0"
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_corpus_below_one(self, capsys, size):
+        # printed a lone log:64 row and exited 0
+        line = self.run_err(capsys, "equivalence", "--name", "bmoa",
+                            "--corpus", size)
+        assert "--corpus" in line
+
     def test_h2lp_all_ratios_divergent(self, capsys):
         # mu_hat^2/(1-r) ~ 1/((1-r) sqrt(log)) is not integrable: every
         # ratio is infinite, so there is no summary row and the exit is 2
@@ -489,6 +496,80 @@ class TestErrorExits:
         rows = [l.split(",") for l in out.strip().split("\n")[1:]]
         assert [r[0] for r in rows] == ["equiv-h2-lp"] * 7
         assert all(r[6] == "inf" for r in rows)
+
+
+class TestTableProtocol:
+    """Every equivalence table is one EQUIVALENCES entry read by one loop:
+    rows, summary and verdict come from the entry alone."""
+
+    @pytest.fixture
+    def fresh_parser(self):
+        # --name choices are bound when the cached parser is first built
+        cli.build_parser.cache_clear()
+        yield
+        cli.build_parser.cache_clear()
+
+    def test_corpus_infinite_lhs_prints_no_ratio(self, capsys):
+        # mu_hat^p/(1-r^2)^2 is not integrable on std:0.3 at p = 2: every
+        # lhs is infinite, so every ratio cell is empty and no summary row
+        code, out = run_cli(capsys, "equivalence", "--name", "besov",
+                            "--weight", "std:0.3", "--p", "2", "--corpus", "3")
+        assert code == EXIT_DIVERGENCE
+        rows = [l.split(",") for l in out.strip().split("\n")[1:]]
+        assert [r[0] for r in rows] == ["equiv-besov"] * 3
+        assert all(r[4] == "inf" and r[6] == "" for r in rows)
+
+    @pytest.mark.parametrize("argv, trend_exits", [
+        (["--name", "bmoa", "--corpus", "2"], True),
+        (["--name", "besov", "--corpus", "2"], True),
+        (["--name", "tent-hp", "--corpus", "2"], True),
+        (["--name", "h2-lp", "--trunc", "8"], True),
+        (["--name", "schatten", "--weight", "std:2", "--p", "2",
+          "--corpus", "2"], False),
+    ])
+    def test_trend_verdict_is_the_entrys(self, capsys, monkeypatch, argv,
+                                         trend_exits):
+        # each request exits 0 on its own; a steep summary slope exits 2
+        # except for schatten, whose verdict stays its truncation monitor
+        code, _ = run_cli(capsys, "equivalence", *argv)
+        assert code == EXIT_OK
+        monkeypatch.setattr(cli, "_trend_slope", lambda degrees, ratios: 1.0)
+        code, out = run_cli(capsys, "equivalence", *argv)
+        assert out.strip().split("\n")[-1].split(",")[6] == "1.0"
+        assert code == (EXIT_DIVERGENCE if trend_exits else EXIT_OK)
+
+    @pytest.mark.parametrize("trend_exits", [True, False])
+    def test_toy_table_in_one_entry(self, capsys, monkeypatch, fresh_parser,
+                                    trend_exits):
+        def rows(w, a):
+            for n in (1, 2, 4):
+                yield f"mono:{n}", n, n + 1, 2.0 * n, 2.0, float(n), False
+            yield "log:64", 64, 64, np.inf, 1.0, "", False
+
+        monkeypatch.setitem(cli.EQUIVALENCES, "toy", (rows, trend_exits))
+        code, out = run_cli(capsys, "equivalence", "--name", "toy",
+                            "--weight", "std:2", "--trunc", "5")
+        lines = out.strip().split("\n")
+        assert lines[1:5] == ["equiv-toy,std:2,mono:1,1,2.0,2.0,1.0,5,,",
+                              "equiv-toy,std:2,mono:2,2,4.0,2.0,2.0,5,,",
+                              "equiv-toy,std:2,mono:4,4,8.0,2.0,4.0,5,,",
+                              "equiv-toy,std:2,log:64,64,inf,1.0,,5,,"]
+        summary = lines[5].split(",")
+        assert summary[:6] == ["equiv-toy-summary", "std:2", "", "summary",
+                               "1.0", "4.0"]
+        # the fit runs on the trend degrees n + 1, not on the params n
+        slope = np.polyfit(np.log([2.0, 3.0, 5.0]), np.log([1.0, 2.0, 4.0]), 1)[0]
+        assert float(summary[6]) == pytest.approx(slope, rel=1e-12)
+        assert slope > cli.TREND_SLOPE_LIMIT
+        assert code == (EXIT_DIVERGENCE if trend_exits else EXIT_OK)
+        assert len(lines) == 6
+
+    def test_name_choices_are_the_table(self):
+        assert tuple(cli.EQUIVALENCES) == ("h2-lp", "tent-hp", "bmoa", "besov",
+                                           "schatten")
+        parser = cli.build_parser()
+        for name in cli.EQUIVALENCES:
+            assert parser.parse_args(["equivalence", "--name", name]).name == name
 
 
 class TestUsageErrors:
