@@ -167,7 +167,10 @@ def _corpus(sides):
         if a.corpus < 1:
             raise ValueError("--corpus must be at least 1")
         for label, g in default_corpus(a.corpus, a.seed):
-            est, rhs = sides(g, w, a)
+            try:
+                est, rhs = sides(g, w, a)
+            except OperatorError as e:
+                raise OperatorError(f"{label}: {e}") from e
             lhs = est.value
             ratio = lhs / rhs if rhs and np.isfinite(lhs) and np.isfinite(rhs) else ""
             yield label, g.degree, g.degree, lhs, rhs, ratio, est.diverged
@@ -279,6 +282,8 @@ def cmd_norm(args) -> int:
 
 
 def cmd_volterra(args) -> int:
+    if args.spectrum_head < 0:
+        raise ValueError("--spectrum-head must be nonnegative")
     w = from_shorthand(args.weight)
     g = parse_symbol(args.symbol)
     spectra = volterra.truncation_spectra(w, g, args.alpha, args.trunc)

@@ -82,7 +82,8 @@ def volterra_matrix(w: RadialWeight, g: TaylorSeries, alpha: float,
     if not -1 <= alpha < math.inf:
         raise OperatorError("alpha must be finite and >= -1")
     if g.degree >= N:
-        raise OperatorError("symbol degree must stay below the truncation")
+        raise OperatorError(f"symbol degree {g.degree} must stay below the "
+                            f"truncation {N}")
     mus = w.odd_moments(N)
     c = basis_norms(alpha, N)
     gh = g.coeffs

@@ -29,7 +29,18 @@ endpoint singularities are split off analytically before interpolation.
 
 Weights are immutable after construction except for internal caches, which
 are idempotent (duplicate computation yields identical values), so concurrent
-readers are safe.
+readers are safe.  The arrays a weight hands out from those caches (its odd
+moments, its grid log density, its panel function's values and suffix sums)
+are read-only, so a caller's in-place write raises instead of changing what
+the next caller reads.
+
+Weights are interned per process by their shorthand text:
+:func:`from_shorthand` returns one shared weight per text from an LRU of
+WEIGHT_CACHE_SIZE entries, so requests that name the same weight share its
+moment table, panel function and log density.  Sharing is safe because the
+caches are idempotent and the arrays read-only: a request's output does not
+depend on which requests ran before it.  Constructing a class (e.g.
+``StandardWeight(1.0)``) always gives a fresh weight with empty caches.
 """
 
 from __future__ import annotations
@@ -46,12 +57,23 @@ from .quad import PanelFunction, log_moments, radial_diverges, radial_nodes
 
 MAX_ITERATE_DEPTH = 4
 
+# Weights kept by from_shorthand.  A weight with its caches filled holds
+# 28-47 KB; the fixed weights of a workload are a handful, and drawn
+# weights (one per request) only churn the least recently used entries.
+WEIGHT_CACHE_SIZE = 16
+
 _PROBE = np.concatenate([np.linspace(0.0, 0.98, 50),
                          1.0 - 2.0 ** -np.arange(6, 41, 2.0)])
 
 
 class WeightError(Exception):
     """Invalid weight definition or evaluation outside the domain."""
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, with writes through it (and through views of it) refused."""
+    a.flags.writeable = False
+    return a
 
 
 def _check_domain(r):
@@ -98,7 +120,10 @@ class RadialWeight:
 
     def panel_function(self) -> PanelFunction:
         if self._pf is None:
-            self._pf = PanelFunction.from_callable(self._density)
+            pf = PanelFunction.from_callable(self._density)
+            _read_only(pf.values)
+            _read_only(pf.suffix)
+            self._pf = pf
         return self._pf
 
     # -- tail ------------------------------------------------------------
@@ -120,8 +145,8 @@ class RadialWeight:
         zero or negative (a clipped or rounded density) the column drops."""
         if self._grid_log_density is None:
             with np.errstate(divide="ignore", invalid="ignore"):
-                self._grid_log_density = np.log(
-                    self.panel_function().flat_values)
+                self._grid_log_density = _read_only(np.log(
+                    self.panel_function().flat_values))
         return log_moments(xs, self._grid_log_density)
 
     def _moments(self, xs: np.ndarray) -> np.ndarray:
@@ -145,7 +170,7 @@ class RadialWeight:
         done = self._odd_cache
         if len(done) < count:
             new = self._moments(2.0 * np.arange(len(done), count) + 1.0)
-            done = self._odd_cache = np.concatenate([done, new])
+            done = self._odd_cache = _read_only(np.concatenate([done, new]))
         return done[:count]
 
     # -- derived weights --------------------------------------------------
@@ -252,7 +277,7 @@ class StandardWeight(RadialWeight):
         if len(self._odd_cache) < count:
             n = np.arange(1.0, count)
             ratios = np.concatenate(([0.5], n / (n + self.beta)))
-            self._odd_cache = np.cumprod(ratios)
+            self._odd_cache = _read_only(np.cumprod(ratios))
         return self._odd_cache[:count]
 
     def label(self):
@@ -280,7 +305,8 @@ class ExponentialWeight(RadialWeight):
         super().__init__()
         self.c = float(c)
         self.gamma = float(gamma)
-        self._grid_log_density = self._log_density(radial_nodes()[0])
+        self._grid_log_density = _read_only(
+            self._log_density(radial_nodes()[0]))
 
     def _density(self, r):
         # (1 - r)^(-gamma - 1) alone overflows near r = 1 for gamma > ~18.7
@@ -507,8 +533,12 @@ def from_descriptor(d: dict) -> RadialWeight:
     raise WeightError(f"unknown weight kind {kind!r}")
 
 
+@functools.lru_cache(maxsize=WEIGHT_CACHE_SIZE)
 def from_shorthand(text: str) -> RadialWeight:
-    """Parse 'std:<beta>', 'exp:<c>:<gamma>', 'expr:<f>', 'tailexpr:<f>' or JSON."""
+    """Parse 'std:<beta>', 'exp:<c>:<gamma>', 'expr:<f>', 'tailexpr:<f>' or
+    JSON.  The same text gives the same weight object while it stays among
+    the WEIGHT_CACHE_SIZE most recently used; an invalid text raises on
+    every call."""
     text = text.strip()
     if text.startswith("{"):
         return from_descriptor(json.loads(text))

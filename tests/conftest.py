@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from fracvolt import (ExponentialWeight, StandardWeight, TailExprWeight,
-                      TaylorSeries, norms)
+                      TaylorSeries, norms, weights)
 
 # property tests draw the same examples on every run, with no time limit
 # per example and no example database written to disk
@@ -57,3 +57,12 @@ def bmoa_kernel_values(g, w, anchors):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240813)
+
+
+@pytest.fixture(autouse=True)
+def fresh_weight_cache():
+    """Every test starts and ends with no interned weights, so a test that
+    counts the builds of a request sees the request build its weight."""
+    weights.from_shorthand.cache_clear()
+    yield
+    weights.from_shorthand.cache_clear()

@@ -1,5 +1,5 @@
-"""tools/ab_requests.py: the tree against itself on the common warm-up, and
-its template masks."""
+"""tools/ab_requests.py: the tree against itself on the common warm-up, its
+rounds, and its template masks."""
 
 import importlib.util
 import io
@@ -47,3 +47,32 @@ def test_templates_mask_the_drawn_parts():
     assert tool.template(d).endswith("--corpus 8 --seed #")
     e = "moments --weight expr:(1-r)^2.5123 --x 3,57,9,1".split()
     assert tool.template(e) == "moments --weight expr:(1-r)^# --x #"
+
+
+class FakeCli:
+    """Records the argvs it serves and the clears of its weight cache."""
+
+    def __init__(self, log, name, interns):
+        self.log, self.name = log, name
+        self.from_shorthand = lambda text: None
+        if interns:
+            self.from_shorthand.cache_clear = lambda: log.append((name, "clear"))
+
+    def main(self, argv):
+        self.log.append((self.name, argv))
+        return 0
+
+
+def test_repeats_are_whole_passes_apart():
+    log = []
+    clis = [FakeCli(log, "old", interns=False), FakeCli(log, "new", interns=True)]
+    best = tool.time_rounds(clis, ["w"], ["a", "b", "c"])
+    assert len(best) == 3 and all(len(pair) == 2 for pair in best)
+    round_ = [("old", "w"), ("new", "clear"), ("new", "w"),
+              ("old", "a"), ("new", "a"), ("new", "b"), ("old", "b"),
+              ("old", "c"), ("new", "c")]
+    second = [("old", "w"), ("new", "clear"), ("new", "w"),
+              ("new", "a"), ("old", "a"), ("old", "b"), ("new", "b"),
+              ("new", "c"), ("old", "c")]
+    assert log == (round_ + second) * (tool.REPEATS // 2) + \
+        (round_ if tool.REPEATS % 2 else [])

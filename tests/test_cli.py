@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exact_std
-from fracvolt import cli, from_shorthand, volterra, weight_class
+from fracvolt import cli, from_shorthand, volterra, weight_class, weights
 from fracvolt.cli import (CSV_COLUMNS, EXIT_DIVERGENCE, EXIT_INVARIANT,
                           EXIT_OK, default_corpus, main, parse_symbol)
 from fracvolt.quad import QuadratureError
@@ -486,6 +486,21 @@ class TestErrorExits:
                             "--corpus", size)
         assert "--corpus" in line
 
+    def test_negative_spectrum_head(self, capsys):
+        # printed the singular values [:-3], 5 of 8, and exited 0
+        line = self.run_err(capsys, "volterra", "--symbol", "mono:1",
+                            "--trunc", "8", "--spectrum-head", "-3")
+        assert "--spectrum-head" in line
+
+    @pytest.mark.parametrize("argv, words", [
+        (["volterra", "--trunc", "0"], "degree 1 must stay below the truncation 0"),
+        (["volterra", "--trunc", "3", "--symbol", "mono:3"],
+         "degree 3 must stay below the truncation 3"),
+        (["equivalence", "--name", "schatten", "--corpus", "2", "--trunc", "64"],
+         "log:64: symbol degree 64 must stay below the truncation 64")])
+    def test_truncation_error_names_its_numbers(self, capsys, argv, words):
+        assert self.run_err(capsys, *argv).endswith(words)
+
     def test_h2lp_all_ratios_divergent(self, capsys):
         # mu_hat^2/(1-r) ~ 1/((1-r) sqrt(log)) is not integrable: every
         # ratio is infinite, so there is no summary row and the exit is 2
@@ -724,6 +739,47 @@ class TestReproducibility:
         assert main(args + ["--out", str(out1)]) == EXIT_OK
         assert main(args + ["--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+    # requests of the three benchmark workloads' shapes, several on one
+    # weight: exp:1:1's odd moments are extended from 512 to 768 in forward
+    # order, taken at 768 at once in reverse and built afresh when cleared
+    ORDER_ARGVS = [
+        "volterra --weight exp:1:1 --symbol random:8:5 --alpha 0 --trunc 512",
+        "norm --name bmoa-kernel --weight exp:1:1 --symbol random:8:3",
+        "volterra --weight exp:1:1 --symbol mono:7 --alpha -1 --trunc 768",
+        "volterra --weight std:2 --symbol random:12:4 --alpha 0 --trunc 96",
+        "norm --name bloch --weight std:1 --symbol random:16:2",
+        "norm --name bmoa --weight exp:1:1 --symbol random:8:9 --format json",
+        "equivalence --name bmoa --weight std:1 --corpus 3 --seed 4",
+        "moments --weight exp:1.2:0.8 --x 3,41,9,1 --format json",
+        "frac --op R --weight std:1.5 --weight2 exp:1.2:1 --symbol random:24:1",
+        "norm --name hardy2-lp --weight std:1.5 --symbol random:16:7",
+        "equivalence --name schatten --weight std:1.5 --corpus 3 --seed 2 "
+        "--trunc 128",
+        "classify --weight expr:(1-r)^2.5 --depth 24",
+        "equivalence --name h2-lp --weight expr:(1-r)^2.5 --trunc 10",
+    ]
+
+    @staticmethod
+    def outputs(argvs, clear):
+        got = {}
+        for argv in argvs:
+            if clear:
+                weights.from_shorthand.cache_clear()
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv.split())
+            got[argv] = (code, out.getvalue(), err.getvalue())
+        return got
+
+    def test_outputs_do_not_depend_on_request_order(self):
+        forward = self.outputs(self.ORDER_ARGVS, clear=False)
+        weights.from_shorthand.cache_clear()
+        backward = self.outputs(self.ORDER_ARGVS[::-1], clear=False)
+        alone = self.outputs(self.ORDER_ARGVS, clear=True)
+        assert all(code in (EXIT_OK, EXIT_DIVERGENCE)
+                   for code, _, _ in forward.values())
+        assert forward == backward == alone
 
     def test_every_row_has_truncation(self, capsys):
         for argv in (["equivalence", "--name", "besov", "--weight", "std:1",

@@ -10,7 +10,7 @@ from scipy import integrate as si
 from fracvolt import (ExponentialWeight, ExprWeight, StandardWeight,
                       TailExprWeight, WeightError, from_descriptor,
                       from_shorthand)
-from fracvolt.weights import DERIVED_OPS, RadialWeight
+from fracvolt.weights import DERIVED_OPS, WEIGHT_CACHE_SIZE, RadialWeight
 
 
 def std_moment_oracle(beta: float, x: float) -> float:
@@ -422,6 +422,57 @@ class TestCaches:
         w2 = StandardWeight(0.5).mu_plus()
         expect = [w2.moment(x) for x in xs]
         assert got == expect
+
+
+class TestInterning:
+    TEXTS = ["std:1", "exp:1:1", "expr:(1-r)^2", "tailexpr:(1-r)^3",
+             '{"kind":"derived","op":"times_power","param":1.5,'
+             '"base":{"kind":"standard","beta":2}}']
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_same_text_same_weight(self, text):
+        assert from_shorthand(text) is from_shorthand(text)
+
+    @pytest.mark.parametrize("text", ["std:-1", "exp:1", "nope:1",
+                                      "expr:(1-r)^(-2)", "std:x"])
+    def test_invalid_text_raises_every_call(self, text):
+        size = from_shorthand.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises((WeightError, ValueError)):
+                from_shorthand(text)
+        assert from_shorthand.cache_info().currsize == size
+
+    def test_cache_never_exceeds_its_bound(self):
+        first = from_shorthand("std:1.5")
+        for k in range(2 * WEIGHT_CACHE_SIZE):
+            from_shorthand(f"std:{2 + k}")
+            assert from_shorthand.cache_info().currsize <= WEIGHT_CACHE_SIZE
+        assert from_shorthand("std:1.5") is not first
+
+    def test_constructor_gives_a_fresh_weight(self):
+        w = from_shorthand("std:1")
+        assert StandardWeight(1.0) is not w
+        assert StandardWeight(1.0)._odd_cache.size == 0
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_cached_arrays_are_read_only(self, text):
+        w = from_shorthand(text)
+        mus = w.odd_moments(8)
+        with pytest.raises(ValueError):
+            mus[0] = 1.0
+        with pytest.raises(ValueError):
+            w.odd_moments(4)[:] = 0.0
+        pf = w.panel_function()
+        for a in (pf.values, pf.flat_values, pf.suffix):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        w.log_moments([1.0])
+        if w._grid_log_density is not None:     # std: has closed forms
+            with pytest.raises(ValueError):
+                w._grid_log_density[0] = 0.0
+        # the refused writes changed nothing the next caller reads
+        fresh = from_descriptor(w.descriptor())
+        np.testing.assert_array_equal(w.odd_moments(8), fresh.odd_moments(8))
 
 
 # -- batched moments against the per-index loops they replaced -------------

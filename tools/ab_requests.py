@@ -11,15 +11,20 @@ or ``sweep``, or ``warmup`` for the common warm-up alone; the request
 plan (default seed 1) comes from NEW_TREE's ``perfbench/workloads.py``,
 loaded by path and only read.
 
-Both trees run the warm-up untimed.  Then every argv of the timed passes
-(the common warm-up itself for ``warmup``) runs three times in each tree,
-the tree that goes first alternating from one run to the next, and keeps
-its fastest time.  A template is an argv with its drawn parts masked
-(symbol seeds, ``--seed`` and ``--x`` values, decimals, monomial degrees);
-passes shuffle their requests, so templates are matched by this mask.  The
-report gives per template the median over its requests of those minima for
-both trees, then the two sums and their ratio OLD / NEW: above 1 means NEW
-is faster.
+The timing runs in REPEATS rounds, each a benchmark run in miniature: a
+tree that interns weights (its ``from_shorthand`` has a ``cache_clear``)
+drops them, both trees run the warm-up untimed, and then every argv of the
+timed passes (the common warm-up itself for ``warmup``) runs once in each
+tree, the tree that goes first alternating from one argv to the next and
+from one round to the next.  So the repeats of an argv are whole passes
+apart, and none finds a weight cached that a benchmark run, which never
+repeats an argv, would not have; each argv keeps its fastest time.
+
+A template is an argv with its drawn parts masked (symbol seeds, ``--seed``
+and ``--x`` values, decimals, monomial degrees); passes shuffle their
+requests, so templates are matched by this mask.  The report gives per
+template the median over its requests of those minima for both trees, then
+the two sums and their ratio OLD / NEW: above 1 means NEW is faster.
 """
 
 from __future__ import annotations
@@ -91,13 +96,20 @@ def plan_passes(workloads, name: str, seed: int) -> tuple:
     return plan.warmup, [plan.timed_pass(k) for k in range(count)]
 
 
-def time_pair(clis, argv, first: int) -> list:
-    """Fastest of REPEATS runs per tree, the tree ``first`` leading each
-    round."""
-    best = [float("inf")] * len(clis)
-    for _ in range(REPEATS):
-        for i in (first, 1 - first):
-            best[i] = min(best[i], request(clis[i], argv))
+def time_rounds(clis, warmup, requests) -> list:
+    """Per argv of ``requests``, the fastest of REPEATS rounds in each tree
+    as [old, new]; every round clears interned weights and runs the warm-up
+    untimed before it times the requests."""
+    best = [[float("inf")] * len(clis) for _ in requests]
+    for round_ in range(REPEATS):
+        for cli in clis:
+            getattr(cli.from_shorthand, "cache_clear", lambda: None)()
+            for argv in warmup:
+                request(cli, argv)
+        for turn, argv in enumerate(requests):
+            first = (turn + round_) % 2
+            for i in (first, 1 - first):
+                best[turn][i] = min(best[turn][i], request(clis[i], argv))
     return best
 
 
@@ -128,15 +140,10 @@ def main(argv=None) -> int:
     warmup, passes = plan_passes(load_workloads(args.new), args.workload,
                                  args.seed)
     clis = [load_cli(args.old, "fracvolt_old"), load_cli(args.new, "fracvolt_new")]
-    for argv in warmup:
-        for cli in clis:
-            request(cli, argv)
-    timings, turn = {}, 0
-    for requests in passes:
-        for argv in requests:
-            timings.setdefault(template(argv), []).append(
-                time_pair(clis, argv, turn % 2))
-            turn += 1
+    requests = [argv for argvs in passes for argv in argvs]
+    timings = {}
+    for argv, pair in zip(requests, time_rounds(clis, warmup, requests)):
+        timings.setdefault(template(argv), []).append(pair)
     print("\n".join(report(timings)))
     return 0
 
