@@ -393,6 +393,10 @@ def main(argv: Optional[list] = None) -> int:
     except (WeightError, OperatorError, QuadratureError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVARIANT
+    except MemoryError as e:
+        # the last guard: a request too large for this machine's memory
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ moment tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -59,6 +59,11 @@ class TaylorSeries:
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
+
+    @cached_property
+    def support(self) -> tuple:
+        """The indices of the nonzero coefficients, increasing."""
+        return tuple(np.flatnonzero(self.coeffs).tolist())
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)

@@ -22,7 +22,20 @@ Squaring costs accuracy only at the bottom of the spectrum: eigenvalues
 are off by about eps * sigma_max^2, so a singular value sigma is off by
 about eps * sigma_max^2 / sigma, which is rounding level at the top of the
 spectrum and at most about sqrt(eps) * sigma_max (absolute) for tiny sigma.
-The tests keep a dense SVD as the independent oracle.
+The tests keep a dense SVD as the independent oracle.  A band holds the
+columns of g's support (its nonzero coefficients) only; the others stay 0.
+
+A monomial g = c z^k is a weighted shift, z^m -> x_{m+k} z^{m+k} with
+x_m = mu_{2m+1} c / mu_{2k+1} * c_m / c_{m-k}, so its spectrum is |x_m|,
+m = k..N-1, in decreasing order, then k zeros, and the N/2 block's is the
+same from m < N/2: no Gram matrix, no eigensolve.  The x_m are the band's
+own entries, so on a real c the spectrum is the band path's bit for bit,
+as sqrt(fl(x^2)) = |x| in binary64 whenever x^2 neither overflows nor
+underflows (|x| between about 1e-154 and 1e154).  On a complex c the band
+path squares re^2 + im^2 where this takes hypot(re, im), so a value may
+move in the last bit (0.4285714285714286 -> 0.42857142857142866 at
+`volterra --symbol 'json:[[0,0],[0,0],[0.6,0.8]]' --trunc 8`).  An odd
+moment of the support that underflowed to 0.0 is refused by name.
 
 A spectrum is the decreasing float array of singular values, and a Schatten
 norm a float.  `schatten_with_monitor` reports one at its truncation with
@@ -76,23 +89,42 @@ class OperatorMatrix:
         return A
 
 
-def volterra_matrix(w: RadialWeight, g: TaylorSeries, alpha: float,
-                    N: int = DEFAULT_TRUNCATION) -> OperatorMatrix:
-    """N x N truncation of the operator with symbol g on A^2_alpha (band)."""
+def _operator_data(w: RadialWeight, g: TaylorSeries, alpha: float,
+                   N: int) -> tuple:
+    """The odd moments, basis norms and coefficients (real when every one
+    is) of the N x N truncation, after the checks every spectrum shares."""
     if not -1 <= alpha < math.inf:
         raise OperatorError("alpha must be finite and >= -1")
     if g.degree >= N:
         raise OperatorError(f"symbol degree {g.degree} must stay below the "
                             f"truncation {N}")
     mus = w.odd_moments(N)
-    c = basis_norms(alpha, N)
+    for j in g.support:
+        if mus[j] == 0.0:
+            raise OperatorError(f"the odd moment mu_{2 * j + 1} of {w.label()} "
+                                f"underflows to 0.0, and the entries divide by it")
     gh = g.coeffs
     if not np.any(gh.imag):
         gh = gh.real
+    return mus, basis_norms(alpha, N), gh
+
+
+def _column(mus: np.ndarray, c: np.ndarray, gh: np.ndarray,
+            j: int) -> np.ndarray:
+    """Entries M[m, m - j], m = j..N-1, of the subdiagonal of g_j; an
+    overflow is left to the finiteness check."""
+    N = len(mus)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return mus[j:] * gh[j] / mus[j] * c[j:] / c[: N - j]
+
+
+def volterra_matrix(w: RadialWeight, g: TaylorSeries, alpha: float,
+                    N: int = DEFAULT_TRUNCATION) -> OperatorMatrix:
+    """N x N truncation of the operator with symbol g on A^2_alpha (band)."""
+    mus, c, gh = _operator_data(w, g, alpha, N)
     band = np.zeros((N, g.degree + 1), dtype=gh.dtype)
-    for j in range(g.degree + 1):       # a zero coefficient writes zeros
-        m = np.arange(j, N)
-        band[: N - j, j] = mus[m] * gh[j] / mus[j] * c[m] / c[m - j]
+    for j in g.support:                 # a zero coefficient's column stays 0
+        band[: N - j, j] = _column(mus, c, gh, j)
     return OperatorMatrix(band, alpha)
 
 
@@ -131,12 +163,23 @@ def schatten_norm(sigma: np.ndarray, p: float) -> float:
 
 def truncation_spectra(w: RadialWeight, g: TaylorSeries, alpha: float,
                        N: int = DEFAULT_TRUNCATION) -> tuple:
-    """Spectra of the N x N truncation and of its leading N/2 block."""
-    big = volterra_matrix(w, g, alpha, N)
+    """Spectra of the N x N truncation and of its leading N/2 block.  A
+    monomial c z^k is a weighted shift: its spectrum is the moduli of its
+    one subdiagonal, decreasing, then k zeros.  Any other symbol takes the
+    Gram eigenvalues of its band."""
     h = N // 2
-    # keep k + j < h: the lower triangle of the row-reversed band
-    half = OperatorMatrix(np.tril(big.entries[:h, :h][::-1])[::-1], alpha)
-    return singular_values(big), singular_values(half)
+    if len(g.support) != 1:
+        big = volterra_matrix(w, g, alpha, N)
+        # keep k + j < h: the lower triangle of the row-reversed band
+        half = OperatorMatrix(np.tril(big.entries[:h, :h][::-1])[::-1], alpha)
+        return singular_values(big), singular_values(half)
+    (k,) = g.support
+    x = np.abs(_column(*_operator_data(w, g, alpha, N), k))
+    if not np.all(np.isfinite(x)):
+        raise OperatorError("matrix entries must be finite")
+    # the N/2 block holds the rows m < h, the first h - k entries of x
+    return tuple(np.concatenate([np.sort(x[: max(n - k, 0)])[::-1],
+                                 np.zeros(min(k, n))]) for n in (N, h))
 
 
 def schatten_with_monitor(w: RadialWeight, g: TaylorSeries, alpha: float,
@@ -164,5 +207,5 @@ def schatten_with_monitor(w: RadialWeight, g: TaylorSeries, alpha: float,
 def schatten_truncation_profile(w: RadialWeight, g: TaylorSeries, alpha: float,
                                 p: float, Ns: Sequence[int]) -> list:
     """Schatten norms along a truncation ladder (divergence witness)."""
-    return [schatten_norm(singular_values(volterra_matrix(w, g, alpha, int(N))), p)
+    return [schatten_norm(truncation_spectra(w, g, alpha, int(N))[0], p)
             for N in Ns]

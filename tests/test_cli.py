@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exact_std
-from fracvolt import cli, from_shorthand, volterra, weight_class, weights
+from fracvolt import cli, from_shorthand, norms, volterra, weight_class, weights
 from fracvolt.cli import (CSV_COLUMNS, EXIT_DIVERGENCE, EXIT_INVARIANT,
                           EXIT_OK, default_corpus, main, parse_symbol)
 from fracvolt.quad import QuadratureError
@@ -405,6 +405,25 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert code == EXIT_INVARIANT and caught == []
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_steep_monomial_names_its_underflowed_moment(self, capsys):
+        # mu_601 is 0.0 on exp:1:20, and numpy's invalid-value warning came
+        # before the error line
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = self.run_err(capsys, "volterra", "--weight", "exp:1:20",
+                                "--symbol", "mono:300", "--trunc", "512")
+        assert caught == [] and "mu_601" in line
+
+    def test_out_of_memory(self, capsys, monkeypatch):
+        # a request too large for memory ended in a traceback and exit 1
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+        monkeypatch.setattr(norms, "bmoa_classical", fail)
+        line = self.run_err(capsys, "norm", "--name", "bmoa-classical",
+                            "--symbol", "log:16384")
+        assert line == "error: out of memory: Unable to allocate 8.00 GiB for an array"
 
     def test_classify_depth_below_one(self, capsys):
         # an empty dyadic grid reached numpy's reduction error

@@ -77,3 +77,16 @@ def test_output_does_not_depend_on_what_loaded_first(cold_runs, capsys):
     for (argv, _), (code, out, _) in reversed(list(zip(COMMANDS, cold_runs))):
         assert cli.main(argv) == code
         assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("symbol, loads_linalg", [("mono:1", False),
+                                                  ("random:4:1", True)])
+def test_only_band_spectra_load_scipy_linalg(symbol, loads_linalg):
+    # a monomial's spectrum is its weighted shift's moduli: no eigensolve
+    proc = fresh_python("import sys, json\nfrom fracvolt import cli\n"
+                        "rc = cli.main(sys.argv[1:])\n"
+                        f"print(json.dumps({LOADED}), file=sys.stderr)\n",
+                        "volterra", "--symbol", symbol, "--trunc", "32")
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert ("scipy.linalg" in loaded) == loads_linalg

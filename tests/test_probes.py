@@ -98,7 +98,26 @@ def test_traced_warmup_counts_and_output():
     assert codes == plain_codes and set(codes) <= {0, 2}
     assert out == plain_out
     counts = tracer.summary()
-    # the warm-up's one volterra request: N = 64 and its N/2 block
+    # the warm-up's one volterra request is a monomial, a weighted shift
+    # whose spectra build no band and run no eigensolve
+    assert counts.get("volterra.volterra_matrix.calls", 0) == 0
+    assert counts.get("volterra.singular_values.calls", 0) == 0
+    assert counts["volterra.schatten_with_monitor.calls"] == 1
+
+
+def test_traced_band_spectra_cost_model():
+    # a full symbol: N = 64 and its N/2 block
+    from fracvolt import cli
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(fracvolt)
+        with redirect_stdout(io.StringIO()):
+            code = cli.main("volterra --weight std:1 --symbol random:3:1 "
+                                     "--trunc 64 --p-list 2".split())
+    finally:
+        tracer.active(False)
+    assert code in (0, 2)
+    counts = tracer.summary()
     assert counts["volterra.volterra_matrix.entries"] == 64 ** 2
     assert counts["volterra.singular_values.flops_computed"] == \
         32 * 64 ** 3 // 3 + 32 * 32 ** 3 // 3

@@ -171,3 +171,9 @@ class TestRepresentationIdentity:
             for n in (1, 2):
                 f = random_polynomial(rng, 16)
                 assert frac_rep_identity_check(f, w, n) < 1e-8
+
+
+def test_support_is_the_nonzero_indices():
+    assert TaylorSeries.zero().support == ()
+    assert TaylorSeries.monomial(5, 2j).support == (5,)
+    assert TaylorSeries.from_coeffs([0, 1, 0, 2.5, 0]).support == (1, 3)

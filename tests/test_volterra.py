@@ -246,3 +246,112 @@ class TestSchatten:
             ratios.append(s / b)
         ratios = np.array(ratios)
         assert ratios.max() / ratios.min() < 1e3
+
+
+def band_spectra(w, g, alpha, N):
+    """The band path on any symbol: Gram eigenvalues of the N-truncation's
+    band and of its leading N/2 block."""
+    M = vo.volterra_matrix(w, g, alpha, N)
+    h = N // 2
+    half = vo.OperatorMatrix(np.tril(M.entries[:h, :h][::-1])[::-1], alpha)
+    return vo.singular_values(M), vo.singular_values(half)
+
+
+def all_columns_band(w, g, alpha, N):
+    """The band written one column per coefficient, zero or not."""
+    mus = w.odd_moments(N)
+    c = norms.basis_norms(alpha, N)
+    gh = g.coeffs
+    if not np.any(gh.imag):
+        gh = gh.real
+    band = np.zeros((N, g.degree + 1), dtype=gh.dtype)
+    for j in range(g.degree + 1):
+        m = np.arange(j, N)
+        band[: N - j, j] = mus[m] * gh[j] / mus[j] * c[m] / c[m - j]
+    return band
+
+
+class TestWeightedShift:
+    """A monomial c z^k is a weighted shift, whose spectrum is the moduli
+    of its one subdiagonal, decreasing, then k zeros.  The band path is its
+    oracle: equal bit for bit on a real coefficient, where sqrt(fl(x^2)) =
+    |x|, and within a few ulp of sigma_max on a complex one, whose Gram
+    entry re^2 + im^2 rounds apart from hypot."""
+
+    @pytest.mark.parametrize("label", ["std:1", "std:2", "exp:1:1",
+                                       "expr:(1-r)^2"])
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 2.0])
+    @pytest.mark.parametrize("N", [1, 2, 3, 64, 768])
+    def test_matches_band_path(self, label, alpha, N):
+        w = from_shorthand(label)
+        h = N // 2
+        for k in sorted({0, 1, 5, 33, h - 1, h, N - 1} & set(range(N))):
+            for c in (1.0, -1.0, 0.6 + 0.8j):
+                g = TaylorSeries.monomial(k, c)
+                full, half = vo.truncation_spectra(w, g, alpha, N)
+                oracle = band_spectra(w, g, alpha, N)
+                assert full.shape == (N,) and half.shape == (h,)
+                assert np.count_nonzero(full[N - k:]) == 0
+                if k >= h:
+                    assert not np.any(half)
+                if isinstance(c, float):
+                    assert np.array_equal(full, oracle[0])
+                    assert np.array_equal(half, oracle[1])
+                else:
+                    ulp = np.spacing(oracle[0][0])
+                    assert np.all(np.abs(full - oracle[0]) <= 4 * ulp)
+                    assert np.all(np.abs(half - oracle[1]) <= 4 * ulp)
+
+    def test_zero_series(self, std1):
+        for N in (1, 2, 9):
+            full, half = vo.truncation_spectra(std1, TaylorSeries.zero(), 0.0, N)
+            assert np.array_equal(full, np.zeros(N))
+            assert np.array_equal(half, np.zeros(N // 2))
+
+    def test_profile_matches_band_path(self, std1):
+        g = TaylorSeries.monomial(3, -2.0)
+        Ns = [8, 64, 256]
+        expected = [vo.schatten_norm(band_spectra(std1, g, -1.0, N)[0], 1.5)
+                    for N in Ns]
+        assert vo.schatten_truncation_profile(std1, g, -1.0, 1.5, Ns) == expected
+
+    def test_monomial_runs_no_band(self, std1, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a weighted shift built a band")
+
+        monkeypatch.setattr(vo, "volterra_matrix", refused)
+        monkeypatch.setattr(vo, "singular_values", refused)
+        g = TaylorSeries.monomial(4, 0.5j)
+        vo.truncation_spectra(std1, g, 0.0, 64)
+        vo.schatten_truncation_profile(std1, g, 0.0, 2.0, [16, 32])
+        vo.schatten_with_monitor(std1, g, 0.0, 2.0, 32)
+
+    def test_underflowed_moment_is_named(self):
+        # mu_{2n+1} is 0.0 from n = 206 on exp:1:20
+        w = from_shorthand("exp:1:20")
+        with pytest.raises(vo.OperatorError, match="mu_601 of exp:1:20"):
+            vo.truncation_spectra(w, TaylorSeries.monomial(300), -1.0, 512)
+        # a full symbol names the first of its moments that underflowed
+        with pytest.raises(vo.OperatorError, match="mu_413 of exp:1:20"):
+            vo.volterra_matrix(w, TaylorSeries.from_coeffs([1.0] * 301),
+                               -1.0, 512)
+
+
+class TestSupportBand:
+    """The band is built from the symbol's nonzero coefficients only; its
+    zero columns stay zero, as when every column was written."""
+
+    @pytest.mark.parametrize("label, alpha", [("std:1", -1.0), ("std:2", 0.0),
+                                              ("exp:1:1", 2.0)])
+    @pytest.mark.parametrize("symbol", ["z+z^5", "2+z^8", "log:64",
+                                        "random:12"])
+    def test_matches_all_columns(self, label, alpha, symbol, rng):
+        w = from_shorthand(label)
+        g = {"z+z^5": TaylorSeries.from_coeffs([0, 1, 0, 0, 0, 1]),
+             "2+z^8": TaylorSeries.from_coeffs([2] + [0] * 7 + [1]),
+             "log:64": parse_symbol("log:64"),
+             "random:12": random_polynomial(rng, 12)}[symbol]
+        M = vo.volterra_matrix(w, g, alpha, 128)
+        expected = all_columns_band(w, g, alpha, 128)
+        assert M.entries.dtype == expected.dtype
+        assert np.array_equal(M.entries, expected)
